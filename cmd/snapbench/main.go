@@ -18,7 +18,7 @@
 // BFS-shaped kernel (-kernel=bfs|bc|closeness) on the unified visitor
 // engine, or the weighted delta-stepping kernel (-kernel=sssp, time
 // labels as arc weights, one series per -deltas bucket width with 0
-// meaning the average-weight heuristic, plus a sequential Dijkstra
+// meaning the default heuristic width, plus a sequential Dijkstra
 // baseline series); the -bfs engine choice applies to every BFS-shaped
 // kernel (figures 7, 10, 11, and kernel), not just plain BFS. The
 // figure "pipeline" exercises the incremental snapshot pipeline:
@@ -91,7 +91,7 @@ func main() {
 		kernel     = flag.String("kernel", "bfs", "kernel for the 'kernel' figure: bfs, bc, closeness, or sssp")
 		qworkers   = flag.Int("qworkers", 4, "concurrent query workers for the 'pipeline' figure; max of the query-worker sweep for 'service'")
 		qduration  = flag.Duration("qduration", time.Second, "sustained-load duration per sweep point for the 'service' figure")
-		deltas     = flag.String("deltas", "", "comma-separated delta-stepping bucket widths to sweep for -kernel=sssp (0 = average-weight heuristic; default just the heuristic)")
+		deltas     = flag.String("deltas", "", "comma-separated delta-stepping bucket widths to sweep for -kernel=sssp (0 = the default heuristic width; default just the heuristic)")
 		scales     = flag.String("scales", "", "comma-separated scales for figure 1 (default scale-6..scale)")
 		shards     = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the 'shard' figure")
 		zipfs      = flag.String("zipf", "0,0.8,1.2", "comma-separated Zipf exponents for the 'workload' figure")

@@ -172,8 +172,8 @@ func NewSSSPScratch() *SSSPScratch { return sssp.NewScratch() }
 type SSSPOptions struct {
 	// Workers is the parallelism; <= 0 means GOMAXPROCS.
 	Workers int
-	// Delta is the bucket width; <= 0 picks the heuristic (average arc
-	// weight). Light arcs (weight <= Delta) are relaxed to a fixpoint
+	// Delta is the bucket width; <= 0 picks the heuristic (mean arc
+	// weight over 2*sqrt(mean degree), at least 1). Light arcs (weight <= Delta) are relaxed to a fixpoint
 	// within each distance band, heavy arcs once per settled vertex.
 	Delta int64
 	// Scratch, when non-nil, is reused across calls (see SSSPScratch).

@@ -51,7 +51,7 @@ type Config struct {
 	BFSEngine string
 	// Deltas is the bucket-width sweep for the "sssp" kernel: one
 	// measurement series per value, with 0 meaning the heuristic
-	// (average-weight) width. Empty means just the heuristic.
+	// (wcsr.HeuristicDelta) width. Empty means just the heuristic.
 	Deltas []int64
 }
 

@@ -249,6 +249,47 @@ func TestSteadyStateQueriesDoNotAllocateScratch(t *testing.T) {
 	}
 }
 
+// TestSSSPAfterGrowingRefreshDoesNotAllocate is the cold half of the
+// guard above: the first SSSP on a newly published snapshot re-prepares
+// the pooled scratch's weighted view, and that must stay inside the
+// arrays the scratch already owns even when the refresh added arcs (the
+// view keeps m/8 headroom) — a refresh may cost a query one partition
+// pass, never 8 bytes per arc of fresh garbage.
+func TestSSSPAfterGrowingRefreshDoesNotAllocate(t *testing.T) {
+	mgr, _ := newManager(t, 10, 13)
+	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
+	for i := 0; i < 2; i++ { // size the view, the buffers and the bucket ring
+		if _, err := ex.SSSP(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fresh, err := rmat.Generate(0, rmat.PaperParams(10, 256, 50, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	for round := 0; round < 4; round++ {
+		before := mgr.Current()
+		batch := stream.Mirror(stream.Inserts(fresh[round*64 : (round+1)*64]))
+		mgr.Ingest(func(s *dyngraph.Tracked) { s.ApplyBatch(0, batch) })
+		mgr.Refresh(0)
+		if g := mgr.Current(); g == before || g.NumEdges() <= before.NumEdges() {
+			t.Fatalf("round %d: refresh did not publish a larger snapshot", round)
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
+		_, err := ex.SSSP(1, 0)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ms.Mallocs - mallocs; n != 0 {
+			t.Fatalf("round %d: first SSSP after a growing refresh allocates %d objects, want 0", round, n)
+		}
+	}
+}
+
 // TestConcurrentQueriesUnderIngest hammers the executor from many
 // goroutines while the ingest side applies batches and refreshes —
 // the qserve half of the serving -race guarantee.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"reflect"
 	"sync/atomic"
 
 	"snapdyn/internal/csr"
@@ -22,10 +21,9 @@ type ssspState struct {
 	dist []int64
 
 	views   []wcsr.Graph
-	viewFor []*csr.Graph
+	viewFor []*csr.Graph // the graph each view was built from; nil = invalid
 	viewWF  uintptr
 	viewReq int64 // requested delta (cache key; <= 0 means heuristic)
-	viewOK  bool
 
 	sub [][]uint32 // relaxation batch scattered by owner
 	out [][]uint32 // per-shard relaxation winners, gathered per phase
@@ -50,9 +48,8 @@ type ssspState struct {
 // winning improvements are gathered back into the ring at the phase
 // barrier — the "tentative-distance relaxations exchanged per delta
 // bucket" protocol. delta <= 0 derives one global delta from the
-// per-shard weight distributions (edge-weighted mean), applied to
-// every shard view with a binary-search Retarget so all shards agree
-// on band boundaries.
+// per-shard weight distributions (wcsr.HeuristicDelta over all shard
+// views), so all shards agree on band boundaries.
 func (sc *Scratch) SSSP(views []*csr.Graph, src uint32, wf wcsr.WeightFunc, delta int64) []int64 {
 	p := len(views)
 	n := views[0].N
@@ -140,90 +137,69 @@ func (sc *Scratch) SSSP(views []*csr.Graph, src uint32, wf wcsr.WeightFunc, delt
 	return dist
 }
 
-// ensureViews (re)builds the cached per-shard weighted views. A cache
-// hit with a changed delta is a Retarget per shard — binary search
-// over the weight-sorted spans — never a rebuild.
+// ensureViews brings the cached per-shard weighted views up to date.
+// Each view is keyed by its own shard's graph pointer: shards refresh
+// independently, so only the shards whose snapshot moved are
+// re-partitioned (one streaming pass each, in parallel). All shards
+// share one delta so they agree on band boundaries; a heuristic
+// request (delta <= 0) derives it from every shard's labels before any
+// view is built, and a shard whose cached view was cut at another
+// delta is re-partitioned too.
 func (sc *Scratch) ensureViews(views []*csr.Graph, wf wcsr.WeightFunc, delta int64) {
 	sp := &sc.sp
 	p := len(views)
-	wfp := reflect.ValueOf(wf).Pointer()
-	same := sp.viewOK && sp.viewWF == wfp && len(sp.viewFor) == p
-	if same {
-		for s := range views {
-			if sp.viewFor[s] != views[s] {
-				same = false
-				break
-			}
-		}
+	wfp, wf := sssp.ViewKey(wf)
+	if len(sp.views) != p {
+		sp.views = make([]wcsr.Graph, p)
+		sp.viewFor = make([]*csr.Graph, p)
 	}
-	if same && sp.viewReq == delta {
-		return
-	}
-	if !same {
-		sp.viewOK = false
-		if len(sp.views) != p {
-			sp.views = make([]wcsr.Graph, p)
-			sp.viewFor = make([]*csr.Graph, p)
-		}
-		// Materialize with a placeholder delta when the caller wants the
-		// heuristic: the global value needs every shard's weights first.
-		bdelta := delta
-		if bdelta <= 0 {
-			bdelta = 1
-		}
-		// wcsr.Rebuild reports bad weights by panicking on its caller's
-		// goroutine — here a fleet worker, where an unhandled panic
-		// would kill the process. Ferry it back to the coordinator.
-		var pan atomic.Pointer[panicValue]
-		par.Workers(p, func(s int) {
-			defer func() {
-				if r := recover(); r != nil {
-					pan.CompareAndSwap(nil, &panicValue{r})
-				}
-			}()
-			sp.views[s].Rebuild(1, views[s], wf, bdelta)
-		})
-		if pv := pan.Load(); pv != nil {
-			panic(pv.v)
-		}
-		for s := range views {
-			sp.viewFor[s] = views[s]
-		}
+	if sp.viewWF != wfp {
+		clear(sp.viewFor)
 		sp.viewWF = wfp
-		sp.viewOK = true
+	}
+	stale := sp.viewReq != delta
+	for s := range views {
+		stale = stale || sp.viewFor[s] != views[s]
+	}
+	if !stale {
+		return
 	}
 	sp.viewReq = delta
 	if delta <= 0 {
-		delta = globalDelta(sp.views)
+		delta = wcsr.HeuristicDelta(wf, views[0].N, views...)
 	}
-	if sp.views[0].Delta != delta {
-		par.Workers(p, func(s int) { sp.views[s].Retarget(1, delta) })
+	sc.rebuildViews(views, wf, delta)
+}
+
+// rebuildViews re-partitions, at delta, every shard view that is not
+// already current. wcsr.Rebuild reports bad weights by panicking on its
+// caller's goroutine — here a fleet worker, where an unhandled panic
+// would kill the process — so it is ferried back to the coordinator;
+// the failed shard's key stays cleared and the next run rebuilds it.
+// The fan-out lives apart from ensureViews so that its escaping closure
+// costs the warm-hit path no allocation.
+func (sc *Scratch) rebuildViews(views []*csr.Graph, wf wcsr.WeightFunc, delta int64) {
+	sp := &sc.sp
+	var pan atomic.Pointer[panicValue]
+	par.Workers(len(views), func(s int) {
+		if sp.viewFor[s] == views[s] && sp.views[s].Delta == delta {
+			return
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				pan.CompareAndSwap(nil, &panicValue{r})
+			}
+		}()
+		sp.viewFor[s] = nil
+		sp.views[s].Rebuild(1, views[s], wf, delta)
+		sp.viewFor[s] = views[s]
+	})
+	if pv := pan.Load(); pv != nil {
+		panic(pv.v)
 	}
 }
 
 type panicValue struct{ v any }
-
-// globalDelta combines the per-shard weight distributions into one
-// delta: each shard's sampled mean weight, weighted by its arc count.
-// Deterministic for a fixed shard count and view set.
-func globalDelta(views []wcsr.Graph) int64 {
-	var wsum, cnt int64
-	for s := range views {
-		m := views[s].NumEdges()
-		if m > 0 {
-			wsum += wcsr.HeuristicDelta(views[s].W) * m
-			cnt += m
-		}
-	}
-	if cnt == 0 {
-		return 1
-	}
-	d := wsum / cnt
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
 
 // ensureRun sizes the per-run buffers.
 func (sp *ssspState) ensureRun(p, n int, maxW uint32, delta int64) {

