@@ -431,11 +431,26 @@ func BenchmarkSSSPDijkstra(b *testing.B) {
 // BenchmarkStoreInsertSingle measures single-edge insert latency per
 // representation.
 // BenchmarkSnapshotRefresh measures the incremental snapshot pipeline's
-// materialization cost against the full rebuild it replaces, at the
-// acceptance scale (R-MAT 16, m=10n): SnapshotManager.Refresh after
-// batches dirtying ~0.1%, 1%, and 10% of the vertices, plus the
-// full-rebuild baseline. Each iteration applies a batch (untimed) and
-// times only the refresh.
+// materialization cost against the full rebuild it replaces, at R-MAT
+// scale 16: each iteration applies updates (untimed) and times only
+// SnapshotManager.Refresh. The cases differ in the *shape* of the dirty
+// set, which decides what a refresh costs (two cores, go1.24):
+//
+//   - dirty=0.001|0.01|0.1 — uniform stride: that fraction of the vertex
+//     ids, evenly spaced, one arc inserted or deleted at each (m = 10n,
+//     directed). Almost all are array-mode leaves, so the arcs to
+//     re-enumerate are about the same fraction of m: 2.5-3.5 ms, ~3 ms
+//     and ~4.5 ms against full-rebuild's 24-30 ms (9x, 9x, 6x).
+//   - rmat-churn — the served shape: R-MAT inserts plus lagged deletes
+//     until 4096 vertices are dirty (m = 8n, undirected). The dirty
+//     vertices are the hubs and own 60 % of the arcs (dirty-arc-frac),
+//     but two thirds of them are treap-mode and patched from their
+//     touched keys (patched-frac), so 1.5 % of the arcs are enumerated
+//     (enum-arc-frac): ~8 ms, against 16-17 ms when every dirty vertex
+//     was re-walked and ~25 ms for a full rebuild.
+//
+// csr.RefreshMaxEnumFrac's doc comment has the sweep over enumerated
+// fractions the fallback rule was derived from.
 func BenchmarkSnapshotRefresh(b *testing.B) {
 	const scale = 16
 	n := 1 << scale
@@ -491,6 +506,83 @@ func BenchmarkSnapshotRefresh(b *testing.B) {
 			g.Snapshot(0)
 		}
 	})
+
+	// The served shape (benchmark/'s churn stream against snapserve's
+	// defaults): an undirected m=8n graph, 1024-update batches of fresh
+	// R-MAT inserts plus the deletes of the inserts eight batches back,
+	// applied until -refresh-dirty's 4096 vertices are dirty. The store
+	// is built once and churned in place across iterations and b.N
+	// rounds — the stream is stationary, so the graph does not grow.
+	var churn *refreshChurn
+	b.Run("rmat-churn", func(b *testing.B) {
+		if churn == nil {
+			churn = newRefreshChurn(b, scale)
+		}
+		var owned, enumerated, patched float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			owned += churn.dirtyUntil(4096)
+			b.StartTimer()
+			churn.m.Refresh(0)
+			met := churn.m.Metrics()
+			enumerated += float64(met.LastEnumeratedArcs)
+			patched += float64(met.LastPatched) / float64(met.LastDirty)
+		}
+		arcs := float64(churn.m.Current().NumEdges()) * float64(b.N)
+		b.ReportMetric(owned/arcs, "dirty-arc-frac")
+		b.ReportMetric(enumerated/arcs, "enum-arc-frac")
+		b.ReportMetric(patched/float64(b.N), "patched-frac")
+	})
+}
+
+// refreshChurn is BenchmarkSnapshotRefresh/rmat-churn's state: the
+// graph, its manager, and the lagged-delete update stream.
+type refreshChurn struct {
+	g       *Graph
+	m       *SnapshotManager
+	scale   int
+	k       int
+	history [8][]Edge
+}
+
+func newRefreshChurn(b *testing.B, scale int) *refreshChurn {
+	b.Helper()
+	n := 1 << scale
+	edges, err := GenerateRMAT(0, PaperRMAT(scale, 8*n, 100, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := New(n, Undirected(), WithExpectedEdges(4*len(edges)))
+	g.InsertEdges(0, edges)
+	return &refreshChurn{g: g, m: g.Manager(0), scale: scale}
+}
+
+// dirtyUntil applies churn batches until at least want vertices are
+// dirty and returns the arcs those vertices own.
+func (c *refreshChurn) dirtyUntil(want int) float64 {
+	for c.m.Staleness() < want {
+		fresh, err := GenerateRMAT(0, PaperRMAT(c.scale, 512, 100, uint64(c.k)+2))
+		if err != nil {
+			panic(err)
+		}
+		slot := c.k % len(c.history)
+		batch := make([]Update, 0, 1024)
+		for _, e := range fresh {
+			batch = append(batch, Update{Edge: e, Op: OpInsert})
+		}
+		for _, e := range c.history[slot] {
+			batch = append(batch, Update{Edge: e, Op: OpDelete})
+		}
+		c.history[slot] = fresh
+		c.k++
+		c.m.ApplyUpdates(0, batch)
+	}
+	var owned float64
+	for _, u := range c.g.store.Dirty(nil) {
+		owned += float64(c.g.store.Degree(u))
+	}
+	return owned
 }
 
 func BenchmarkStoreInsertSingle(b *testing.B) {

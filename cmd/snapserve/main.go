@@ -52,7 +52,7 @@
 // envelope with kind, epoch, cache disposition, and structured error
 // codes):
 //
-//	POST /ingest            JSON [{"u":1,"v":2,"t":3,"op":"insert"}, ...]
+//	POST /ingest            JSON [{"u":1,"v":2,"t":3,"op":"insert"}, ...] (413 past 64 MiB)
 //	GET  /query/bfs?src=N
 //	GET  /query/sssp?src=N&delta=D
 //	GET  /query/connected?u=N&v=M[&live=1]
@@ -135,8 +135,6 @@ type config struct {
 	// sharded). Empty keeps the volatile direct-apply path.
 	walDir       string
 	ckptEvery    uint64
-	batchMax     int
-	batchDelay   time.Duration
 	batchPending int
 }
 
@@ -144,11 +142,7 @@ func (c config) durableConfig() durable.Config {
 	return durable.Config{
 		Dir:             c.walDir,
 		CheckpointEvery: c.ckptEvery,
-		Batch: batcher.Config{
-			MaxBatch:   c.batchMax,
-			MaxDelay:   c.batchDelay,
-			MaxPending: c.batchPending,
-		},
+		Batch:           batcher.Config{MaxPending: c.batchPending},
 	}
 }
 
@@ -358,8 +352,6 @@ func main() {
 		live       = flag.Bool("live", false, "maintain a live connectivity forest on the ingest path (serves connected?live=1)")
 		walDir     = flag.String("wal-dir", "", "durable ingest: WAL + checkpoint directory (per-shard subdirs when sharded); empty = volatile")
 		ckptEvery  = flag.Uint64("checkpoint-every", 1<<20, "checkpoint after this many committed updates per log (0 = only on clean shutdown)")
-		batchMax   = flag.Int("batch-max", 0, "group-commit flush size (0 = default)")
-		batchDelay = flag.Duration("batch-delay", 0, "group-commit max batch age before flush (0 = default)")
 		batchPend  = flag.Int("batch-pending", 0, "max pending updates before ingest backpressure (0 = default)")
 	)
 	flag.Parse()
@@ -384,8 +376,6 @@ func main() {
 		recordPath:   *record,
 		walDir:       *walDir,
 		ckptEvery:    *ckptEvery,
-		batchMax:     *batchMax,
-		batchDelay:   *batchDelay,
 		batchPending: *batchPend,
 	})
 	if err != nil {

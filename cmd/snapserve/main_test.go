@@ -275,7 +275,6 @@ func runDurableRestart(t *testing.T, shards int) {
 		refreshAge:   time.Millisecond,
 		refreshPoll:  time.Millisecond,
 		walDir:       dir + "/wal",
-		batchDelay:   time.Millisecond,
 	}
 
 	svc, err := buildService(cfg)

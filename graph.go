@@ -211,12 +211,7 @@ func (g *Graph) ApplyUpdates(workers int, batch []Update) {
 
 // InsertEdges bulk-loads an edge list as a series of insertions.
 func (g *Graph) InsertEdges(workers int, edges []Edge) {
-	if g.undirected {
-		ups := stream.Mirror(stream.Inserts(edges))
-		g.store.ApplyBatch(workers, ups)
-		return
-	}
-	dyngraph.InsertAll(g.store, workers, edges)
+	g.ApplyUpdates(workers, stream.Inserts(edges))
 }
 
 // Snapshot freezes the current adjacency into an immutable CSR view for

@@ -10,10 +10,14 @@
 // buffer out under the lock and commits outside it, so submitters keep
 // filling the other buffer during the (comparatively slow) fsync.
 //
-// Flushes trigger on size (MaxBatch pending updates) or age (the
-// oldest pending update has waited MaxDelay). Admission control is the
-// caller's choice per call: Submit blocks when MaxPending updates are
-// queued (backpressure), TrySubmit sheds with ErrFull instead.
+// Grouping is natural: the flusher commits whenever it is free and
+// something is pending, and whatever arrives during a commit is the
+// next group. A lone submitter is never held back waiting for company
+// (a group of one commits at once); concurrent submitters coalesce
+// exactly as far as the commit path is slow — there is no size or age
+// trigger to tune. Admission control is the caller's choice per call:
+// Submit blocks when MaxPending updates are queued (backpressure),
+// TrySubmit sheds with ErrFull instead.
 //
 // The Ack resolves after the commit function returns — for a durable
 // commit fn that means the updates are fsynced and applied — carrying
@@ -47,32 +51,18 @@ var ErrTimeout = errors.New("batcher: ack timeout")
 // implementations must not retain it.
 type CommitFunc func(batch []edge.Update) (epoch uint64, err error)
 
-// Config tunes the batcher. Zero values pick the defaults noted.
+// Config tunes the batcher. The zero value picks the default noted.
 type Config struct {
-	// MaxBatch flushes as soon as this many updates are pending
-	// (default 8192). Larger batches amortize the fsync further at the
-	// cost of per-update latency.
-	MaxBatch int
-	// MaxDelay flushes a non-empty pending buffer at this age even if
-	// under MaxBatch (default 2ms) — the latency bound under light
-	// load.
-	MaxDelay time.Duration
 	// MaxPending is the queued-update ceiling at which Submit blocks
-	// and TrySubmit sheds (default 4*MaxBatch). A single oversized
+	// and TrySubmit sheds (default 32768). A single oversized
 	// submission larger than MaxPending is still admitted whole when
 	// the queue is empty rather than deadlocking.
 	MaxPending int
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8192
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.MaxPending <= 0 {
-		c.MaxPending = 4 * c.MaxBatch
+		c.MaxPending = 32768
 	}
 	return c
 }
@@ -135,10 +125,9 @@ type Batcher struct {
 	pending []edge.Update
 	acks    []*Ack
 	spare   []edge.Update // the flushed buffer, recycled (double buffering)
-	firstAt time.Time     // when pending went empty -> non-empty
 	stopped bool
 
-	kick   chan struct{} // cap 1: pending became non-empty or reached MaxBatch
+	kick   chan struct{} // cap 1: pending became non-empty
 	stopCh chan struct{}
 	done   chan struct{}
 
@@ -209,18 +198,16 @@ func (b *Batcher) enqueueLocked(updates []edge.Update) (*Ack, error) {
 	}
 	wasEmpty := len(b.pending) == 0
 	b.pending = append(b.pending, updates...)
-	if wasEmpty {
-		b.firstAt = time.Now()
-	}
 	b.acks = append(b.acks, a)
-	full := len(b.pending) >= b.cfg.MaxBatch
 	b.mu.Unlock()
 
 	b.metMu.Lock()
 	b.met.Submitted += uint64(len(updates))
 	b.metMu.Unlock()
 
-	if wasEmpty || full {
+	// A flusher mid-commit finds the queue non-empty on its own when it
+	// comes back; only an idle one needs waking.
+	if wasEmpty {
 		select {
 		case b.kick <- struct{}{}:
 		default:
@@ -248,12 +235,10 @@ func (b *Batcher) Stop() {
 }
 
 // run is the flusher: it owns the commit path, swapping the pending
-// buffer out under the lock and committing outside it.
+// buffer out under the lock and committing outside it, for as long as
+// anything is pending; then it sleeps until the next submission.
 func (b *Batcher) run() {
 	defer close(b.done)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
 	for {
 		select {
 		case <-b.kick:
@@ -268,24 +253,6 @@ func (b *Batcher) run() {
 					return
 				}
 				break // back to waiting for work
-			}
-			if !b.stopped && len(b.pending) < b.cfg.MaxBatch {
-				if wait := b.cfg.MaxDelay - time.Since(b.firstAt); wait > 0 {
-					b.mu.Unlock()
-					timer.Reset(wait)
-					select {
-					case <-timer.C:
-					case <-b.kick:
-						if !timer.Stop() {
-							select {
-							case <-timer.C:
-							default:
-							}
-						}
-					case <-b.stopCh:
-					}
-					continue
-				}
 			}
 			batch, acks := b.pending, b.acks
 			b.pending, b.spare = b.spare[:0], nil

@@ -52,7 +52,7 @@ func (c *collector) snapshot() (int, int) {
 
 func TestGroupCommitCoalesces(t *testing.T) {
 	c := &collector{slow: 2 * time.Millisecond}
-	b := New(Config{MaxBatch: 1 << 20, MaxDelay: time.Hour}, c.commit)
+	b := New(Config{}, c.commit)
 	defer b.Stop()
 
 	// Fire many concurrent submitters; the slow commit forces later
@@ -96,33 +96,23 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-func TestSizeTrigger(t *testing.T) {
+// TestLoneSubmitCommitsAtOnce: a submission that finds the flusher idle
+// is its own group — nothing holds it back for a size or an age.
+func TestLoneSubmitCommitsAtOnce(t *testing.T) {
 	c := &collector{}
-	b := New(Config{MaxBatch: 10, MaxDelay: time.Hour}, c.commit)
+	b := New(Config{}, c.commit)
 	defer b.Stop()
-	a, err := b.Submit(ups(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Wait(2 * time.Second); err != nil {
-		t.Fatalf("size-triggered flush did not happen: %v", err)
-	}
-}
-
-func TestAgeTrigger(t *testing.T) {
-	c := &collector{}
-	b := New(Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond}, c.commit)
-	defer b.Stop()
-	a, err := b.Submit(ups(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := a.Wait(2 * time.Second); err != nil {
-		t.Fatalf("age-triggered flush did not happen: %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("age flush took %v, want ~5ms", time.Since(start))
+	for i := 1; i <= 3; i++ {
+		a, err := b.Submit(ups(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Wait(2 * time.Second); err != nil {
+			t.Fatalf("lone submission %d did not commit: %v", i, err)
+		}
+		if flushes, _ := c.snapshot(); flushes != i {
+			t.Fatalf("%d flushes after %d lone submissions", flushes, i)
+		}
 	}
 }
 
@@ -130,7 +120,7 @@ func TestTrySubmitSheds(t *testing.T) {
 	block := make(chan struct{})
 	var entered sync.Once
 	started := make(chan struct{})
-	b := New(Config{MaxBatch: 4, MaxDelay: time.Nanosecond, MaxPending: 8},
+	b := New(Config{MaxPending: 8},
 		func(batch []edge.Update) (uint64, error) {
 			entered.Do(func() { close(started) })
 			<-block
@@ -157,7 +147,7 @@ func TestSubmitBackpressureBlocksThenProceeds(t *testing.T) {
 	release := make(chan struct{})
 	var entered sync.Once
 	started := make(chan struct{})
-	b := New(Config{MaxBatch: 4, MaxDelay: time.Nanosecond, MaxPending: 8},
+	b := New(Config{MaxPending: 8},
 		func(batch []edge.Update) (uint64, error) {
 			entered.Do(func() { close(started) })
 			<-release
@@ -195,7 +185,7 @@ func TestSubmitBackpressureBlocksThenProceeds(t *testing.T) {
 
 func TestStopResolvesAllAcks(t *testing.T) {
 	c := &collector{slow: time.Millisecond}
-	b := New(Config{MaxBatch: 1 << 20, MaxDelay: time.Hour}, c.commit)
+	b := New(Config{}, c.commit)
 	var acks []*Ack
 	for i := 0; i < 10; i++ {
 		a, err := b.Submit(ups(2))
@@ -230,7 +220,7 @@ func TestStopResolvesAllAcks(t *testing.T) {
 func TestCommitErrorPropagatesToEveryAck(t *testing.T) {
 	boom := errors.New("disk on fire")
 	c := &collector{err: boom}
-	b := New(Config{MaxBatch: 1 << 20, MaxDelay: time.Hour}, c.commit)
+	b := New(Config{}, c.commit)
 	a1, err := b.Submit(ups(2))
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +254,7 @@ func TestEmptySubmitResolvesImmediately(t *testing.T) {
 
 func TestAckWaitTimeout(t *testing.T) {
 	block := make(chan struct{})
-	b := New(Config{MaxBatch: 1, MaxDelay: time.Nanosecond},
+	b := New(Config{},
 		func(batch []edge.Update) (uint64, error) { <-block; return 1, nil })
 	a, err := b.Submit(ups(1))
 	if err != nil {
@@ -284,7 +274,7 @@ func TestAckWaitTimeout(t *testing.T) {
 // contiguous and in order within and across flushes.
 func TestPreservesSubmissionOrder(t *testing.T) {
 	c := &collector{}
-	b := New(Config{MaxBatch: 16, MaxDelay: time.Millisecond}, c.commit)
+	b := New(Config{}, c.commit)
 	var want []edge.Update
 	for i := 0; i < 50; i++ {
 		u := edge.Update{Op: edge.Insert, Edge: edge.Edge{U: uint32(i), V: uint32(i), T: uint32(i)}}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snapdyn/internal/batcher"
 	"snapdyn/internal/durable"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
@@ -96,7 +95,6 @@ func FigIngest(cfg Config, qworkers int, perPoint time.Duration) *timing.Table {
 	dcfg := durable.Config{
 		Dir:             dir,
 		CheckpointEvery: 1 << 22,
-		Batch:           batcher.Config{MaxBatch: 16384, MaxDelay: 2 * time.Millisecond},
 	}
 	d, _, err := durable.Open(n, iw, func(n int) dyngraph.Store {
 		return dyngraph.NewHybrid(n, 4*len(edges), 0, cfg.Seed)

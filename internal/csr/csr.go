@@ -20,6 +20,18 @@ type Graph struct {
 	Offsets []int64 // length N+1
 	Adj     []uint32
 	TS      []uint32 // time labels, parallel to Adj
+
+	// keyed is the bitmap FromStore and RefreshDelta leave for the next
+	// RefreshDelta: bit u set = u's span was cut while the store kept u
+	// in keyed order (ascending neighbor, one label per neighbor), so
+	// it can be patched from touched keys. nil = no vertex is known to
+	// be (another source, or a store without keyed order).
+	keyed []uint64
+}
+
+// keyedAt reports whether u's span was cut in keyed order.
+func (g *Graph) keyedAt(u edge.ID) bool {
+	return g.keyed != nil && g.keyed[u>>6]&(1<<(u&63)) != 0
 }
 
 // NumEdges returns the number of stored arcs.
@@ -29,9 +41,10 @@ func (g *Graph) NumEdges() int64 { return int64(len(g.Adj)) }
 // adjacency, and time-label arrays (8 + 4 + 4 bytes per entry). The
 // compressed representation reports the matching number through
 // compress.Graph.FootprintBytes, so bytes-per-edge comparisons across
-// formats are apples-to-apples.
+// formats are apples-to-apples. The keyed-order bitmap a store-cut
+// snapshot carries for the next refresh (n/8 bytes) is counted.
 func (g *Graph) SizeBytes() int64 {
-	return 8*int64(len(g.Offsets)) + 4*int64(len(g.Adj)) + 4*int64(len(g.TS))
+	return 8*int64(len(g.Offsets)) + 4*int64(len(g.Adj)) + 4*int64(len(g.TS)) + 8*int64(len(g.keyed))
 }
 
 // Degree returns the out-degree of u.
@@ -92,12 +105,30 @@ type storeView interface {
 }
 
 // FromStore snapshots a dynamic graph store into CSR form in parallel.
+// Over a store with keyed read-back it also records which vertices were
+// in keyed order, at no extra lock acquisition, so a later RefreshDelta
+// can patch them.
 func FromStore(workers int, s storeView) *Graph {
 	n := s.NumVertices()
 	counts := make([]int64, n+1)
+	ks, _ := s.(keyedView)
+	var keyed []uint64
+	if ks != nil {
+		keyed = make([]uint64, (n+63)/64)
+	}
+	// Chunks start at multiples of 256, so no bitmap word is shared
+	// between workers.
 	par.ForDynamic(workers, n, 256, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			counts[u] = int64(s.Degree(edge.ID(u)))
+			if ks == nil {
+				counts[u] = int64(s.Degree(edge.ID(u)))
+				continue
+			}
+			deg, k := ks.ReadKeys(edge.ID(u), nil, nil, nil)
+			counts[u] = int64(deg)
+			if k {
+				keyed[u>>6] |= 1 << (u & 63)
+			}
 		}
 	})
 	total := psort.ExclusiveScan(workers, counts)
@@ -106,6 +137,7 @@ func FromStore(workers int, s storeView) *Graph {
 		Offsets: counts,
 		Adj:     make([]uint32, total),
 		TS:      make([]uint32, total),
+		keyed:   keyed,
 	}
 	par.ForDynamic(workers, n, 256, func(lo, hi int) {
 		for u := lo; u < hi; u++ {

@@ -36,6 +36,7 @@ import (
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/snapmgr"
+	"snapdyn/internal/stream"
 	"snapdyn/internal/wal"
 )
 
@@ -117,7 +118,10 @@ func Open(n, workers int, newStore func(n int) dyngraph.Store, bootstrap []edge.
 
 	recovered := rec.Checkpoint != nil || rec.LSN > 0
 	if rec.Checkpoint != nil {
-		dyngraph.InsertAll(st, workers, rec.Checkpoint.Edges)
+		// One semi-sorted batch: each vertex's arcs go back in dump
+		// order (the order the store enumerated them in), which the
+		// next update on a duplicated neighbor can depend on.
+		st.ApplyBatch(workers, stream.Inserts(rec.Checkpoint.Edges))
 	}
 	for _, b := range rec.Batches {
 		// Replay batch-by-batch in commit order: ApplyBatch preserves

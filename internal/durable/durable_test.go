@@ -77,7 +77,7 @@ func TestBootstrapCleanRestart(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
 	boot := randUpdates(rng, 100)
-	cfg := Config{Dir: dir, Batch: batcher.Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond}}
+	cfg := Config{Dir: dir}
 
 	d, info, err := Open(testN, 2, nil, boot, cfg)
 	if err != nil {
@@ -122,8 +122,7 @@ func TestBootstrapCleanRestart(t *testing.T) {
 
 func TestReadYourWrites(t *testing.T) {
 	d, _, err := Open(testN, 2, nil, nil, Config{
-		Dir:   t.TempDir(),
-		Batch: batcher.Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond},
+		Dir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +168,8 @@ func TestVertexCountMismatchRefused(t *testing.T) {
 func TestDiskFullPropagatesToIngest(t *testing.T) {
 	fd := wal.NewFaultDir(3)
 	d, _, err := Open(testN, 2, nil, nil, Config{
-		Dir:   t.TempDir(),
-		Batch: batcher.Config{MaxBatch: 4, MaxDelay: 100 * time.Microsecond},
-		WAL:   wal.Options{OpenFile: fd.OpenFile, Rename: fd.Rename},
+		Dir: t.TempDir(),
+		WAL: wal.Options{OpenFile: fd.OpenFile, Rename: fd.Rename},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +204,6 @@ func TestCrashRecoverRandomized(t *testing.T) {
 			cfg := Config{
 				Dir:             dir,
 				CheckpointEvery: ckptEvery,
-				Batch:           batcher.Config{MaxBatch: 16, MaxDelay: 100 * time.Microsecond},
 				WAL: wal.Options{
 					SegmentBytes: int64(1024 + rng.Intn(4096)),
 					OpenFile:     fd.OpenFile,
@@ -332,9 +329,8 @@ func TestCrashAtCommitStages(t *testing.T) {
 
 			crashed := false
 			d, _, err := Open(testN, 2, nil, nil, Config{
-				Dir:   dir,
-				Batch: batcher.Config{MaxBatch: 1 << 20, MaxDelay: 50 * time.Microsecond},
-				WAL:   wal.Options{OpenFile: fd.OpenFile, Rename: fd.Rename},
+				Dir: dir,
+				WAL: wal.Options{OpenFile: fd.OpenFile, Rename: fd.Rename},
 				Hook: func(s string) {
 					if s == stage && crashed {
 						fd.Crash()
@@ -389,7 +385,6 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 	d, _, err := Open(testN, 2, nil, nil, Config{
 		Dir:             dir,
 		CheckpointEvery: 16,
-		Batch:           batcher.Config{MaxBatch: 1 << 20, MaxDelay: 50 * time.Microsecond},
 		WAL: wal.Options{
 			OpenFile: fd.OpenFile,
 			Rename:   fd.Rename,

@@ -18,8 +18,12 @@ const DefaultDegreeThresh = 32
 // for the (majority) low-degree vertices, treaps for high-degree ones.
 // Inserts are array-fast for most vertices; deletes on the heavy vertices
 // — where Dyn-arr pays O(d) scans — take logarithmic time. A vertex's
-// adjacency migrates from array to treap when its live degree crosses
-// degree-thresh.
+// adjacency migrates from array to treap when its live degree rises
+// past degree-thresh and back when it falls to it again, so the
+// representation is a function of the live degree alone: a store
+// rebuilt from a dump of another's arcs (a recovered checkpoint) is in
+// the same modes, and answers the next update the same way, as the
+// store that got there by inserts and deletes.
 //
 // Synchronization: every operation on vertex u runs under u's treap-pool
 // shard mutex, which also makes array-to-treap migration atomic. With
@@ -115,18 +119,43 @@ func (s *Hybrid) migrate(sh *treapShard, u edge.ID) {
 	s.isTr[u] = true
 }
 
+// demote converts u's adjacency from treap back to array form, in key
+// order, each neighbor repeated by its multiplicity under its one
+// label; called with u's shard mutex held.
+func (s *Hybrid) demote(sh *treapShard, u edge.ID) {
+	sh.walk(s.roots[u], func(key, ts, cnt uint32) bool {
+		for ; cnt > 0; cnt-- {
+			s.arr.insert(u, key, ts)
+		}
+		return true
+	})
+	sh.freeAll(s.roots[u])
+	s.roots[u] = nilNode
+	s.deg[u] = 0
+	s.isTr[u] = false
+}
+
+// deleteTreap removes one tuple u->v from u's treap, demoting u when
+// its degree falls back to the threshold; called with u's shard mutex
+// held.
+func (s *Hybrid) deleteTreap(sh *treapShard, u, v edge.ID) bool {
+	root, ok := sh.deleteKey(s.roots[u], v)
+	s.roots[u] = root
+	if ok {
+		if s.deg[u]--; s.deg[u] <= s.thresh {
+			s.demote(sh, u)
+		}
+	}
+	return ok
+}
+
 // Delete implements Store.
 func (s *Hybrid) Delete(u, v edge.ID) bool {
 	sh := s.pool.shard(u)
 	sh.mu.Lock()
 	var ok bool
 	if s.isTr[u] {
-		var root uint32
-		root, ok = sh.deleteKey(s.roots[u], v)
-		s.roots[u] = root
-		if ok {
-			s.deg[u]--
-		}
+		ok = s.deleteTreap(sh, u, v)
 	} else {
 		ok = s.arr.delete(u, v)
 	}
@@ -144,12 +173,7 @@ func (s *Hybrid) DeleteTuple(u, v edge.ID, t uint32) bool {
 	sh.mu.Lock()
 	var ok bool
 	if s.isTr[u] {
-		var root uint32
-		root, ok = sh.deleteKey(s.roots[u], v)
-		s.roots[u] = root
-		if ok {
-			s.deg[u]--
-		}
+		ok = s.deleteTreap(sh, u, v)
 	} else {
 		ok = s.arr.deleteTuple(u, v, t)
 	}
@@ -212,11 +236,27 @@ func (s *Hybrid) Neighbors(u edge.ID, fn func(v edge.ID, t uint32) bool) {
 	s.arr.iterate(u, fn)
 }
 
-// ApplyBatch implements Store. Like the treap store, large batches are
-// semi-sorted by source vertex so each vertex's updates apply in one
-// locked pass.
+// ReadKeys implements KeyedReader: a treap-mode vertex is in keyed
+// order, an array-mode one (per-tuple labels, insertion order) is not.
+func (s *Hybrid) ReadKeys(u edge.ID, keys []edge.ID, cnt, ts []uint32) (int, bool) {
+	sh := s.pool.shard(u)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !s.isTr[u] {
+		return int(s.arr.alive[u]), false
+	}
+	sh.readKeys(s.roots[u], keys, cnt, ts)
+	return int(s.deg[u]), true
+}
+
+// ApplyBatch implements Store. Like the treap store, batches past one
+// applyConcurrent stripe are semi-sorted by source vertex so each
+// vertex's updates apply in one locked pass, in batch order: the store's
+// state after a batch is then the same whatever the worker count, which
+// replicas fed the same batches (a recovered store, a reference oracle)
+// rely on.
 func (s *Hybrid) ApplyBatch(workers int, batch []edge.Update) {
-	if len(batch) < 2048 {
+	if len(batch) <= applyChunk {
 		applyConcurrent(s, workers, batch)
 		return
 	}
@@ -250,12 +290,7 @@ func (s *Hybrid) ApplyBatch(workers int, batch []edge.Update) {
 				}
 				var ok bool
 				if s.isTr[u] {
-					var root uint32
-					root, ok = sh.deleteKey(s.roots[u], up.V)
-					s.roots[u] = root
-					if ok {
-						s.deg[u]--
-					}
+					ok = s.deleteTreap(sh, u, up.V)
 				} else {
 					ok = s.arr.deleteTuple(u, up.V, up.T)
 				}

@@ -179,3 +179,86 @@ func TestHybridNeighborsEarlyStopTreapMode(t *testing.T) {
 		t.Fatalf("early stop visited %d", count)
 	}
 }
+
+// TestHybridBatchOrderDeterministic: a batch spanning two concurrent
+// stripes still applies each vertex's updates in batch order. Vertex 0
+// sits at the threshold holding neighbor 9 twice (labels 1 and 2). The
+// insert that migrates it to a treap is the last update of the first
+// stripe and a delete of 0->9 labeled 2 the first of the second, so
+// striped workers would run the delete first: on the array it removes
+// the tuple labeled 2 and label 1 survives. In batch order the
+// migration comes first (the duplicate collapses to multiplicity 2,
+// label 2) and the keyed delete leaves one copy labeled 2.
+func TestHybridBatchOrderDeterministic(t *testing.T) {
+	const n, thresh = 64, 8
+	for rep := 0; rep < 20; rep++ {
+		s := NewHybrid(n, 4096, thresh, uint64(rep))
+		s.Insert(0, 9, 1)
+		s.Insert(0, 9, 2)
+		for v := edge.ID(10); v < 16; v++ {
+			s.Insert(0, v, 5)
+		} // degree 8 = thresh: still an array
+		var batch []edge.Update
+		for i := 0; i < applyChunk-1; i++ {
+			batch = append(batch, edge.Update{Edge: edge.Edge{U: edge.ID(1 + i%60), V: edge.ID(i % n), T: 7}, Op: edge.Insert})
+		}
+		batch = append(batch,
+			edge.Update{Edge: edge.Edge{U: 0, V: 20, T: 6}, Op: edge.Insert},
+			edge.Update{Edge: edge.Edge{U: 0, V: 9, T: 2}, Op: edge.Delete})
+		for i := 0; i < 200; i++ {
+			batch = append(batch, edge.Update{Edge: edge.Edge{U: edge.ID(1 + i%60), V: edge.ID(i % n), T: 8}, Op: edge.Insert})
+		}
+		s.ApplyBatch(4, batch)
+		var labels []uint32
+		s.Neighbors(0, func(v edge.ID, ts uint32) bool {
+			if v == 9 {
+				labels = append(labels, ts)
+			}
+			return true
+		})
+		if len(labels) != 1 || labels[0] != 2 {
+			t.Fatalf("rep %d: 0->9 labels %v, want [2]: one vertex's updates applied out of batch order", rep, labels)
+		}
+	}
+}
+
+// TestHybridModeFollowsDegree: the representation is a function of the
+// live degree, so a store that grew past the threshold and shrank back
+// answers later updates exactly like one bulk-loaded with the same arcs
+// (what recovery from a checkpoint dump builds). With treap-mode
+// hysteresis the two diverge on a duplicated neighbor: the treap keeps
+// one label per neighbor, the array one per tuple.
+func TestHybridModeFollowsDegree(t *testing.T) {
+	const thresh = 8
+	grown := NewHybrid(4, 256, thresh, 1)
+	for v := edge.ID(0); v <= thresh; v++ {
+		grown.Insert(0, v, 10+v)
+	}
+	if !grown.IsTreap(0) {
+		t.Fatal("vertex did not migrate above the threshold")
+	}
+	if !grown.Delete(0, thresh) || grown.IsTreap(0) {
+		t.Fatal("vertex did not return to array mode at the threshold")
+	}
+	if grown.Degree(0) != thresh || grown.NumEdges() != thresh {
+		t.Fatalf("degree %d, %d arcs after demotion, want %d", grown.Degree(0), grown.NumEdges(), thresh)
+	}
+
+	loaded := NewHybrid(4, 256, thresh, 2)
+	for _, e := range CollectNeighbors(grown, 0) {
+		loaded.Insert(e.U, e.V, e.T)
+	}
+	for _, s := range []*Hybrid{grown, loaded} {
+		s.Insert(0, 3, 99)      // duplicate neighbor, new label
+		s.DeleteTuple(0, 3, 99) // and that tuple gone again
+	}
+	got, want := CollectNeighbors(grown, 0), CollectNeighbors(loaded, 0)
+	if len(got) != len(want) {
+		t.Fatalf("grown-and-shrunk store has %d arcs, bulk-loaded one %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("arc %d: grown-and-shrunk store %v, bulk-loaded one %v", i, got[i], want[i])
+		}
+	}
+}

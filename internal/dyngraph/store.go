@@ -55,11 +55,44 @@ type Store interface {
 	ApplyBatch(workers int, batch []edge.Update)
 }
 
+// KeyedReader is the optional surface of stores that can enumerate a
+// vertex in keyed order: ascending neighbor id, each neighbor repeated
+// by its multiplicity, one time label per neighbor — so the adjacency
+// is a pure function of per-neighbor (multiplicity, label) state. Treap
+// adjacencies are; the arc-granular snapshot refresh (csr.RefreshDelta)
+// rebuilds such a vertex from its previous span and the read-back state
+// of only the neighbors that were touched, instead of walking the
+// whole treap.
+type KeyedReader interface {
+	// ReadKeys returns u's live degree and whether u is currently
+	// enumerated in keyed order. If it is, cnt[i] and ts[i] receive the
+	// multiplicity (0 = absent) and label of neighbor keys[i]; keys
+	// must ascend. Everything is read under one acquisition of u's
+	// lock. An empty key list makes it a combined Degree and
+	// keyed-order query.
+	ReadKeys(u edge.ID, keys []edge.ID, cnt, ts []uint32) (deg int, keyed bool)
+}
+
+var (
+	_ KeyedReader = (*Hybrid)(nil)
+	_ KeyedReader = (*TreapStore)(nil)
+	_ KeyedReader = (*Tracked)(nil)
+)
+
+// applyChunk is applyConcurrent's stripe: a batch no longer than this
+// is one stripe, applied by one worker in batch order.
+const applyChunk = 1024
+
 // applyConcurrent is the default ApplyBatch: updates are striped across
 // workers in chunks; per-vertex locks serialize conflicting updates. Used
-// by representations without a specialized batch path.
+// by representations without a specialized batch path. Across stripes
+// there is no per-vertex order, and a store's final state can depend on
+// it (array order; whether a delete lands before or after the insert
+// that migrates its vertex to a treap, which decides the label a
+// duplicated neighbor keeps) — the stores with a semi-sorted batch path
+// therefore use this one only for single-stripe batches.
 func applyConcurrent(s Store, workers int, batch []edge.Update) {
-	par.ForDynamic(workers, len(batch), 1024, func(lo, hi int) {
+	par.ForDynamic(workers, len(batch), applyChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := batch[i]
 			if u.Op == edge.Insert {

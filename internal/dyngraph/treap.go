@@ -302,3 +302,37 @@ func newTreapPool(shardCount int, seed uint64) *treapPool {
 func (p *treapPool) shard(u edge.ID) *treapShard {
 	return &p.shards[u&p.mask]
 }
+
+// readKeys looks up every key of the list keys in the treap rooted at
+// root, writing each key's multiplicity (0 = absent) and time label to
+// cnt and ts. Keys descend eight abreast, one level per sweep: a lookup
+// in a large treap is a chain of cache misses, and eight independent
+// chains overlap where one find after another would wait out each miss
+// in turn.
+func (sh *treapShard) readKeys(root uint32, keys, cnt, ts []uint32) {
+	var cur [8]uint32
+	for len(keys) > 0 {
+		b := min(len(keys), len(cur))
+		for i := 0; i < b; i++ {
+			cur[i], cnt[i] = root, 0
+		}
+		for live := root != nilNode; live; {
+			live = false
+			for i := 0; i < b; i++ {
+				if cur[i] == nilNode {
+					continue
+				}
+				n := &sh.nodes[cur[i]]
+				switch k := keys[i]; {
+				case k == n.key:
+					cnt[i], ts[i], cur[i] = n.cnt, n.ts, nilNode
+				case k < n.key:
+					cur[i], live = n.l, true
+				default:
+					cur[i], live = n.r, true
+				}
+			}
+		}
+		keys, cnt, ts = keys[b:], cnt[b:], ts[b:]
+	}
+}

@@ -121,13 +121,24 @@ func (s *TreapStore) Neighbors(u edge.ID, fn func(v edge.ID, t uint32) bool) {
 	})
 }
 
+// ReadKeys implements KeyedReader; every vertex of a treap store is in
+// keyed order.
+func (s *TreapStore) ReadKeys(u edge.ID, keys []edge.ID, cnt, ts []uint32) (int, bool) {
+	sh := s.pool.shard(u)
+	sh.mu.Lock()
+	sh.readKeys(s.roots[u], keys, cnt, ts)
+	d := int(s.deg[u])
+	sh.mu.Unlock()
+	return d, true
+}
+
 // ApplyBatch implements Store using the semi-sort strategy: the batch is
 // grouped by source vertex in parallel, then each vertex's updates are
 // applied by a single worker in one locked pass. Randomly shuffled
 // per-update application "might not be as effective as in the case of
 // Dyn-arr" (coarse locks), so batching is the treap's preferred path.
 func (s *TreapStore) ApplyBatch(workers int, batch []edge.Update) {
-	if len(batch) < 2048 {
+	if len(batch) <= applyChunk {
 		applyConcurrent(s, workers, batch)
 		return
 	}

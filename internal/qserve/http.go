@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"snapdyn/internal/edge"
-	"snapdyn/internal/stream"
 )
 
 // Server exposes a query Engine over HTTP/JSON — the snapserve
@@ -35,6 +34,7 @@ type Server struct {
 	// undirected Graph semantics.
 	undirected    bool
 	ingestWorkers int
+	maxBody       int64 // MaxIngestBody; tests shrink it
 	staleWait     time.Duration
 	rec           QueryRecorder
 	jobs          *jobTable
@@ -57,7 +57,7 @@ const DefaultStaleWait = 2 * time.Second
 // batch application; undirected mirrors every ingested update.
 func NewServer(eng Engine, undirected bool, ingestWorkers int) *Server {
 	return &Server{eng: eng, undirected: undirected, ingestWorkers: ingestWorkers,
-		staleWait: DefaultStaleWait, jobs: newJobTable()}
+		maxBody: MaxIngestBody, staleWait: DefaultStaleWait, jobs: newJobTable()}
 }
 
 // SetStaleWait overrides the minEpoch wait bound (tests use short
@@ -84,8 +84,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
+	mux.HandleFunc("POST /ingest", s.ingestHandler(false))
+	mux.HandleFunc("POST /v1/ingest", s.ingestHandler(true))
 	mux.HandleFunc("POST /v1/jobs/betweenness", s.handleJobStart)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	return mux
@@ -208,50 +208,74 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var wire []IngestUpdate
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		httpError(w, badParam("body", err))
-		return
-	}
-	n := uint32(s.eng.NumVertices())
-	batch := make([]edge.Update, len(wire))
-	for i, u := range wire {
-		// Reject out-of-range endpoints up front: past this point the
-		// store trusts its indices, so a bad vertex would corrupt or
-		// crash the shared structure, not just this request.
-		if u.U >= n || u.V >= n {
-			httpError(w, badParam("updates",
-				fmt.Errorf("update %d: vertex out of range [0,%d): %d->%d", i, n, u.U, u.V)))
+// MaxIngestBody bounds a POST /ingest body: 64 MiB holds a batch of a
+// million updates at the wire form's longest (ten-digit ids and labels,
+// an explicit op). A larger body is cut off at the limit and refused
+// with 413, so one request cannot make the server buffer without bound.
+const MaxIngestBody = 64 << 20
+
+// ingestHandler builds the POST /ingest handler; like queryHandler, v1
+// selects structured error bodies.
+func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var wire []IngestUpdate
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&wire); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				s.fail(w, v1, errTooLarge{fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)})
+				return
+			}
+			s.fail(w, v1, badParam("body", err))
 			return
 		}
-		op := edge.Insert
-		switch u.Op {
-		case "", "insert", "ins":
-		case "delete", "del":
-			op = edge.Delete
-		default:
-			httpError(w, badParam("op", fmt.Errorf("unknown op %q", u.Op)))
+		n := uint32(s.eng.NumVertices())
+		// Sized once for the mirrored batch: each update followed by
+		// its mirror, self-loops single (stream.Mirror's order).
+		size := len(wire)
+		if s.undirected {
+			size *= 2
+		}
+		batch := make([]edge.Update, 0, size)
+		for i, u := range wire {
+			// Reject out-of-range endpoints up front: past this point the
+			// store trusts its indices, so a bad vertex would corrupt or
+			// crash the shared structure, not just this request.
+			if u.U >= n || u.V >= n {
+				s.fail(w, v1, badParam("updates",
+					fmt.Errorf("update %d: vertex out of range [0,%d): %d->%d", i, n, u.U, u.V)))
+				return
+			}
+			op := edge.Insert
+			switch u.Op {
+			case "", "insert", "ins":
+			case "delete", "del":
+				op = edge.Delete
+			default:
+				s.fail(w, v1, badParam("op", fmt.Errorf("unknown op %q", u.Op)))
+				return
+			}
+			batch = append(batch, edge.Update{Edge: edge.Edge{U: u.U, V: u.V, T: u.T}, Op: op})
+			if s.undirected && u.U != u.V {
+				batch = append(batch, edge.Update{Edge: edge.Edge{U: u.V, V: u.U, T: u.T}, Op: op})
+			}
+		}
+		epoch, err := s.eng.Ingest(s.ingestWorkers, batch)
+		if err != nil {
+			s.fail(w, v1, err)
 			return
 		}
-		batch[i] = edge.Update{Edge: edge.Edge{U: u.U, V: u.V, T: u.T}, Op: op}
+		// Epoch is the ack epoch: pass it back as minEpoch on a query to
+		// read your writes. On the durable path the updates are fsynced by
+		// the time this reply is written.
+		writeJSON(w, IngestReply{Applied: len(wire), Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
 	}
-	if s.undirected {
-		batch = stream.Mirror(batch)
-	}
-	epoch, err := s.eng.Ingest(s.ingestWorkers, batch)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	// Epoch is the ack epoch: pass it back as minEpoch on a query to
-	// read your writes. On the durable path the updates are fsynced by
-	// the time this reply is written.
-	writeJSON(w, IngestReply{Applied: len(wire), Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
 }
 
 // errBadRequest wraps parameter errors so httpError maps them to 400.
 type errBadRequest struct{ error }
+
+// errTooLarge marks a request body over its limit: 413.
+type errTooLarge struct{ error }
 
 func badParam(name string, err error) error {
 	return errBadRequest{fmt.Errorf("bad %s: %w", name, err)}
@@ -265,6 +289,7 @@ var (
 // errStatus maps an error to its HTTP status and v1 error code.
 func errStatus(err error) (int, string) {
 	var bad errBadRequest
+	var tooLarge errTooLarge
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable, "overloaded"
@@ -274,6 +299,8 @@ func errStatus(err error) (int, string) {
 		return http.StatusBadRequest, "bad_vertex"
 	case errors.As(err, &bad):
 		return http.StatusBadRequest, "bad_request"
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, ErrUnsupported):
 		return http.StatusNotImplemented, "unsupported"
 	default:

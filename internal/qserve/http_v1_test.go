@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,5 +253,53 @@ func TestBetweennessJobFlow(t *testing.T) {
 	}
 	if msg, _ := st["error"].(string); msg == "" {
 		t.Fatalf("failed job carries no error: %v", st)
+	}
+}
+
+// TestIngestBodyLimit: a body over the limit is refused with 413 in the
+// route's error framing and applies nothing; one under it still lands.
+func TestIngestBodyLimit(t *testing.T) {
+	mgr, _ := newManager(t, 8, 98)
+	srv := NewServer(New(mgr, Config{Undirected: true}), true, 1)
+	srv.maxBody = 256
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(path, body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		return resp.StatusCode, out
+	}
+	arcs := mgr.Store().NumEdges()
+	big := "[" + strings.Repeat(`{"u":1,"v":2,"t":3},`, 40) + `{"u":1,"v":2,"t":3}]`
+
+	code, body := post("/ingest", big)
+	if msg, _ := body["error"].(string); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Fatalf("legacy oversized body: status %d, body %v", code, body)
+	}
+	code, body = post("/v1/ingest", big)
+	obj, _ := body["error"].(map[string]any)
+	if code != http.StatusRequestEntityTooLarge || obj["code"] != "too_large" || obj["message"] == "" {
+		t.Fatalf("v1 oversized body: status %d, body %v", code, body)
+	}
+	if got := mgr.Store().NumEdges(); got != arcs {
+		t.Fatalf("refused bodies changed the store: %d arcs, was %d", got, arcs)
+	}
+
+	code, body = post("/ingest", `[{"u":1,"v":2,"t":3},{"u":4,"v":4,"t":5}]`)
+	if code != http.StatusOK || body["applied"] != 2.0 {
+		t.Fatalf("small body: status %d, body %v", code, body)
+	}
+	// Mirrored, self-loop single: three arcs.
+	if got := mgr.Store().NumEdges(); got != arcs+3 {
+		t.Fatalf("store has %d arcs after the small batch, want %d", got, arcs+3)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"snapdyn/internal/batcher"
 	"snapdyn/internal/durable"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
@@ -68,7 +67,7 @@ func TestDurableFleetRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	boot := durRandUpdates(rng, 200)
 	cfg := Config{Shards: durShards, Workers: 2, ExpectedEdges: 8 * durN}
-	dc := durable.Config{Dir: dir, Batch: batcher.Config{MaxDelay: time.Millisecond}}
+	dc := durable.Config{Dir: dir}
 
 	df, infos, err := OpenDurable(durN, cfg, boot, dc)
 	if err != nil {
@@ -162,7 +161,6 @@ func TestDurableFleetCrashRecover(t *testing.T) {
 			dc := durable.Config{
 				Dir:             dir,
 				CheckpointEvery: uint64(rng.Intn(3)) * 100,
-				Batch:           batcher.Config{MaxDelay: 200 * time.Microsecond},
 				WAL: wal.Options{
 					SegmentBytes: 2048,
 					OpenFile:     fd.OpenFile,
@@ -192,8 +190,7 @@ func TestDurableFleetCrashRecover(t *testing.T) {
 			// Recovery reopens through the real filesystem: the fault
 			// model's job ended at the crash.
 			df2, infos, err := OpenDurable(durN, cfg, nil, durable.Config{
-				Dir:   dir,
-				Batch: batcher.Config{MaxDelay: time.Millisecond},
+				Dir: dir,
 			})
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)

@@ -290,6 +290,8 @@ func (f *Fleet) Metrics() snapmgr.Metrics {
 		out.DirtyTriggered += m.DirtyTriggered
 		out.AgeTriggered += m.AgeTriggered
 		out.LastDirty += m.LastDirty
+		out.LastPatched += m.LastPatched
+		out.LastEnumeratedArcs += m.LastEnumeratedArcs
 		out.TotalLatency += m.TotalLatency
 		out.Epoch += m.Epoch
 		out.Staleness += m.Staleness

@@ -58,6 +58,13 @@ type Metrics struct {
 	// LastDirty is the dirty-vertex count the most recent refresh
 	// consumed — the delta-rebuild work it did.
 	LastDirty int
+	// LastPatched is how many of those vertices the plain layout
+	// rebuilt from their touched keys alone, and LastEnumeratedArcs the
+	// arcs it read back through the store for the rest (every arc on a
+	// full rebuild) — csr.RefreshStats of the most recent refresh; zero
+	// under the other layouts.
+	LastPatched        int
+	LastEnumeratedArcs int64
 	// LastLatency, MaxLatency, and TotalLatency describe the wall-clock
 	// cost of refreshes (flush + materialize + publish).
 	LastLatency  time.Duration

@@ -120,33 +120,36 @@ func (m *Manager) View() *View { return m.view.Load() }
 
 // materialize builds the next View from the store under the exclusive
 // gate. prev is the previously published view (nil on the first call),
-// dirty the flushed dirty set. A no-op refresh (the delta rebuild hands
-// back the previous representation unchanged) republishes prev itself,
+// d the flushed window. A no-op refresh (the delta rebuild hands back
+// the previous representation unchanged) republishes prev itself,
 // preserving snapshot identity for caches keyed by the view pointer.
-func (m *Manager) materialize(workers int, prev *View, dirty []uint32) *View {
+// Only the plain layout reads the key log and reports refresh stats;
+// the permuted and compressed delta paths are vertex-granular.
+func (m *Manager) materialize(workers int, prev *View, d csr.Delta) (v *View, st csr.RefreshStats) {
 	switch m.layout {
 	case LayoutCompressed:
 		var base *compress.Graph
 		if prev != nil {
 			base = prev.C
 		}
-		c := compress.Refresh(workers, base, m.store, dirty)
+		c := compress.Refresh(workers, base, m.store, d.Dirty)
 		if prev != nil && c == prev.C {
-			return prev
+			return prev, st
 		}
-		return &View{C: c, Layout: m.layout}
+		return &View{C: c, Layout: m.layout}, st
 	case LayoutDegree, LayoutBFS, LayoutRCM:
-		return m.materializePermuted(workers, prev, dirty)
+		return m.materializePermuted(workers, prev, d.Dirty), st
 	default:
 		var base *csr.Graph
 		if prev != nil {
 			base = prev.G
 		}
-		g := csr.Refresh(workers, base, m.store, dirty)
+		var g *csr.Graph
+		g, st = csr.RefreshDelta(workers, base, m.store, d)
 		if prev != nil && g == prev.G {
-			return prev
+			return prev, st
 		}
-		return &View{G: g, Layout: LayoutPlain}
+		return &View{G: g, Layout: LayoutPlain}, st
 	}
 }
 

@@ -41,10 +41,11 @@ type Manager struct {
 
 	// gate serializes refresh (exclusive) against ingest (shared):
 	// concurrent Ingest calls proceed together, none overlaps a
-	// Refresh. It also protects the reused dirty Flush buffer, written
+	// Refresh. It also protects the reused FlushKeys buffers, written
 	// only under the exclusive side.
 	gate  sync.RWMutex
 	dirty []uint32
+	keys  []uint64
 
 	lastPub atomic.Int64 // UnixNano of the last publication
 
@@ -90,18 +91,20 @@ func (m *Manager) Epoch() uint64 { return m.epoch.Load() }
 func (m *Manager) Staleness() int { return m.store.DirtyCount() }
 
 // Refresh materializes and publishes a new snapshot covering every
-// update applied so far: it consumes the store's dirty set and rebuilds
-// only those adjacencies, reusing the clean spans of the previous
-// snapshot (falling back to a full rebuild past the dirty-fraction
-// threshold). When nothing changed, the previous snapshot is
-// republished unchanged. Concurrent Refresh calls serialize; the epoch
-// advances once per call.
+// update applied so far: it consumes the store's dirty set and key log
+// and rebuilds only those adjacencies — under the plain layout only the
+// touched keys of the ones the store keeps in keyed order — reusing the
+// clean spans of the previous snapshot (falling back to a full rebuild
+// when too many arcs would have to be re-enumerated). When nothing
+// changed, the previous snapshot is republished unchanged. Concurrent
+// Refresh calls serialize; the epoch advances once per call.
 func (m *Manager) Refresh(workers int) *csr.Graph {
 	m.gate.Lock()
 	start := time.Now()
-	m.dirty = m.store.Flush(m.dirty[:0])
+	var logged bool
+	m.dirty, m.keys, logged = m.store.FlushKeys(m.dirty[:0], m.keys[:0])
 	consumed := len(m.dirty)
-	v := m.materialize(workers, m.view.Load(), m.dirty)
+	v, st := m.materialize(workers, m.view.Load(), csr.Delta{Dirty: m.dirty, Keys: m.keys, Logged: logged})
 	m.view.Store(v)
 	m.cur.Store(v.G)
 	g := v.G
@@ -116,6 +119,8 @@ func (m *Manager) Refresh(workers int) *csr.Graph {
 	m.metMu.Lock()
 	m.met.Refreshes++
 	m.met.LastDirty = consumed
+	m.met.LastPatched = st.Patched
+	m.met.LastEnumeratedArcs = st.EnumeratedArcs
 	m.met.LastLatency = lat
 	m.met.TotalLatency += lat
 	if lat > m.met.MaxLatency {

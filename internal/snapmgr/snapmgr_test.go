@@ -1,9 +1,11 @@
 package snapmgr
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"snapdyn/internal/csr"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 )
@@ -133,4 +135,62 @@ func TestRefreshMetricsLatencies(t *testing.T) {
 	if met.Epoch != 4 || met.Staleness != 0 {
 		t.Fatalf("lag fields wrong: %+v", met)
 	}
+}
+
+// TestRefreshPatchMetrics drives the manager with hub churn and reads
+// how each snapshot was built off the metrics: the first materialization
+// enumerates everything, a window touching a treap-mode hub is patched
+// from its keys, an array-mode vertex is enumerated, and an overflowed
+// key log falls back to enumerating the dirty vertices — every
+// published snapshot arc-for-arc equal to a full rebuild.
+func TestRefreshPatchMetrics(t *testing.T) {
+	const n, hubDeg = 1 << 12, 200
+	store := newStore(n)
+	boot := make([]edge.Update, 0, 2*n)
+	for v := 1; v <= hubDeg; v++ {
+		boot = append(boot, edge.Update{Edge: edge.Edge{U: 0, V: edge.ID(v), T: 1}, Op: edge.Insert})
+	}
+	for u := 1; u < n; u++ {
+		boot = append(boot, edge.Update{Edge: edge.Edge{U: edge.ID(u), V: 0, T: 1}, Op: edge.Insert})
+	}
+	store.ApplyBatch(0, boot)
+	m := New(0, store)
+	check := func(tag string, patched int, enumerated int64) {
+		t.Helper()
+		met := m.Metrics()
+		if met.LastPatched != patched || met.LastEnumeratedArcs != enumerated {
+			t.Fatalf("%s: patched %d, enumerated %d arcs; want %d and %d",
+				tag, met.LastPatched, met.LastEnumeratedArcs, patched, enumerated)
+		}
+		got, want := m.Current(), csr.FromStore(0, store)
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.TS, want.TS) {
+			t.Fatalf("%s: published snapshot differs from a full rebuild", tag)
+		}
+	}
+	check("first materialization", 0, int64(len(boot)))
+
+	m.Ingest(func(s *dyngraph.Tracked) {
+		s.ApplyBatch(0, []edge.Update{
+			{Edge: edge.Edge{U: 0, V: 3000, T: 2}, Op: edge.Insert},
+			{Edge: edge.Edge{U: 0, V: 7, T: 2}, Op: edge.Delete},
+			{Edge: edge.Edge{U: 5, V: 6, T: 2}, Op: edge.Insert}, // array mode
+		})
+	})
+	m.Refresh(0)
+	check("hub patched", 1, 2)
+
+	m.Ingest(func(s *dyngraph.Tracked) {
+		s.Insert(0, 3001, 3)
+		flood := make([]edge.Update, 1<<16)
+		for i := range flood {
+			flood[i] = edge.Update{Edge: edge.Edge{U: 9, V: edge.ID(1 + i%(n-1)), T: 3}, Op: edge.Delete}
+		}
+		s.ApplyBatch(0, flood) // all miss; the key log overflows
+	})
+	m.Refresh(0)
+	check("log overflowed", 0, hubDeg+1+1)
+
+	m.Ingest(func(s *dyngraph.Tracked) { s.Delete(0, 3001) })
+	m.Refresh(0)
+	check("patched again", 1, 0)
 }

@@ -19,10 +19,12 @@ import (
 //   - The ingest side applies updates and calls Refresh whenever a
 //     fresher snapshot should be published — or starts the background
 //     auto-refresher (StartAutoRefresh) and lets policy decide. Refresh
-//     consumes the graph's dirty-vertex set and rebuilds only the
-//     adjacencies that changed since the previous snapshot, reusing all
-//     clean spans (csr.Refresh); past a ~15% dirty fraction it falls
-//     back to a full rebuild, which is cheaper at that point.
+//     consumes the graph's dirty-vertex set and touched-key log and
+//     rebuilds only the adjacencies that changed since the previous
+//     snapshot — a treap-backed hub from its touched keys alone —
+//     reusing all clean spans (csr.RefreshDelta); it falls back to a
+//     full rebuild only when nearly every arc would have to be
+//     re-enumerated anyway.
 //
 // Refresh calls serialize on an internal gate and must not run
 // concurrently with graph mutations. Without the auto-refresher the

@@ -35,7 +35,7 @@ batch() { # batch <t>: a 32-update insert batch with time label t
 }
 
 # --- Run 1: fresh WAL, ingest, kill -9 mid-stream -------------------
-"$BIN" -addr "$ADDR" -scale 9 -wal-dir "$DIR/wal" -batch-delay 1ms \
+"$BIN" -addr "$ADDR" -scale 9 -wal-dir "$DIR/wal" \
   -refresh-dirty 64 -refresh-age 5ms >"$LOG1" 2>&1 &
 PID=$!
 wait_up "$LOG1"
@@ -55,7 +55,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
 # --- Run 2: restart from the WAL ------------------------------------
-"$BIN" -addr "$ADDR" -scale 9 -wal-dir "$DIR/wal" -batch-delay 1ms \
+"$BIN" -addr "$ADDR" -scale 9 -wal-dir "$DIR/wal" \
   -refresh-dirty 64 -refresh-age 5ms >"$LOG2" 2>&1 &
 PID=$!
 wait_up "$LOG2"

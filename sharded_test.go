@@ -114,7 +114,10 @@ func TestShardedGatedEdgeOps(t *testing.T) {
 func TestShardedAutoRefresh(t *testing.T) {
 	_, sg := shardedFixture(t, 4, true)
 	start := sg.Epoch()
-	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, Poll: time.Millisecond}) {
+	// MaxAge lets the residue below MaxDirty publish too: without it the
+	// fleet only settles when every shard's last refresh happens to fire
+	// after the last batch, which a slow (-race) ingest loses.
+	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 5 * time.Millisecond, Poll: time.Millisecond}) {
 		t.Fatal("auto-refresh did not start")
 	}
 	defer sg.StopAutoRefresh()
