@@ -42,8 +42,8 @@
 // endpoints, same wire format.
 //
 // With -live the daemon additionally maintains a dynamic spanning
-// forest fed synchronously by the ingest path (per-shard forests
-// joined by a merged union-find when sharded), so
+// forest over the served store (one forest across the shards when
+// sharded), reconciled synchronously by the ingest path, so
 // /query/connected?u=N&v=M&live=1 answers from the update stream
 // without waiting for the next snapshot refresh.
 //

@@ -121,12 +121,16 @@
 //     {kind, epoch, cache, data} with structured error codes; the flat
 //     /query/<kind> routes remain as pinned aliases. Between-refresh
 //     connectivity (connected?live=1, after EnableLive / snapserve
-//     -live) answers from a dynamic spanning forest the ingest path
-//     updates synchronously — per-shard forests joined by label merge
-//     on the fleet — proving connectivity without hop counts, never
-//     cached, and asserted to agree exactly with the next published
-//     snapshot's components under randomized churn including tree-edge
-//     deletions. Sampled betweenness runs as an offline job
+//     -live) answers from a dynamic spanning forest kept over the
+//     served store itself, not a copy of it: seeded by one BFS over the
+//     published snapshot, then reconciled after every commit against
+//     the store's current state of each touched key (one forest for
+//     the whole fleet, reading each vertex's owning shard). It proves
+//     connectivity without hop counts, is never cached, and is asserted
+//     to agree exactly with the next published snapshot's components
+//     under randomized concurrent churn including tree-edge deletions.
+//     Directed engines keep the forest over a private store. Sampled
+//     betweenness runs as an offline job
 //     (POST /v1/jobs/betweenness, progress polled at /v1/jobs/{id});
 //     jobs waive the zero-alloc guarantee and require a resident global
 //     CSR (compressed layouts fail the job, fleets answer 501).

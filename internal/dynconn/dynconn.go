@@ -3,26 +3,53 @@
 // forest that changes over time so that path-existence queries never
 // recompute from scratch.
 //
-// The structure combines the paper's two building blocks:
+// The structure combines the paper's two building blocks: a dynamic
+// adjacency store holding the actual multigraph, and a parent-pointer
+// link-cut forest (as in internal/lct) holding one spanning tree per
+// component. The forest never copies the adjacency; it reads it. There
+// are two owners of that adjacency:
 //
-//   - a dynamic adjacency store (any dyngraph.Store) holding the actual
-//     multigraph, and
-//   - a parent-pointer link-cut forest (internal/lct) holding one
-//     spanning tree per component.
+//   - a view (NewView): the store belongs to someone else — the served
+//     store of a snapshot pipeline, which already holds every undirected
+//     edge as two arcs. Its owner applies each batch to the store and
+//     then hands the batch to Apply, which reconciles its keys.
+//   - an owned store (New): InsertEdge and DeleteEdge mutate the index's
+//     private store first, both arcs of the undirected edge, and then
+//     reconcile the key exactly as a view does.
 //
-// Insertions are O(diameter): if the endpoints are in different trees the
-// new edge becomes a tree edge (re-rooting the smaller tree, then link).
-// Deletions of non-tree edges are O(scan); deletions of tree edges split
-// the tree and search the smaller side for a replacement edge — the
-// classic spanning-forest repair, bounded by the smaller component's
-// size. Small-world networks keep both trees shallow and replacement
-// searches short in practice.
+// Reconciling is one rule, applied per touched key {u, v} against the
+// store's *current* state: a tree edge whose key is now absent is cut
+// and the two halves are searched for an arc that rejoins them; a
+// non-tree key that is present and joins two trees is linked; anything
+// else changes nothing. The rule reads state, not the update that caused
+// it, so batches may be reconciled in any order relative to the store
+// applies around them — concurrent writers reconcile in whatever order
+// their applies finish. Call a batch in flight from the start of its
+// store apply to the end of its reconcile. What the rule keeps true
+// whenever no reconcile is running: every present edge whose key no
+// in-flight batch touches has both endpoints in one tree, and every
+// tree edge that is absent belongs to an in-flight batch. Once every
+// applied batch is reconciled (and the
+// store's two arcs of each key agree again), the forest therefore spans
+// exactly the store's components and every tree edge is live in it.
 //
+// The replacement search enumerates each half through the forest's own
+// child lists — never through the store, whose arcs other writers may
+// have removed — and scans the enumerated vertices' arcs for one that
+// reaches the other half; arcs into third trees belong to in-flight
+// batches and are left to their own reconcile. Both halves grow at once,
+// always the one that has done less work, so a cut costs about twice the
+// smaller half.
+//
+// Trees are linked by size (the smaller one is re-rooted), which keeps
+// the giant component's root — and so every root walk — short.
 // Queries are two findroot walks, exactly as in the static case.
 package dynconn
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
@@ -31,29 +58,58 @@ import (
 // noParent marks a forest root in the parent array.
 const noParent = ^uint32(0)
 
+// Reader is the part of an adjacency store the forest reads: every
+// dyngraph.Store is one. Has and Neighbors must see both arcs of an
+// undirected edge, (u,v) among u's arcs and (v,u) among v's.
+type Reader interface {
+	Has(u, v edge.ID) bool
+	Neighbors(u edge.ID, fn func(v edge.ID, t uint32) bool)
+}
+
+// Neighbors enumerates u's arcs the way Reader.Neighbors does; Seed
+// takes the seeding adjacency in this form.
+type Neighbors func(u edge.ID, fn func(v edge.ID, t uint32) bool)
+
 // Index maintains connectivity over an undirected dynamic multigraph.
 // Methods are not safe for concurrent mutation; queries (Connected,
 // FindRoot) may run concurrently with each other but not with updates.
+// A viewed store may be written concurrently with any of them.
 type Index struct {
-	store dyngraph.Store
+	g   Reader
+	own dyngraph.Store // the private store (g itself) under New; nil for a view
+
 	// parent is the spanning forest (link-cut tree as a flat parent
-	// array, as in internal/lct).
-	parent []uint32
-	// onTree marks, per vertex, the parent edge's "tree" status needs no
-	// extra bookkeeping: an arc (u,parent[u]) is a tree edge by
-	// definition. treeEdges counts them for diagnostics.
+	// array, as in internal/lct); an arc (u, parent[u]) is a tree edge
+	// by definition. child/next/prev thread each vertex's children into
+	// a doubly linked list so a half of a cut tree can be enumerated
+	// without the store.
+	parent, child, next, prev []uint32
+	// size[r] is the vertex count of the tree rooted at r (read at roots
+	// only).
+	size      []uint32
 	treeEdges int64
-	// edges counts live undirected edges (self-loops count once).
+	// edges counts live undirected edges of an owned store (self-loops
+	// count once); a view does not know it.
 	edges int64
-	// scratch buffers reused by splits and searches.
-	queue []uint32
+
+	// Search state, reused so a warm reconcile allocates nothing: one
+	// queue per half, the work each half has done, the shared visit mark
+	// (half s of the current search marks epoch+s), and the callback
+	// handed to Neighbors, bound once in the constructor.
+	queue [2][]uint32
+	head  [2]int
+	work  [2]int
+	roots [2]uint32
+	side  int
+	hit   uint32 // the other half's endpoint of a rejoining arc, or noParent
 	mark  []uint32
 	epoch uint32
+	visit func(v edge.ID, t uint32) bool
 }
 
-// New creates an index over n vertices backed by the given store (the
-// store must be empty; use InsertEdge to populate). A nil store defaults
-// to the hybrid representation.
+// New creates an index that owns its store (the store must be empty;
+// use InsertEdge or Seed to populate). A nil store defaults to the
+// hybrid representation.
 func New(n int, store dyngraph.Store) *Index {
 	if store == nil {
 		store = dyngraph.NewHybrid(n, 8*n, 0, 1)
@@ -61,37 +117,52 @@ func New(n int, store dyngraph.Store) *Index {
 	if store.NumVertices() != n || store.NumEdges() != 0 {
 		panic("dynconn: store must be empty and sized to n")
 	}
-	p := make([]uint32, n)
-	for i := range p {
-		p[i] = noParent
-	}
-	return &Index{
-		store:  store,
-		parent: p,
+	x := NewView(n, store)
+	x.own = store
+	return x
+}
+
+// NewView creates an index over n vertices that reads g and never
+// mutates it: the forest starts empty (every vertex its own tree); Seed
+// it from g's current contents, then Apply every batch the owner of g
+// applies.
+func NewView(n int, g Reader) *Index {
+	x := &Index{
+		g:      g,
+		parent: make([]uint32, n),
+		child:  make([]uint32, n),
+		next:   make([]uint32, n),
+		prev:   make([]uint32, n),
+		size:   make([]uint32, n),
 		mark:   make([]uint32, n),
 	}
+	x.reset()
+	x.visit = x.visitArc
+	return x
+}
+
+// reset makes every vertex its own tree.
+func (x *Index) reset() {
+	for _, a := range [][]uint32{x.parent, x.child, x.next, x.prev} {
+		for i := range a {
+			a[i] = noParent
+		}
+	}
+	for i := range x.size {
+		x.size[i] = 1
+	}
+	x.treeEdges = 0
 }
 
 // NumVertices returns the vertex-set size.
 func (x *Index) NumVertices() int { return len(x.parent) }
 
-// NumEdges returns the number of live undirected edges.
+// NumEdges returns the number of live undirected edges in an owned
+// store (0 for a view).
 func (x *Index) NumEdges() int64 { return x.edges }
 
 // TreeEdges returns the current spanning-forest size (diagnostic).
 func (x *Index) TreeEdges() int64 { return x.treeEdges }
-
-// EachTreeEdge calls fn once per spanning-forest tree edge (child,
-// parent). Union-ing exactly these pairs reproduces the index's
-// connectivity partition — the label-merge hook a sharded fleet uses to
-// join per-shard forests into fleet-wide connectivity.
-func (x *Index) EachTreeEdge(fn func(u, v edge.ID)) {
-	for v, p := range x.parent {
-		if p != noParent {
-			fn(edge.ID(v), p)
-		}
-	}
-}
 
 // FindRoot walks to the representative of v's component.
 func (x *Index) FindRoot(v edge.ID) edge.ID {
@@ -106,23 +177,166 @@ func (x *Index) Connected(u, v edge.ID) bool {
 	return x.FindRoot(u) == x.FindRoot(v)
 }
 
-// InsertEdge adds the undirected edge {u, v} at time t. If it joins two
-// components it becomes a tree edge.
+// Seed rebuilds the forest with one BFS: every vertex not yet reached
+// roots a tree and each vertex's parent is the vertex that discovered
+// it. A view seeds from nb, which must enumerate the same arcs the
+// store holds (a snapshot of it, translated to store ids); an owning
+// index first loads every arc nb enumerates into its store as one
+// undirected edge and then searches the store.
+func (x *Index) Seed(nb Neighbors) {
+	var u edge.ID
+	if x.own != nil {
+		load := func(v edge.ID, t uint32) bool {
+			x.insertArcs(u, v, t)
+			return true
+		}
+		for i := range x.parent {
+			u = edge.ID(i)
+			nb(u, load)
+		}
+		nb = x.own.Neighbors
+	}
+	x.reset()
+	ep := x.nextEpoch()
+	q := x.queue[0][:0]
+	discover := func(v edge.ID, _ uint32) bool {
+		if x.mark[v] != ep {
+			x.mark[v] = ep
+			x.attach(v, u)
+			q = append(q, v)
+		}
+		return true
+	}
+	for s := range x.parent {
+		if x.mark[s] == ep {
+			continue
+		}
+		x.mark[s] = ep
+		q = append(q[:0], uint32(s))
+		for i := 0; i < len(q); i++ {
+			u = q[i]
+			nb(u, discover)
+		}
+		x.size[s] = uint32(len(q))
+		x.treeEdges += int64(len(q) - 1)
+	}
+	x.queue[0] = q
+}
+
+// InsertEdge adds the undirected edge {u, v} at time t to an owned
+// store, then reconciles it: if it joins two components it becomes a
+// tree edge.
 func (x *Index) InsertEdge(u, v edge.ID, t uint32) {
-	x.store.Insert(u, v, t)
+	x.insertArcs(u, v, t)
+	x.reconcile(u, v)
+}
+
+// insertArcs stores both arcs of {u, v} (one for a self-loop).
+func (x *Index) insertArcs(u, v edge.ID, t uint32) {
+	x.own.Insert(u, v, t)
 	x.edges++
-	if u == v {
-		return
+	if u != v {
+		x.own.Insert(v, u, t)
 	}
-	x.store.Insert(v, u, t)
-	ru, rv := x.FindRoot(u), x.FindRoot(v)
-	if ru == rv {
-		return
+}
+
+// DeleteEdge removes one undirected edge {u, v} from an owned store and
+// reconciles it, repairing the spanning forest if the last copy of a
+// tree edge went. It reports whether the edge existed.
+func (x *Index) DeleteEdge(u, v edge.ID) bool {
+	if !x.own.Delete(u, v) {
+		return false
 	}
-	// Join: re-root u's tree at u, then hang it under v.
+	x.edges--
+	if u != v {
+		x.own.Delete(v, u)
+		x.reconcile(u, v)
+	}
+	return true
+}
+
+// Apply brings the forest up to date with one batch, in order. An
+// owning index applies each update to its store as an undirected edge
+// first; a view only reconciles the keys, the store's owner having
+// applied the batch already.
+func (x *Index) Apply(batch []edge.Update) {
+	for i := range batch {
+		up := &batch[i]
+		switch {
+		case x.own == nil:
+			x.reconcile(up.U, up.V)
+		case up.Op == edge.Delete:
+			x.DeleteEdge(up.U, up.V)
+		default:
+			x.InsertEdge(up.U, up.V, up.T)
+		}
+	}
+}
+
+// reconcile brings the forest in line with the store's current state
+// of the key {u, v}: a tree edge whose key is absent is cut and
+// replaced if the store still joins its halves; a present non-tree key
+// across two trees becomes a tree edge; anything else is already in
+// line.
+func (x *Index) reconcile(u, v edge.ID) {
+	switch {
+	case u == v:
+	case x.parent[u] == v:
+		if !x.g.Has(u, v) {
+			x.cut(u)
+		}
+	case x.parent[v] == u:
+		if !x.g.Has(u, v) {
+			x.cut(v)
+		}
+	default:
+		ru, rv := x.FindRoot(u), x.FindRoot(v)
+		if ru != rv && x.g.Has(u, v) {
+			x.link(u, v, ru, rv)
+		}
+	}
+}
+
+// link joins the trees rooted at ru and rv through the edge {u, v},
+// re-rooting the smaller one.
+func (x *Index) link(u, v, ru, rv edge.ID) {
+	if x.size[ru] > x.size[rv] {
+		u, v, ru, rv = v, u, rv, ru
+	}
+	x.hang(u, v)
+	x.size[rv] += x.size[ru]
+}
+
+// hang re-roots u's tree at u and makes it v's child.
+func (x *Index) hang(u, v edge.ID) {
 	x.reroot(u)
-	x.parent[u] = v
+	x.attach(u, v)
 	x.treeEdges++
+}
+
+// attach makes root c a child of p.
+func (x *Index) attach(c, p uint32) {
+	x.parent[c] = p
+	h := x.child[p]
+	x.next[c], x.prev[c] = h, noParent
+	if h != noParent {
+		x.prev[h] = c
+	}
+	x.child[p] = c
+}
+
+// detach makes c, which has a parent, a root.
+func (x *Index) detach(c uint32) {
+	p, pr, nx := x.parent[c], x.prev[c], x.next[c]
+	if pr != noParent {
+		x.next[pr] = nx
+	} else {
+		x.child[p] = nx
+	}
+	if nx != noParent {
+		x.prev[nx] = pr
+	}
+	x.parent[c] = noParent
 }
 
 // reroot makes v the root of its tree by reversing the parent pointers
@@ -130,87 +344,95 @@ func (x *Index) InsertEdge(u, v edge.ID, t uint32) {
 // small-world components).
 func (x *Index) reroot(v edge.ID) {
 	prev := noParent
-	cur := v
-	for cur != noParent {
+	for cur := v; cur != noParent; {
 		next := x.parent[cur]
-		x.parent[cur] = prev
-		prev = cur
-		cur = next
+		if next != noParent {
+			x.detach(cur)
+		}
+		if prev != noParent {
+			x.attach(cur, prev)
+		}
+		prev, cur = cur, next
 	}
 }
 
-// DeleteEdge removes one undirected edge {u, v}, repairing the spanning
-// forest if a tree edge was cut. It reports whether the edge existed.
-func (x *Index) DeleteEdge(u, v edge.ID) bool {
-	if !x.store.Delete(u, v) {
-		return false
+// nextEpoch reserves two fresh mark values (one per search half).
+func (x *Index) nextEpoch() uint32 {
+	if x.epoch > math.MaxUint32-4 {
+		clear(x.mark)
+		x.epoch = 0
 	}
-	x.edges--
-	if u == v {
-		return true
-	}
-	x.store.Delete(v, u)
-	// Tree edge iff one endpoint is the other's parent.
-	switch {
-	case x.parent[u] == v:
-		x.cutAndRepair(u, v)
-	case x.parent[v] == u:
-		x.cutAndRepair(v, u)
-	default:
-		// Non-tree edge: forest unaffected. But the store might still
-		// hold a parallel copy of (u,v) that could serve as a tree edge
-		// later; nothing to do now.
-	}
-	return true
+	x.epoch += 2
+	return x.epoch
 }
 
-// cutAndRepair detaches child from parentSide (the tree edge
-// child->parentSide was deleted from the store already), then searches
-// child's subtree for a replacement edge back to the rest of the tree.
-func (x *Index) cutAndRepair(child, parentSide edge.ID) {
-	x.parent[child] = noParent
+// cut removes the tree edge from child to its parent, then searches for
+// an arc that rejoins the halves: half 0 is child's subtree, half 1 the
+// rest of the tree. Each step expands one vertex — queues its children,
+// scans its arcs — of the half that has done less work, so the search
+// ends within about twice the smaller half's work: at the first arc
+// into the other half, which is linked, or when a half runs out of
+// vertices, which then stays split off.
+func (x *Index) cut(child edge.ID) {
+	top := x.FindRoot(x.parent[child])
+	total := x.size[top]
+	x.detach(child)
 	x.treeEdges--
 
-	// A parallel copy of the deleted edge may remain in the multigraph;
-	// the replacement search below finds it naturally (child's component
-	// scan sees the surviving (child, parentSide) arc).
-
-	// Collect child's component by BFS over the *store* restricted to
-	// vertices whose root is child. Simpler and correct: BFS over store
-	// from child following arcs only to vertices currently rooted at
-	// child (tree membership), looking for any arc leaving the set.
-	x.epoch++
-	ep := x.epoch
-	x.queue = x.queue[:0]
-	x.queue = append(x.queue, uint32(child))
-	x.mark[child] = ep
-
-	var bridgeFrom, bridgeTo edge.ID
-	found := false
-	for i := 0; i < len(x.queue) && !found; i++ {
-		w := x.queue[i]
-		x.store.Neighbors(w, func(nb edge.ID, _ uint32) bool {
-			if x.mark[nb] == ep {
-				return true
-			}
-			if x.FindRoot(nb) == x.FindRoot(child) {
-				// Same (detached) tree: keep exploring.
-				x.mark[nb] = ep
-				x.queue = append(x.queue, nb)
-				return true
-			}
-			// Replacement edge found: w is in the detached tree, nb
-			// outside it.
-			bridgeFrom, bridgeTo = w, nb
-			found = true
-			return false
-		})
+	ep := x.nextEpoch()
+	x.roots = [2]uint32{child, top}
+	x.hit = noParent
+	for s, r := range x.roots {
+		x.queue[s] = append(x.queue[s][:0], r)
+		x.mark[r] = ep + uint32(s)
+		x.head[s], x.work[s] = 0, 0
 	}
-	if found {
-		x.reroot(bridgeFrom)
-		x.parent[bridgeFrom] = bridgeTo
-		x.treeEdges++
+	for {
+		s := 0
+		if x.work[1] < x.work[0] {
+			s = 1
+		}
+		if x.head[s] == len(x.queue[s]) {
+			n := uint32(len(x.queue[s]))
+			x.size[x.roots[s]] = n
+			x.size[x.roots[1-s]] = total - n
+			return
+		}
+		w := x.queue[s][x.head[s]]
+		x.head[s]++
+		for c := x.child[w]; c != noParent; c = x.next[c] {
+			x.mark[c] = ep + uint32(s)
+			x.queue[s] = append(x.queue[s], c)
+			x.work[s]++
+		}
+		x.side = s
+		x.g.Neighbors(w, x.visit)
+		if x.hit != noParent {
+			x.hang(w, x.hit)
+			x.size[x.roots[1-s]] = total
+			return
+		}
 	}
+}
+
+// visitArc is the search's Neighbors callback: an arc from a vertex of
+// half x.side to v. It stops the scan at an arc into the
+// other half; arcs within the half or into a third tree are passed
+// over.
+func (x *Index) visitArc(v edge.ID, _ uint32) bool {
+	s := x.side
+	x.work[s]++
+	switch x.mark[v] {
+	case x.epoch + uint32(s):
+		return true
+	case x.epoch + uint32(1-s):
+	default:
+		if x.FindRoot(v) != x.roots[1-s] {
+			return true
+		}
+	}
+	x.hit = v
+	return false
 }
 
 // ComponentCount walks the forest and counts roots of non-empty trees
@@ -225,12 +447,23 @@ func (x *Index) ComponentCount() int {
 	return c
 }
 
+// Labels writes each vertex's tree root into dst (grown to n): the
+// forest's partition, for comparison against a static labelling.
+func (x *Index) Labels(dst []uint32) []uint32 {
+	dst = slices.Grow(dst[:0], len(x.parent))[:len(x.parent)]
+	for v := range x.parent {
+		dst[v] = x.FindRoot(edge.ID(v))
+	}
+	return dst
+}
+
 // CheckInvariants verifies structural sanity: the forest is acyclic,
-// every tree edge exists in the store, and connectivity implied by tree
-// membership matches store reachability on sampled pairs. Used by tests;
-// O(n·height + m).
+// the child lists hold exactly the parent pointers, every root's size
+// counts its tree, and every tree edge exists in the store. Used by
+// tests; O(n·height).
 func (x *Index) CheckInvariants() error {
 	n := len(x.parent)
+	sizes := make([]uint32, n)
 	for v := 0; v < n; v++ {
 		// Acyclicity: walking up must terminate within n hops.
 		hops := 0
@@ -242,10 +475,28 @@ func (x *Index) CheckInvariants() error {
 				return fmt.Errorf("dynconn: cycle through vertex %d", v)
 			}
 		}
+		sizes[cur]++
 		// Tree edges must be live in the store.
-		if p := x.parent[v]; p != noParent && !x.store.Has(edge.ID(v), p) {
+		if p := x.parent[v]; p != noParent && !x.g.Has(edge.ID(v), p) {
 			return fmt.Errorf("dynconn: tree edge (%d,%d) missing from store", v, p)
 		}
+	}
+	listed := 0
+	for p := 0; p < n; p++ {
+		if x.parent[p] == noParent && x.size[p] != sizes[p] {
+			return fmt.Errorf("dynconn: root %d records size %d, its tree has %d", p, x.size[p], sizes[p])
+		}
+		for c := x.child[p]; c != noParent; c = x.next[c] {
+			if x.parent[c] != uint32(p) {
+				return fmt.Errorf("dynconn: %d listed as a child of %d, parent %d", c, p, x.parent[c])
+			}
+			if listed++; listed > n {
+				return fmt.Errorf("dynconn: child lists cycle")
+			}
+		}
+	}
+	if int64(listed) != x.treeEdges {
+		return fmt.Errorf("dynconn: %d listed children, %d tree edges", listed, x.treeEdges)
 	}
 	return nil
 }

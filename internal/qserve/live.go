@@ -2,9 +2,7 @@ package qserve
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"snapdyn/internal/csr"
 	"snapdyn/internal/dynconn"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/snapmgr"
@@ -15,47 +13,55 @@ import (
 // st-connectivity can be answered from the update stream without
 // waiting for the next snapshot publication.
 //
+// On an undirected engine the forest is a read-only view over the
+// served store: it holds parent pointers and child lists, never edges.
+// The commit applies each batch to the store as before; Apply then
+// reconciles the batch's keys against the store's current state (a cut
+// tree edge is replaced from the store's own adjacency), so a mirrored
+// update costs the index two root walks unless it removes a tree edge
+// or joins two trees.
+// Directed engines keep a private store (NewLive), because their served
+// store holds no in-arcs to search: every update is applied to it as an
+// undirected edge, giving weak connectivity, the only kind a spanning
+// forest can maintain.
+//
 // Consistency model: a live answer reflects every batch whose Ingest
 // call returned before the query started — fresher than any snapshot —
 // and at quiesce (no ingest in flight) it agrees exactly with the
-// components of the next published snapshot, because both sides have
-// applied the same multiset of updates. Every directed update is
-// applied as an undirected forest edge: a mirrored batch (undirected
-// serving) inserts both copies as parallel edges and deletes remove
-// both, leaving connectivity identical to the snapshot store's;
-// directed inputs get undirected (weak-ish) connectivity, the only kind
-// a spanning forest can maintain.
+// components of the next published snapshot, because the forest spans
+// the very store that snapshot is cut from. Reconciling is state-based,
+// so concurrent ingests may reconcile in any order relative to their
+// store applies.
 //
 // Live answers are never cached: the index mutates continuously and is
 // pinned to no snapshot.
 type Live struct {
 	mu  sync.RWMutex
 	idx *dynconn.Index
-	// version counts applied batches — a cheap change signal for
-	// derived structures (the fleet's merged union-find).
-	version atomic.Uint64
 }
 
-// NewLive returns an empty live index over n vertices. Seed it from the
-// current snapshot (SeedView) before serving.
+// NewLive returns an empty live index over n vertices that owns a
+// private store. Seed it from the current snapshot (SeedView) before
+// serving.
 func NewLive(n int) *Live {
 	return &Live{idx: dynconn.New(n, nil)}
 }
 
-// Apply feeds one ingested batch into the forest, in order. Called by
-// the executor's Ingest after the snapshot-path apply succeeds; safe
-// for concurrent use.
+// NewLiveOver returns an empty live index over n vertices whose forest
+// is a view over g, the served store, which must hold both arcs of
+// every edge. Seed it from a snapshot of g (SeedView, Seed) before
+// serving, and Apply every batch after g has applied it.
+func NewLiveOver(n int, g dynconn.Reader) *Live {
+	return &Live{idx: dynconn.NewView(n, g)}
+}
+
+// Apply brings the forest up to date with one ingested batch. Called
+// by the executor's Ingest after the commit applied it to the served
+// store; safe for concurrent use.
 func (l *Live) Apply(batch []edge.Update) {
 	l.mu.Lock()
-	for _, up := range batch {
-		if up.Op == edge.Delete {
-			l.idx.DeleteEdge(up.U, up.V)
-		} else {
-			l.idx.InsertEdge(up.U, up.V, up.T)
-		}
-	}
+	l.idx.Apply(batch)
 	l.mu.Unlock()
-	l.version.Add(1)
 }
 
 // Connected answers st-connectivity from the forest: two root walks.
@@ -74,74 +80,75 @@ func (l *Live) Components() int {
 	return l.idx.ComponentCount()
 }
 
-// Version returns the applied-batch count.
-func (l *Live) Version() uint64 { return l.version.Load() }
+// Labels writes every vertex's tree root into dst: the forest's
+// partition, for tests that compare it vertex by vertex.
+func (l *Live) Labels(dst []uint32) []uint32 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.idx.Labels(dst)
+}
 
-// SeedView replays every arc of a published snapshot into the forest —
-// the bootstrap that makes a live index agree with history it never saw
-// (including a durable store's recovered state). Arcs are translated
-// back to original ids for reordered layouts; each stored arc becomes
-// one undirected edge, exactly what Apply does per update, so seed +
-// subsequent batches stays consistent with the snapshot store.
-func (l *Live) SeedView(v *snapmgr.View) {
+// CheckInvariants verifies the forest's structure and that every tree
+// edge is live in the store (see dynconn.Index.CheckInvariants).
+func (l *Live) CheckInvariants() error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.idx.CheckInvariants()
+}
+
+// Seed rebuilds the forest by one BFS over nb, the arcs of a snapshot
+// of the store in store ids (see dynconn.Index.Seed).
+func (l *Live) Seed(nb dynconn.Neighbors) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idx.Seed(nb)
+}
+
+// SeedView seeds the forest from a published snapshot — the bootstrap
+// that makes a live index agree with history it never saw (including a
+// durable store's recovered state). Reordered layouts are translated
+// back to original ids vertex by vertex; a private store is loaded with
+// each stored arc as one undirected edge, exactly what Apply does per
+// update.
+func (l *Live) SeedView(v *snapmgr.View) {
 	if v.C != nil {
-		n := v.C.N
-		for u := 0; u < n; u++ {
-			v.C.Neighbors(edge.ID(u), func(w edge.ID, t uint32) bool {
-				l.idx.InsertEdge(uint32(u), w, t)
-				return true
-			})
-		}
+		l.Seed(v.C.Neighbors)
 		return
 	}
 	g := v.G
-	for pu := 0; pu < g.N; pu++ {
-		u := uint32(pu)
-		if v.Inv != nil {
-			u = v.Inv[pu]
+	l.Seed(func(u edge.ID, fn func(w edge.ID, t uint32) bool) {
+		if v.Perm != nil {
+			u = v.Perm[u]
 		}
-		adj, ts := g.Neighbors(edge.ID(pu))
-		for i, pw := range adj {
-			w := pw
-			if v.Inv != nil {
-				w = v.Inv[pw]
-			}
-			l.idx.InsertEdge(u, w, ts[i])
-		}
-	}
-}
-
-// SeedCSR replays every arc of one plain (unpermuted) CSR snapshot —
-// the per-shard seeding hook for the fleet's live index, where each
-// shard's view is plain CSR and holds exactly the owned arcs.
-func (l *Live) SeedCSR(g *csr.Graph) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for u := 0; u < g.N; u++ {
-		adj, ts := g.Neighbors(edge.ID(u))
+		adj, ts := g.Neighbors(u)
 		for i, w := range adj {
-			l.idx.InsertEdge(uint32(u), w, ts[i])
+			if v.Inv != nil {
+				w = v.Inv[w]
+			}
+			if !fn(w, ts[i]) {
+				return
+			}
 		}
-	}
-}
-
-// EachTreeEdge visits the forest's current tree edges under the read
-// lock — the hook the fleet's merged union-find is rebuilt from.
-func (l *Live) EachTreeEdge(fn func(u, v edge.ID)) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	l.idx.EachTreeEdge(fn)
+	})
 }
 
 // EnableLive builds the live connectivity index, seeded from the
-// current snapshot, and starts feeding it from every subsequent Ingest.
-// Call before serving (not synchronized with in-flight Ingest calls).
-// Live queries (Connected with live=1) fail with ErrUnsupported until
-// this is called.
+// current snapshot, and starts feeding it from every subsequent Ingest:
+// a view over the served store on an undirected engine, a private store
+// on a directed one. Unpublished updates are published first, so the
+// seed covers the whole store. Call before serving (not synchronized
+// with in-flight Ingest calls). Live queries (Connected with live=1)
+// fail with ErrUnsupported until this is called.
 func (e *Executor) EnableLive() {
-	l := NewLive(e.NumVertices())
+	if e.mgr.Staleness() > 0 {
+		e.mgr.Refresh(0)
+	}
+	var l *Live
+	if e.cfg.Undirected {
+		l = NewLiveOver(e.NumVertices(), e.mgr.Store())
+	} else {
+		l = NewLive(e.NumVertices())
+	}
 	l.SeedView(e.mgr.View())
 	e.live = l
 }

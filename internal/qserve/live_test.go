@@ -5,7 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"snapdyn/internal/cc"
+	"snapdyn/internal/dynconn/conntest"
+	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
+	"snapdyn/internal/rmat"
+	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/stream"
 	"snapdyn/internal/xrand"
 )
@@ -323,5 +328,112 @@ func TestLiveConnHammer(t *testing.T) {
 		if lr.Connected != sr.Connected {
 			t.Fatalf("after quiesce: ConnectedLive(%d,%d) = %v, snapshot %v", u, v, lr.Connected, sr.Connected)
 		}
+	}
+}
+
+// TestLiveModelConcurrentIngest is the live index's model test: four
+// writers ingest concurrently, so batches reconcile in an order other
+// than the one they reached the store in, beside a refresher. Each
+// writer's churn (conntest.Writer) mixes parallel copies, deletes to
+// zero and back inside and across batches, deletes of absent keys,
+// self-loops and tree-edge deletes with and without a surviving copy.
+// At every quiesce the forest must partition every vertex exactly as
+// the components of the served store do, with every tree edge live.
+func TestLiveModelConcurrentIngest(t *testing.T) {
+	n := 1 << 8
+	// A sparse start (two edges per vertex) leaves many components for
+	// the churn to join and split.
+	edges, err := rmat.Generate(0, rmat.PaperParams(8, 2*n, 50, 83))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := dyngraph.NewTracked(dyngraph.NewHybrid(n, 8*n, 0, 83))
+	store.ApplyBatch(0, stream.Mirror(stream.Inserts(edges)))
+	mgr := snapmgr.New(0, store)
+	ex := New(mgr, Config{Undirected: true})
+	ex.EnableLive()
+	const writers = 4
+	ws := make([]*conntest.Writer, writers)
+	for w := range ws {
+		ws[w] = conntest.NewWriter(uint64(300+w), n, w, writers, edges)
+	}
+	for phase := 0; phase < 3; phase++ {
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					mgr.Refresh(0)
+				}
+			}
+		}()
+		for _, w := range ws {
+			wg.Add(1)
+			go func(w *conntest.Writer) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if _, err := ex.Ingest(1, w.Batch()); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(done)
+
+		want := conntest.Labels(mgr.Store())
+		if err := conntest.SamePartition(ex.Live().Labels(nil), want); err != nil {
+			t.Fatalf("phase %d: %v", phase, err)
+		}
+		if err := ex.Live().CheckInvariants(); err != nil {
+			t.Fatalf("phase %d: %v", phase, err)
+		}
+	}
+}
+
+// TestLiveDirectedPrivateStore pins the directed engine's live index:
+// its served store has no in-arcs to search, so the forest keeps a
+// private store, and at quiesce it agrees with the weak connectivity of
+// the published snapshot.
+func TestLiveDirectedPrivateStore(t *testing.T) {
+	n := 1 << 8
+	edges, err := rmat.Generate(0, rmat.PaperParams(8, 2*n, 50, 89))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := dyngraph.NewTracked(dyngraph.NewHybrid(n, 2*len(edges), 0, 89))
+	store.ApplyBatch(0, stream.Inserts(edges))
+	mgr := snapmgr.New(0, store)
+	ex := New(mgr, Config{})
+	ex.EnableLive()
+	r := xrand.New(91)
+	var arcs []edge.Edge // inserted by this test, still present
+	for i := 0; i < 30; i++ {
+		var batch []edge.Update
+		if len(arcs) > 0 && i%3 == 0 {
+			j := r.Intn(len(arcs))
+			batch = append(batch, edge.Update{Edge: arcs[j], Op: edge.Delete})
+			arcs = append(arcs[:j], arcs[j+1:]...)
+		}
+		for k := 0; k < 3; k++ {
+			e := edge.Edge{U: r.Uint32n(uint32(n)), V: r.Uint32n(uint32(n)), T: uint32(1<<20 + 3*i + k)}
+			arcs = append(arcs, e)
+			batch = append(batch, edge.Update{Edge: e, Op: edge.Insert})
+		}
+		if _, err := ex.Ingest(1, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.Refresh(0)
+	want := cc.Components(1, mgr.Current())
+	if err := conntest.SamePartition(ex.Live().Labels(nil), want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Live().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

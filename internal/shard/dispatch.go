@@ -100,16 +100,16 @@ func (e *Executor) Query(sp *qserve.Spec, a qserve.Args) (qserve.Result, error) 
 	return res, nil
 }
 
-// runFleetConnected answers st-connectivity: from the merged live
-// forests when a.Live (no snapshot involved, hop count unavailable),
-// else by the early-exiting scatter-gather traversal.
+// runFleetConnected answers st-connectivity: from the live forest when
+// a.Live (no snapshot involved, hop count unavailable), else by the
+// early-exiting scatter-gather traversal.
 func runFleetConnected(e *Executor, views []*csr.Graph, a qserve.Args, keep bool) (qcache.Value, error) {
 	if a.Live {
-		lf := e.live
-		if lf == nil {
+		l := e.live
+		if l == nil {
 			return qcache.Value{}, qserve.ErrUnsupported
 		}
-		return qcache.Value{Flag: lf.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
+		return qcache.Value{Flag: l.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
 	}
 	return e.connValue(views, uint32(a.A), uint32(a.B)), nil
 }
@@ -150,10 +150,10 @@ func (e *Executor) Connected(u, v uint32) (qserve.ConnReply, error) {
 	return qserve.ConnReplyFrom(a, r), nil
 }
 
-// ConnectedLive answers st-connectivity from the merged per-shard live
-// forests (EnableLive), reflecting every acknowledged ingest without
-// waiting for shard refreshes. Hops is -1: the forests prove
-// connectivity, not distance.
+// ConnectedLive answers st-connectivity from the fleet's live forest
+// (EnableLive), reflecting every acknowledged ingest without waiting
+// for shard refreshes. Hops is -1: the forest proves connectivity, not
+// distance.
 func (e *Executor) ConnectedLive(u, v uint32) (qserve.ConnReply, error) {
 	a := qserve.Args{A: uint64(u), B: uint64(v), Live: true}
 	r, err := e.Query(qserve.SpecConnected, a)

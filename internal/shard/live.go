@@ -1,166 +1,56 @@
 package shard
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"snapdyn/internal/edge"
 	"snapdyn/internal/qserve"
 )
 
-// LiveFleet is the fleet's between-refresh connectivity index: one
-// dynamic spanning forest per shard (qserve.Live), each fed the
-// sub-batch its shard owns, joined at query time by a merged
-// union-find over every forest's tree edges. The merge is rebuilt
-// lazily and cached by the summed forest version, so a quiet fleet
-// answers from one immutable flattened label array (two loads per
-// query) and a churning fleet pays one O(n + tree edges) rebuild per
-// applied batch, amortized over all queries between batches.
-//
-// Consistency matches the single-shard live index: an answer reflects
-// every batch whose Ingest returned before the query started, and at
-// quiesce it agrees exactly with the components of the fleet's next
-// published snapshot set. While ingest is in flight the merged view
-// may mix shard states from slightly different instants — exactly the
-// cross-shard ordering looseness the fleet's epoch model already
-// grants.
-type LiveFleet struct {
-	f     *Fleet
-	parts []*qserve.Live
+// ownerStores is the fleet's stores read as one: every read about
+// vertex u goes to u's owner, whose store holds all of u's out-arcs. In
+// undirected serving that is u's whole adjacency, which is all the live
+// forest reads.
+type ownerStores struct{ f *Fleet }
 
-	// mu serializes merge rebuilds; merged holds the last built
-	// snapshot for lock-free readers.
-	mu     sync.Mutex
-	merged atomic.Pointer[mergedConn]
+func (o ownerStores) Has(u, v edge.ID) bool {
+	return o.f.mgrs[o.f.Owner(u)].Store().Has(u, v)
 }
 
-// mergedConn is one immutable cross-shard connectivity snapshot: the
-// fully flattened union-find labels (root[u] is u's component
-// representative directly) and the summed forest version it was built
-// at.
-type mergedConn struct {
-	version    uint64
-	root       []uint32
-	components int
+func (o ownerStores) Neighbors(u edge.ID, fn func(v edge.ID, t uint32) bool) {
+	o.f.mgrs[o.f.Owner(u)].Store().Neighbors(u, fn)
 }
 
-// newLiveFleet builds the per-shard forests, each seeded from the
-// matching pinned shard view (which holds exactly the arcs that shard
-// owns — seeding all shards replays every stored arc once).
-func newLiveFleet(f *Fleet) *LiveFleet {
-	lf := &LiveFleet{f: f, parts: make([]*qserve.Live, f.Shards())}
+// EnableLive builds the fleet's live connectivity index — one spanning
+// forest for the whole fleet, seeded by one BFS over the current
+// per-shard snapshots — and starts feeding it from every subsequent
+// Ingest. On an undirected fleet the forest is a view over the shards'
+// stores (see qserve.Live), reconciled after each batch's commit; a
+// directed fleet keeps a private store. Unpublished updates are
+// published first, so the seed covers every store. Call before serving
+// (not synchronized with in-flight Ingest calls). Live queries fail
+// with ErrUnsupported until this is called.
+func (e *Executor) EnableLive() {
+	f := e.fleet
+	if f.Staleness() > 0 {
+		f.Refresh(0)
+	}
+	var l *qserve.Live
+	if e.cfg.Undirected {
+		l = qserve.NewLiveOver(f.NumVertices(), ownerStores{f})
+	} else {
+		l = qserve.NewLive(f.NumVertices())
+	}
 	views := f.View(nil)
-	for s := range lf.parts {
-		l := qserve.NewLive(f.NumVertices())
-		l.SeedCSR(views[s])
-		lf.parts[s] = l
-	}
-	return lf
-}
-
-// Apply scatters one ingested batch by owning shard into the per-shard
-// forests — the same routing rule the snapshot stores use, so forest
-// and store stay update-for-update aligned. Safe for concurrent use.
-func (lf *LiveFleet) Apply(batch []edge.Update) {
-	subs := lf.f.Scatter(batch, nil)
-	for s, sub := range subs {
-		if len(sub) > 0 {
-			lf.parts[s].Apply(sub)
-		}
-	}
-}
-
-// version sums the per-shard applied-batch counters — the change
-// signal the merged snapshot is cached by.
-func (lf *LiveFleet) version() uint64 {
-	var v uint64
-	for _, p := range lf.parts {
-		v += p.Version()
-	}
-	return v
-}
-
-// Connected answers cross-shard st-connectivity from the merged
-// forests.
-func (lf *LiveFleet) Connected(u, v uint32) bool {
-	m := lf.snapshot()
-	return m.root[u] == m.root[v]
-}
-
-// Components counts the merged forests' components (isolated vertices
-// included) — the oracle hook the consistency tests compare against
-// the snapshot path.
-func (lf *LiveFleet) Components() int { return lf.snapshot().components }
-
-// snapshot returns a merged connectivity view no older than the forest
-// versions at call time, rebuilding at most once per version change.
-// The version is read before the forests are walked, so a batch
-// landing mid-rebuild leaves the cached snapshot tagged stale and the
-// next query rebuilds again — conservative, never sticky-stale.
-func (lf *LiveFleet) snapshot() *mergedConn {
-	ver := lf.version()
-	if m := lf.merged.Load(); m != nil && m.version == ver {
-		return m
-	}
-	lf.mu.Lock()
-	defer lf.mu.Unlock()
-	ver = lf.version()
-	if m := lf.merged.Load(); m != nil && m.version == ver {
-		return m
-	}
-	m := lf.rebuild(ver)
-	lf.merged.Store(m)
-	return m
-}
-
-// rebuild unions every forest's tree edges into a fresh union-find and
-// flattens it: O(n α) total, each per-shard walk under that forest's
-// read lock.
-func (lf *LiveFleet) rebuild(ver uint64) *mergedConn {
-	n := lf.f.NumVertices()
-	root := make([]uint32, n)
-	for i := range root {
-		root[i] = uint32(i)
-	}
-	var find func(x uint32) uint32
-	find = func(x uint32) uint32 {
-		for root[x] != x {
-			root[x] = root[root[x]] // path halving
-			x = root[x]
-		}
-		return x
-	}
-	for _, p := range lf.parts {
-		p.EachTreeEdge(func(u, v edge.ID) {
-			ru, rv := find(u), find(v)
-			if ru == rv {
+	l.Seed(func(u edge.ID, fn func(v edge.ID, t uint32) bool) {
+		adj, ts := views[f.Owner(u)].Neighbors(u)
+		for i, v := range adj {
+			if !fn(v, ts[i]) {
 				return
 			}
-			if ru < rv {
-				root[rv] = ru
-			} else {
-				root[ru] = rv
-			}
-		})
-	}
-	components := 0
-	for i := range root {
-		if r := find(uint32(i)); r == uint32(i) {
-			components++
-		} else {
-			root[i] = r
 		}
-	}
-	return &mergedConn{version: ver, root: root, components: components}
+	})
+	e.live = l
 }
-
-// EnableLive builds the fleet's live connectivity index, seeded from
-// the current per-shard snapshots, and starts feeding it from every
-// subsequent Ingest. Call before serving (not synchronized with
-// in-flight Ingest calls). Live queries fail with ErrUnsupported until
-// this is called.
-func (e *Executor) EnableLive() { e.live = newLiveFleet(e.fleet) }
 
 // Live returns the fleet's live connectivity index, nil until
 // EnableLive.
-func (e *Executor) Live() *LiveFleet { return e.live }
+func (e *Executor) Live() *qserve.Live { return e.live }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"snapdyn/internal/dynconn/conntest"
+	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/qserve"
 	"snapdyn/internal/stream"
@@ -171,5 +174,95 @@ func TestFleetHTTPQuerySurface(t *testing.T) {
 	obj, _ := body["error"].(map[string]any)
 	if obj == nil || obj["code"] != "unsupported" {
 		t.Fatalf("fleet betweenness job error body %v", body)
+	}
+}
+
+// TestFleetLiveModelConcurrentIngest is the fleet's live model test:
+// one forest over every shard's store, fed by four concurrent writers
+// (conntest.Writer churn) beside a refresher, so batches reconcile in
+// an order other than the one their sub-batches reached the shards in.
+// At every quiesce the forest must partition every vertex exactly as
+// the components of the union of the shards' stores do, with every
+// tree edge live in its owner's store.
+func TestFleetLiveModelConcurrentIngest(t *testing.T) {
+	for _, p := range []int{1, 2, 3} {
+		n, ups := testUpdates(t, 8, 2, 47)
+		f := testFleet(n, p, stream.Mirror(ups))
+		ex := NewExecutor(f, qserve.Config{Undirected: true})
+		ex.EnableLive()
+		initial := make([]edge.Edge, len(ups))
+		for i, up := range ups {
+			initial[i] = up.Edge
+		}
+		stores := make([]dyngraph.Store, p)
+		for s := range stores {
+			stores[s] = f.Manager(s).Store()
+		}
+		const writers = 4
+		ws := make([]*conntest.Writer, writers)
+		for w := range ws {
+			ws[w] = conntest.NewWriter(uint64(500+10*p+w), n, w, writers, initial)
+		}
+		for phase := 0; phase < 3; phase++ {
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			go func() {
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						f.Refresh(2)
+					}
+				}
+			}()
+			for _, w := range ws {
+				wg.Add(1)
+				go func(w *conntest.Writer) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						if _, err := ex.Ingest(1, w.Batch()); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(done)
+
+			want := conntest.Labels(stores...)
+			if err := conntest.SamePartition(ex.Live().Labels(nil), want); err != nil {
+				t.Fatalf("shards=%d phase %d: %v", p, phase, err)
+			}
+			if err := ex.Live().CheckInvariants(); err != nil {
+				t.Fatalf("shards=%d phase %d: %v", p, phase, err)
+			}
+		}
+	}
+}
+
+// TestFleetLiveDirected pins the directed fleet's live index: owners
+// hold no in-arcs, so the forest keeps a private store seeded from
+// every shard's snapshot, and it agrees with the weak connectivity of
+// the shards' stores.
+func TestFleetLiveDirected(t *testing.T) {
+	n, ups := testUpdates(t, 8, 2, 53)
+	f := testFleet(n, 2, ups)
+	ex := NewExecutor(f, qserve.Config{})
+	ex.EnableLive()
+	r := xrand.New(59)
+	for i := 0; i < 20; i++ {
+		e := edge.Edge{U: r.Uint32n(uint32(n)), V: r.Uint32n(uint32(n)), T: uint32(1<<20 + i)}
+		if _, err := ex.Ingest(1, []edge.Update{{Edge: e, Op: edge.Insert}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := conntest.Labels(f.Manager(0).Store(), f.Manager(1).Store())
+	if err := conntest.SamePartition(ex.Live().Labels(nil), want); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Live().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

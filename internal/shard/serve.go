@@ -39,9 +39,8 @@ type Executor struct {
 	ingest func(batch []edge.Update) (uint64, error)
 
 	// live, when set (EnableLive), is the between-refresh connectivity
-	// index: per-shard dynamic forests fed by Ingest, joined by a
-	// merged union-find for cross-shard answers.
-	live *LiveFleet
+	// index: one dynamic forest over the whole fleet, fed by Ingest.
+	live *qserve.Live
 }
 
 var _ qserve.Engine = (*Executor)(nil)
@@ -102,19 +101,18 @@ func (e *Executor) NumVertices() int { return e.fleet.NumVertices() }
 
 // Ingest routes a batch through the fleet's per-shard gates (or the
 // durable path when one is installed), returning the fleet sum-epoch
-// ack.
+// ack; the live index then reconciles the batch.
 func (e *Executor) Ingest(workers int, batch []edge.Update) (uint64, error) {
+	var epoch uint64
 	if e.ingest != nil {
-		epoch, err := e.ingest(batch)
+		var err error
+		epoch, err = e.ingest(batch)
 		if err != nil {
 			return epoch, err
 		}
-		if e.live != nil {
-			e.live.Apply(batch)
-		}
-		return epoch, nil
+	} else {
+		epoch = e.fleet.IngestEpoch(workers, batch)
 	}
-	epoch := e.fleet.IngestEpoch(workers, batch)
 	if e.live != nil {
 		e.live.Apply(batch)
 	}

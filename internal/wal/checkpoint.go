@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"snapdyn/internal/edge"
@@ -206,7 +207,7 @@ func readCheckpoint(path string) (*CheckpointInfo, error) {
 	// The header's payload length must exactly account for the file:
 	// checking against the real size before allocating bounds memory by
 	// what is actually on disk, bogus header or not.
-	if int64(payloadLen) != st.Size()-ckptHdrSize-ckptFtrSize {
+	if st.Size() < ckptHdrSize+ckptFtrSize || payloadLen != uint64(st.Size()-ckptHdrSize-ckptFtrSize) {
 		return nil, fmt.Errorf("%w: checkpoint payload length %d does not match file size %d",
 			ErrCorrupt, payloadLen, st.Size())
 	}
@@ -221,9 +222,12 @@ func readCheckpoint(path string) (*CheckpointInfo, error) {
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(ftr[:]) {
 		return nil, fmt.Errorf("%w: checkpoint crc mismatch", ErrCorrupt)
 	}
-	edges, _, err := graphio.ReadBinary(bytes.NewReader(payload))
+	edges, span, err := graphio.ReadBinary(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint edges: %v", ErrCorrupt, err)
+	}
+	if n > math.MaxUint32+1 || uint64(span) > n {
+		return nil, fmt.Errorf("%w: checkpoint edges reach vertex %d of %d", ErrCorrupt, span-1, n)
 	}
 	return &CheckpointInfo{LSN: lsn, Epoch: epoch, N: int(n), Edges: edges}, nil
 }

@@ -202,7 +202,8 @@ const (
 	frameInvalid
 )
 
-// parseFrame validates the record at off, returning the full frame
+// parseFrame validates the record at off — length, CRC, LSN, and that
+// every update is an insert or a delete — returning the full frame
 // length and update count.
 func parseFrame(data []byte, off int, expectLSN uint64) (frame, count int, st frameStatus) {
 	if off+frameHdr > len(data) {
@@ -224,6 +225,11 @@ func parseFrame(data []byte, off int, expectLSN uint64) (frame, count int, st fr
 	n := int(binary.LittleEndian.Uint32(payload[8:]))
 	if base != expectLSN || payloadLen != recHdrSize+updSize*n {
 		return 0, 0, frameInvalid
+	}
+	for i := recHdrSize; i < payloadLen; i += updSize {
+		if op := edge.Op(payload[i]); op != edge.Insert && op != edge.Delete {
+			return 0, 0, frameInvalid
+		}
 	}
 	return frameHdr + payloadLen, n, frameOK
 }
