@@ -23,6 +23,14 @@
 //   - While auto-refreshers run, every mutation must go through the
 //     fleet's Ingest (or a shard manager's own Ingest): the per-shard
 //     gate contract is the single-manager gate contract, per shard.
+//
+// Because the owner holds all of u's arcs, an undirected fleet's shard
+// also holds all of u's in-arcs, so the scatter-gather BFS behind bfs,
+// connected and khop is direction-optimizing there (traversal's
+// alpha/beta rule over the fleet's shape; pull levels scan each shard's
+// own unvisited vertices). At scale 16, edge factor 8, mirrored, on a
+// 2-core x86 host, that takes a fleet BFS from 2.65 ms to 1.49 ms at
+// P=1 and from 2.62 ms to 1.06 ms at P=2 (the single store: 1.27 ms).
 package shard
 
 import (

@@ -4,7 +4,9 @@ import (
 	"sync/atomic"
 
 	"snapdyn/internal/csr"
+	"snapdyn/internal/frontier"
 	"snapdyn/internal/par"
+	"snapdyn/internal/traversal"
 )
 
 // NotVisited marks an unreached vertex in a BFS level array — the same
@@ -27,6 +29,21 @@ type Scratch struct {
 	cur   [][]uint32
 	xbuf  [][][]uint32
 
+	// Direction-optimizing BFS state, used only when pull is set (the
+	// views are symmetric, so the arcs out of u in its owner shard are
+	// also all of u's in-arcs): the published frontier bitmap of a pull
+	// level, the per-shard degree totals of each level's discoveries,
+	// the switch thresholds cached by view-set shape, and the number of
+	// pull levels the last traversal ran.
+	pull       bool
+	bits       frontier.Bitmap
+	foundEdges []int64
+	thrN       int
+	thrM       int64
+	alpha      int64
+	beta       int64
+	pullLevels int
+
 	// Components state.
 	comp []uint32
 
@@ -38,6 +55,8 @@ type Scratch struct {
 }
 
 // NewScratch returns an empty arena; buffers are sized on first use.
+// Its traversals are push-only: only an executor that knows its fleet
+// is undirected enables pull levels.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // ensureExchange sizes the frontier-exchange machinery for p shards.
@@ -49,6 +68,7 @@ func (sc *Scratch) ensureExchange(p int) {
 			xb[s] = make([][]uint32, p)
 		}
 		sc.xbuf = xb
+		sc.foundEdges = make([]int64, p)
 	}
 }
 
@@ -61,14 +81,19 @@ func ensureInt32(buf []int32, n int) []int32 {
 
 // BFS runs a level-synchronous scatter-gather breadth-first search from
 // src over the pinned per-shard views, returning the scratch-owned
-// level array plus the reached-vertex and level counts. Each level,
-// every shard expands its owned slice of the frontier against its local
-// CSR and claims discoveries with a CAS on the shared level array;
-// remote discoveries are bucketed by owner and swapped at the level
-// barrier. Level values are order-independent, so the returned array is
-// identical to the single-shard engine's. The traversal is push-only
-// (top-down): direction-optimizing needs a global reverse view no shard
-// has.
+// level array plus the reached-vertex and level counts. In a push
+// level every shard expands its owned slice of the frontier against its
+// local CSR and claims discoveries with a CAS on the shared level
+// array; remote discoveries are bucketed by owner and swapped at the
+// level barrier. On an undirected fleet the traversal is
+// direction-optimizing: once the frontier's arc mass crosses the single
+// store's alpha/beta rule, a pull level has each shard scan its own
+// unvisited vertices' arcs for a parent in the published frontier —
+// possible because the owner shard holds all of a vertex's arcs, and on
+// a symmetric graph those are its in-arcs too. Directed fleets have no
+// such reverse view and stay push-only. Level values are
+// order-independent, so the returned array is identical to the
+// single-shard engine's either way.
 func (sc *Scratch) BFS(views []*csr.Graph, src uint32) ([]int32, int, int) {
 	return sc.bfs(views, src, ^uint32(0), -1)
 }
@@ -111,26 +136,37 @@ func (sc *Scratch) bfs(views []*csr.Graph, src uint32, target uint32, maxDepth i
 	}
 	cur[int(src)%p] = append(cur[int(src)%p], src)
 
+	// Direction heuristic state, as in traversal's engine: the current
+	// frontier's arc mass and the arcs still leaving unvisited vertices.
+	var alpha, beta, curEdges, unexplored int64
+	if sc.pull {
+		var m int64
+		alpha, beta, m = sc.thresholds(views)
+		curEdges = views[int(src)%p].Degree(src)
+		unexplored = m - curEdges
+	}
+	pull := false
+	sc.pullLevels = 0
+
 	reached, levels, size := 1, 0, 1
 	for depth := int32(1); size > 0; depth++ {
 		if maxDepth >= 0 && depth > maxDepth {
 			break
 		}
 		levels++
-		par.Workers(p, func(s int) {
-			g := views[s]
-			xb := sc.xbuf[s]
-			for _, u := range cur[s] {
-				lo, hi := g.Offsets[u], g.Offsets[u+1]
-				for a := lo; a < hi; a++ {
-					v := g.Adj[a]
-					if atomic.LoadInt32(&level[v]) == NotVisited &&
-						atomic.CompareAndSwapInt32(&level[v], NotVisited, depth) {
-						xb[int(v)%p] = append(xb[int(v)%p], v)
-					}
-				}
+		if sc.pull {
+			if pull {
+				pull = int64(size) >= int64(n)/beta
+			} else {
+				pull = curEdges > unexplored/alpha
 			}
-		})
+		}
+		if pull {
+			sc.pullLevels++
+			sc.pullLevel(views, depth)
+		} else {
+			sc.pushLevel(views, depth)
+		}
 		// Gather at the barrier: shard d's next frontier is every
 		// shard's bucket of d-owned discoveries.
 		size = 0
@@ -144,11 +180,110 @@ func (sc *Scratch) bfs(views []*csr.Graph, src uint32, target uint32, maxDepth i
 			size += len(f)
 		}
 		reached += size
+		if sc.pull {
+			curEdges = 0
+			for _, e := range sc.foundEdges {
+				curEdges += e
+			}
+			unexplored -= curEdges
+		}
 		if target != ^uint32(0) && level[target] != NotVisited {
 			break
 		}
 	}
 	return level, reached, levels
+}
+
+// thresholds returns the direction-switch thresholds for the view set
+// and its arc count. They come from traversal's degree-skew rule fed the
+// fleet's shape (m summed over shards, max degree maxed — non-owned
+// vertices have empty spans, so the per-shard maxima cover the global
+// graph), and are re-derived, with the O(n) degree scan, only when the
+// pinned set's (n, m) differs from the cached one.
+func (sc *Scratch) thresholds(views []*csr.Graph) (alpha, beta, m int64) {
+	n := views[0].N
+	for _, g := range views {
+		m += g.NumEdges()
+	}
+	if sc.alpha == 0 || sc.thrN != n || sc.thrM != m {
+		var maxDeg int64
+		for _, g := range views {
+			maxDeg = max(maxDeg, g.MaxDegree())
+		}
+		sc.alpha, sc.beta = traversal.DeriveThresholdsShape(n, m, maxDeg)
+		sc.thrN, sc.thrM = n, m
+	}
+	return sc.alpha, sc.beta, m
+}
+
+// pushLevel expands every shard's frontier top-down, claiming each
+// discovery with a CAS and bucketing it by owner. On a pull-capable
+// scratch it also totals the discoveries' degrees per shard (read from
+// the owner's view), the mass the direction switch runs on.
+func (sc *Scratch) pushLevel(views []*csr.Graph, depth int32) {
+	p, level, mass := len(views), sc.level, sc.pull
+	par.Workers(p, func(s int) {
+		g := views[s]
+		xb := sc.xbuf[s]
+		var edges int64
+		for _, u := range sc.cur[s] {
+			lo, hi := g.Offsets[u], g.Offsets[u+1]
+			for a := lo; a < hi; a++ {
+				v := g.Adj[a]
+				if atomic.LoadInt32(&level[v]) == NotVisited &&
+					atomic.CompareAndSwapInt32(&level[v], NotVisited, depth) {
+					d := int(v) % p
+					xb[d] = append(xb[d], v)
+					if mass {
+						edges += views[d].Degree(v)
+					}
+				}
+			}
+		}
+		if mass {
+			sc.foundEdges[s] = edges
+		}
+	})
+}
+
+// pullLevel runs one bottom-up level: the frontier is published into
+// the shared bitmap, then shard s scans only the unvisited vertices it
+// owns, in its own CSR, stopping at the first arc into the frontier.
+// Each shard writes only its own vertices' levels, so no CAS is needed,
+// and its discoveries land in its own next-frontier bucket xbuf[s][s].
+func (sc *Scratch) pullLevel(views []*csr.Graph, depth int32) {
+	p, n, level := len(views), views[0].N, sc.level
+	bm := &sc.bits
+	if bm.Len() != n {
+		bm.Grow(n)
+	}
+	for _, f := range sc.cur {
+		for _, u := range f {
+			bm.Set(u)
+		}
+	}
+	par.Workers(p, func(s int) {
+		g := views[s]
+		next := sc.xbuf[s][s]
+		var edges int64
+		for u := s; u < n; u += p {
+			if level[u] != NotVisited {
+				continue
+			}
+			lo, hi := g.Offsets[u], g.Offsets[u+1]
+			for a := lo; a < hi; a++ {
+				if bm.Get(g.Adj[a]) {
+					level[u] = depth
+					next = append(next, uint32(u))
+					edges += hi - lo
+					break
+				}
+			}
+		}
+		sc.xbuf[s][s] = next
+		sc.foundEdges[s] = edges
+	})
+	bm.Reset()
 }
 
 // Components labels weakly-connected components over the pinned views

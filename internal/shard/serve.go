@@ -188,7 +188,9 @@ func (e *Executor) kscratch() *scratchSet {
 	case s := <-e.free:
 		return s
 	default:
-		return &scratchSet{sc: NewScratch()}
+		// An undirected fleet's views are symmetric, which is what lets
+		// its traversals run pull levels.
+		return &scratchSet{sc: &Scratch{pull: e.cfg.Undirected}}
 	}
 }
 

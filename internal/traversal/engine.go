@@ -67,14 +67,15 @@ func DeriveThresholds(g *csr.Graph) (alpha, beta int64) {
 	if g.N == 0 || g.NumEdges() == 0 {
 		return DefaultAlpha, DefaultBeta
 	}
-	return deriveThresholdsShape(g.N, g.NumEdges(), g.MaxDegree())
+	return DeriveThresholdsShape(g.N, g.NumEdges(), g.MaxDegree())
 }
 
-// deriveThresholdsShape is DeriveThresholds on the bare shape numbers,
+// DeriveThresholdsShape is DeriveThresholds on the bare shape numbers,
 // shared by the plain and compressed adjacency providers (compress
 // caches m and max degree at build time, so neither path pays a decode
-// scan here).
-func deriveThresholdsShape(n int, m, maxDeg int64) (alpha, beta int64) {
+// scan here) and by the shard fleet, whose shape is a reduction over
+// its per-shard views (m summed, max degree maxed).
+func DeriveThresholdsShape(n int, m, maxDeg int64) (alpha, beta int64) {
 	alpha, beta = DefaultAlpha, DefaultBeta
 	if n == 0 || m == 0 {
 		return alpha, beta
@@ -205,7 +206,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 // call.
 func (s *Scratch) thresholds(n int, m, maxDeg int64) (int64, int64) {
 	if s.thrAlpha == 0 || s.thrN != n || s.thrM != m {
-		s.thrAlpha, s.thrBeta = deriveThresholdsShape(n, m, maxDeg)
+		s.thrAlpha, s.thrBeta = DeriveThresholdsShape(n, m, maxDeg)
 		s.thrN, s.thrM = n, m
 	}
 	return s.thrAlpha, s.thrBeta
