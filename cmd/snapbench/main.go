@@ -51,9 +51,7 @@
 // budget, under concurrent churn ingest with age-policy refreshes, and
 // reports sustained QPS, p50/p99, and the hit rate — every cached run
 // is verified bit-identical against uncached recomputation on the same
-// pinned snapshot before its row is printed. -replay substitutes a
-// JSONL trace captured by snapserve -record for the synthetic
-// generator. -json additionally writes
+// pinned snapshot before its row is printed. -json additionally writes
 // every measured table to a file for the committed BENCH_*.json
 // artifacts.
 //
@@ -73,7 +71,6 @@ import (
 
 	"snapdyn/internal/bench"
 	"snapdyn/internal/timing"
-	"snapdyn/internal/workload"
 )
 
 func main() {
@@ -97,7 +94,6 @@ func main() {
 		zipfs      = flag.String("zipf", "0,0.8,1.2", "comma-separated Zipf exponents for the 'workload' figure")
 		cacheBytes = flag.Int64("cache-bytes", 128<<20, "result-cache budget for the 'workload' figure's cached runs")
 		rate       = flag.Float64("rate", 0, "open-loop arrival rate (queries/s per worker) for the 'workload' figure; 0 = closed loop")
-		replay     = flag.String("replay", "", "JSONL query trace (from snapserve -record) to replay for the 'workload' figure instead of synthetic traffic")
 		jsonPath   = flag.String("json", "", "also write the measured tables as JSON to this file")
 	)
 	flag.Parse()
@@ -192,17 +188,7 @@ func main() {
 			if err != nil {
 				fatalf("bad -zipf: %v", err)
 			}
-			var trace []workload.Op
-			if *replay != "" {
-				trace, err = workload.ReadTrace(*replay)
-				if err != nil {
-					fatalf("reading -replay: %v", err)
-				}
-				if len(trace) == 0 {
-					fatalf("-replay trace %q is empty", *replay)
-				}
-			}
-			return bench.FigWorkload(cfg, zs, *cacheBytes, *rate, *qduration, trace)
+			return bench.FigWorkload(cfg, zs, *cacheBytes, *rate, *qduration)
 		},
 	}
 

@@ -18,9 +18,7 @@
 // refreshes are served from immutable cached slices without touching
 // kernel scratch, concurrent identical misses coalesce into one
 // execution, and a republished snapshot invalidates by identity — the
-// old generation dies with its snapshot, no scanning. -record tees
-// every accepted query into a JSONL trace (flushed on shutdown) that
-// snapbench -fig workload -replay runs back as a benchmark workload.
+// old generation dies with its snapshot, no scanning.
 //
 // With -wal-dir the ingest path becomes durable: submissions coalesce
 // in a group-commit batcher, each flush is framed, CRC'd, and fsynced
@@ -95,7 +93,6 @@ import (
 	"snapdyn/internal/shard"
 	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/stream"
-	"snapdyn/internal/workload"
 )
 
 // config collects everything the service needs to come up; flags parse
@@ -126,9 +123,6 @@ type config struct {
 	// cacheBytes budgets the per-snapshot result cache (0 disables —
 	// every query recomputes).
 	cacheBytes int64
-	// recordPath, when set, tees every accepted query into a JSONL
-	// trace file for snapbench -fig workload -replay.
-	recordPath string
 
 	// walDir enables the durable ingest path: group-commit WAL +
 	// checkpoints under this directory (per-shard subdirectories when
@@ -158,33 +152,6 @@ type service struct {
 	// recovery describes what the durable path restored, for the
 	// startup banner ("" when volatile or fresh).
 	recovery string
-}
-
-// buildService assembles the stack and, with recordPath set, tees
-// every accepted query into a JSONL trace whose flush rides the
-// service's own shutdown path — a clean stop never loses the tail.
-func buildService(cfg config) (*service, error) {
-	svc, err := buildStack(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.recordPath != "" {
-		rec, err := workload.NewRecorder(cfg.recordPath)
-		if err != nil {
-			svc.close()
-			return nil, fmt.Errorf("opening -record trace: %w", err)
-		}
-		svc.srv.SetRecorder(rec)
-		stop := svc.stop
-		svc.stop = func() error {
-			err := stop()
-			if cerr := rec.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		}
-	}
-	return svc, nil
 }
 
 // buildStack loads or generates the graph, builds the manager (or
@@ -345,7 +312,6 @@ func main() {
 		qmax       = flag.Int("qmax", 0, "max concurrent queries (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "max waiting queries before shedding (0 = 2*qmax)")
 		cacheB     = flag.Int64("cache-bytes", 64<<20, "per-snapshot result-cache budget in bytes (0 disables caching)")
-		record     = flag.String("record", "", "tee every accepted query into this JSONL trace file (replay with snapbench -fig workload -replay)")
 		refDirty   = flag.Int("refresh-dirty", 4096, "auto-refresh when this many vertices are dirty")
 		refAge     = flag.Duration("refresh-age", 500*time.Millisecond, "auto-refresh when the snapshot is this stale with updates pending")
 		refPoll    = flag.Duration("refresh-poll", 0, "auto-refresh trigger poll interval (0 = derived)")
@@ -356,7 +322,7 @@ func main() {
 	)
 	flag.Parse()
 
-	svc, err := buildService(config{
+	svc, err := buildStack(config{
 		graphPath:    *graphPath,
 		scale:        *scale,
 		edgeFactor:   *edgeFactor,
@@ -373,7 +339,6 @@ func main() {
 		refreshPoll:  *refPoll,
 		live:         *live,
 		cacheBytes:   *cacheB,
-		recordPath:   *record,
 		walDir:       *walDir,
 		ckptEvery:    *ckptEvery,
 		batchPending: *batchPend,

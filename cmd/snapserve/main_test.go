@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"snapdyn/internal/qserve"
-	"snapdyn/internal/workload"
 )
 
 // TestServiceSmoke is the race-mode service smoke: bring snapserve's
@@ -29,7 +28,7 @@ func TestServiceSmoke(t *testing.T) { runServiceSmoke(t, 1) }
 func TestServiceSmokeSharded(t *testing.T) { runServiceSmoke(t, 4) }
 
 func runServiceSmoke(t *testing.T, shards int) {
-	svc, err := buildService(config{
+	svc, err := buildStack(config{
 		scale:        9,
 		edgeFactor:   8,
 		timeMax:      50,
@@ -277,7 +276,7 @@ func runDurableRestart(t *testing.T, shards int) {
 		walDir:       dir + "/wal",
 	}
 
-	svc, err := buildService(cfg)
+	svc, err := buildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func runDurableRestart(t *testing.T, shards int) {
 
 	// Restart from the same directory: recovery must report, the bridge
 	// must still be there, and a new ack must land above the old one.
-	svc2, err := buildService(cfg)
+	svc2, err := buildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,103 +371,6 @@ func runDurableRestart(t *testing.T, shards int) {
 	}
 }
 
-// TestRecordReplay drives the trace loop end to end: a -record service
-// serves live HTTP queries, a clean shutdown flushes the JSONL trace,
-// and the replayed trace runs back against a fresh engine — same ops,
-// same order, every replayed query answerable.
-func TestRecordReplay(t *testing.T) {
-	dir := t.TempDir()
-	trace := dir + "/trace.jsonl"
-	cfg := config{
-		scale:        9,
-		edgeFactor:   8,
-		timeMax:      50,
-		seed:         42,
-		undirected:   true,
-		workers:      2,
-		queryWorkers: 1,
-		maxQueries:   4,
-		maxQueue:     1 << 10,
-		refreshDirty: 1 << 20,
-		refreshAge:   time.Hour, // frozen graph: the loop tests tracing, not refresh
-		refreshPoll:  time.Millisecond,
-		cacheBytes:   1 << 20,
-		recordPath:   trace,
-	}
-	svc, err := buildService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc.srv.Handler())
-
-	paths := []string{
-		"/query/bfs?src=3",
-		"/query/sssp?src=7&delta=25",
-		"/query/connected?u=1&v=9",
-		"/query/components",
-		"/query/bfs?src=3", // repeat: cache hit must still be recorded
-	}
-	for _, p := range paths {
-		resp, err := http.Get(ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", p, resp.StatusCode)
-		}
-	}
-	// Rejected queries must not pollute the trace.
-	if resp, err := http.Get(ts.URL + "/query/bfs?src=notanumber"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad src = %d, want 400", resp.StatusCode)
-		}
-	}
-
-	ts.Close()
-	if err := svc.close(); err != nil {
-		t.Fatalf("clean shutdown: %v", err)
-	}
-
-	ops, err := workload.ReadTrace(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []workload.Op{
-		{Kind: "bfs", U: 3},
-		{Kind: "sssp", U: 7, Delta: 25},
-		{Kind: "connected", U: 1, V: 9},
-		{Kind: "components"},
-		{Kind: "bfs", U: 3},
-	}
-	if len(ops) != len(want) {
-		t.Fatalf("trace has %d ops, want %d: %+v", len(ops), len(want), ops)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("trace op %d = %+v, want %+v", i, ops[i], want[i])
-		}
-	}
-
-	// Replay against a fresh engine (no recorder this time): every op
-	// must execute.
-	cfg.recordPath = ""
-	svc2, err := buildService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.close()
-	for i, op := range ops {
-		if _, err := workload.Apply(svc2.ex, op); err != nil {
-			t.Fatalf("replaying op %d %+v: %v", i, op, err)
-		}
-	}
-}
-
 // TestBuildServiceFromFile exercises the -graph loading path.
 func TestBuildServiceFromFile(t *testing.T) {
 	dir := t.TempDir()
@@ -477,7 +379,7 @@ func TestBuildServiceFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	svc, err := buildService(config{
+	svc, err := buildStack(config{
 		graphPath:    path,
 		undirected:   true,
 		workers:      1,

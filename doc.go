@@ -103,12 +103,16 @@
 //     the lookup, so a hit on a stale snapshot is still refused.
 //   - A registry-based query surface (internal/qserve/registry.go):
 //     every query kind is one registered Spec — wire name, parameter
-//     decoding, cache-key derivation, kernel dispatch, reply encoding —
-//     and the HTTP route table, the generic Query entry point on both
-//     engines, and the cache keyspace are all derived from that
-//     catalog, so adding a kind is one registration, not a stack of
-//     parallel switch statements. Alongside BFS/SSSP/connectivity/
-//     components, the catalog serves clustering coefficients and
+//     decoding, cache-key derivation, live answer, reply encoding —
+//     and the HTTP route table, the one executor's generic Query flow,
+//     and the cache keyspace are all derived from that catalog, so
+//     adding a kind is one registration plus one kernel per backend,
+//     not a stack of parallel switch statements. The executor
+//     (admission, validation, quick answers, cache, live index, ingest)
+//     exists once and runs over a backend that only pins snapshots and
+//     runs kernels: the single snapshot manager or the shard fleet.
+//     Alongside BFS/SSSP/connectivity/components, the catalog serves
+//     clustering coefficients and
 //     triangle counts (internal/cluster, merge-intersection over
 //     dedup-sorted adjacency, float mean folded in original-id order so
 //     it is bitwise-identical across layouts and shard counts), k-hop
@@ -146,7 +150,7 @@
 //     level-synchronously with a cross-shard frontier exchange per
 //     level (results bit-identical to the single-snapshot kernels),
 //     components merge per-shard labels, stats fan out and reduce.
-//     The fleet plugs into the same qserve executor interface, and
+//     The fleet is a backend of the same qserve executor, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
 //     surface. The weighted view in wcsr is partitioned, not sorted
 //     — delta-stepping needs light arcs before heavy ones and nothing

@@ -46,12 +46,7 @@ const workloadSourcePool = 256
 // that many queries/second per worker (workload.Arrivals, 8x bursts,
 // 20ms mean on/off holding — measures latency under a schedule that
 // does not politely slow down when the server queues).
-//
-// replay, when non-empty, substitutes a captured trace for the
-// synthetic generator (zipfs is ignored): the workers round-robin the
-// trace's ops verbatim — the reproduce-a-regression path, fed by
-// snapserve -record.
-func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, perPoint time.Duration, replay []workload.Op) *timing.Table {
+func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, perPoint time.Duration) *timing.Table {
 	if len(zipfs) == 0 {
 		zipfs = []float64{0, 0.8, 1.2}
 	}
@@ -141,17 +136,12 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 							cfg.Seed+uint64(q)*1315423911)
 					}
 					lat := make([]time.Duration, 0, 4096)
-					for i := q; time.Now().Before(deadline); i += queryWorkers {
-						var op workload.Op
-						if replay != nil {
-							op = replay[i%len(replay)]
-						} else {
-							op = gens[q].Next()
-							// Map the generator's rank-space source ids
-							// into the sampled pool.
-							op.U = sources[int(op.U)%len(sources)]
-							op.V = sources[int(op.V)%len(sources)]
-						}
+					for time.Now().Before(deadline) {
+						op := gens[q].Next()
+						// Map the generator's rank-space source ids into
+						// the sampled pool.
+						op.U = sources[int(op.U)%len(sources)]
+						op.V = sources[int(op.V)%len(sources)]
 						if arr != nil {
 							time.Sleep(arr.Next())
 						}
@@ -198,15 +188,8 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 		})
 	}
 
-	points := zipfs
-	if replay != nil {
-		points = []float64{0}
-	}
-	for _, s := range points {
+	for _, s := range zipfs {
 		mkGens := func(seedOff uint64) []*workload.Generator {
-			if replay != nil {
-				return nil
-			}
 			root := workload.NewGenerator(workload.Config{
 				Vertices: workloadSourcePool, ZipfS: s, Seed: cfg.Seed + 1000 + seedOff,
 			})
@@ -217,13 +200,8 @@ func FigWorkload(cfg Config, zipfs []float64, cacheBytes int64, rate float64, pe
 			return gens
 		}
 		param := fmt.Sprintf("s=%.1f", s)
-		label := "workload"
-		if replay != nil {
-			param = fmt.Sprintf("trace=%d ops", len(replay))
-			label = "replay"
-		}
-		runPoint(label+"-uncached", param, 0, mkGens(0))
-		runPoint(label+"-cached", param, cacheBytes, mkGens(0))
+		runPoint("workload-uncached", param, 0, mkGens(0))
+		runPoint("workload-cached", param, cacheBytes, mkGens(0))
 	}
 	return t
 }

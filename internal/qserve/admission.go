@@ -2,12 +2,10 @@ package qserve
 
 import "sync/atomic"
 
-// Admission is the executor pool's queue-or-shed gate, factored out so
-// any query engine (the single-shard Executor here, the sharded fleet
-// executor in internal/shard) enforces the same bounded-latency
-// policy: up to maxConcurrent holders at once, up to maxQueue waiters,
-// everything beyond shed immediately with ErrOverloaded.
-type Admission struct {
+// admission is the executor's queue-or-shed gate: up to maxConcurrent
+// holders at once, up to maxQueue waiters, everything beyond shed
+// immediately with ErrOverloaded.
+type admission struct {
 	slots    chan struct{}
 	maxQueue int64
 	waiting  atomic.Int64
@@ -15,21 +13,18 @@ type Admission struct {
 	shed     atomic.Uint64
 }
 
-// NewAdmission builds a gate for maxConcurrent concurrent holders and
+// newAdmission builds a gate for maxConcurrent concurrent holders and
 // maxQueue waiters (both already defaulted by the caller).
-func NewAdmission(maxConcurrent, maxQueue int) *Admission {
-	return &Admission{
+func newAdmission(maxConcurrent, maxQueue int) *admission {
+	return &admission{
 		slots:    make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),
 	}
 }
 
-// Capacity returns the concurrent-holder bound.
-func (a *Admission) Capacity() int { return cap(a.slots) }
-
 // Acquire takes a slot, queueing when none is free and there is queue
 // room, shedding with ErrOverloaded otherwise.
-func (a *Admission) Acquire() error {
+func (a *admission) Acquire() error {
 	select {
 	case a.slots <- struct{}{}:
 		return nil
@@ -46,13 +41,13 @@ func (a *Admission) Acquire() error {
 }
 
 // Release frees the slot and counts the query as served.
-func (a *Admission) Release() {
+func (a *admission) Release() {
 	<-a.slots
 	a.served.Add(1)
 }
 
 // Counters returns a point-in-time view of gate activity.
-func (a *Admission) Counters() Counters {
+func (a *admission) Counters() Counters {
 	return Counters{
 		Served:   a.served.Load(),
 		Shed:     a.shed.Load(),

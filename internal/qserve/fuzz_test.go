@@ -10,8 +10,8 @@ import (
 // kind's Decode, then Validate against a small snapshot. Each must
 // return an error or Args the kind's kernels can run on — vertex
 // operands in range, k within maxKHop, a finite PageRank tolerance no
-// smaller than minPageRankTol — and the quick-answer, cache-key and
-// trace projections must accept them. Never a panic.
+// smaller than minPageRankTol — and the quick-answer and cache-key
+// projections must accept them. Never a panic.
 func FuzzSpecDecode(f *testing.F) {
 	for _, s := range []string{
 		"src=3", "src=3&delta=-5", "u=1&v=2&live=1", "u=1&v=2&live=yes",
@@ -49,7 +49,6 @@ func FuzzSpecDecode(f *testing.F) {
 			}
 			sp.Quick(a)
 			sp.CacheKey(a)
-			sp.Record(a)
 		}
 	})
 }

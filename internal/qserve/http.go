@@ -20,7 +20,7 @@ import (
 // envelope (kind, epoch served, cache disposition, structured error
 // codes) and, for compatibility, at GET /query/<kind> with the kind's
 // flat legacy reply and string-only error body. Both routes decode,
-// record, gate, and dispatch identically; only the response framing
+// gate, and dispatch identically; only the response framing
 // differs. /stats, /healthz, and /ingest exist at both roots too;
 // offline jobs (sampled betweenness) are v1-only. Query endpoints go
 // through the engine's admission control (503 when shed); /ingest
@@ -36,17 +36,7 @@ type Server struct {
 	ingestWorkers int
 	maxBody       int64 // MaxIngestBody; tests shrink it
 	staleWait     time.Duration
-	rec           QueryRecorder
 	jobs          *jobTable
-}
-
-// QueryRecorder observes every well-formed query request before it is
-// dispatched (hit, miss, shed, or stale alike — the trace captures
-// offered load, not served load). internal/workload implements it over
-// a JSONL trace file for snapserve -record / snapbench -replay.
-// Implementations must be safe for concurrent use.
-type QueryRecorder interface {
-	RecordQuery(kind string, u, v uint32, delta int64)
 }
 
 // DefaultStaleWait bounds how long a query with a minEpoch constraint
@@ -63,15 +53,6 @@ func NewServer(eng Engine, undirected bool, ingestWorkers int) *Server {
 // SetStaleWait overrides the minEpoch wait bound (tests use short
 // values). Call before serving.
 func (s *Server) SetStaleWait(d time.Duration) { s.staleWait = d }
-
-// SetRecorder installs a query-trace recorder. Call before serving.
-func (s *Server) SetRecorder(rec QueryRecorder) { s.rec = rec }
-
-func (s *Server) record(kind string, u, v uint32, delta int64) {
-	if s.rec != nil {
-		s.rec.RecordQuery(kind, u, v, delta)
-	}
-}
 
 // Handler returns the route table, generated from the kind registry.
 func (s *Server) Handler() http.Handler {
@@ -102,7 +83,7 @@ type Envelope struct {
 }
 
 // queryHandler builds the handler for one registered kind: decode →
-// record → minEpoch gate → engine dispatch → encode, identical on both
+// minEpoch gate → engine dispatch → encode, identical on both
 // routes; v1 selects the envelope framing and structured errors.
 func (s *Server) queryHandler(sp *Spec, v1 bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -111,8 +92,6 @@ func (s *Server) queryHandler(sp *Spec, v1 bool) http.HandlerFunc {
 			s.fail(w, v1, err)
 			return
 		}
-		ru, rv, delta := sp.Record(a)
-		s.record(sp.Name(), ru, rv, delta)
 		if err := s.waitMinEpoch(r); err != nil {
 			s.fail(w, v1, err)
 			return

@@ -35,16 +35,16 @@ type BetweennessReply struct {
 	Epoch   uint64        `json:"epoch"`
 }
 
-// BetweennessRunner is implemented by engines that can run the offline
-// sampled-betweenness job. The single-snapshot Executor implements it
-// for CSR layouts (plain and reordered); the compressed layout and the
-// sharded fleet do not (the Brandes engine needs a resident CSR), and
-// the job endpoint answers 501 there.
+// BetweennessRunner is implemented by backends that can run the offline
+// sampled-betweenness job. The single store implements it for CSR
+// layouts (plain and reordered; the compressed layout fails the job);
+// the shard fleet does not (the Brandes engine needs a resident global
+// CSR no shard has), and the job endpoint answers 501 there.
 type BetweennessRunner interface {
 	RunBetweenness(samples int, seed uint64, topk int, progress func(done, total int)) (BetweennessReply, error)
 }
 
-var _ BetweennessRunner = (*Executor)(nil)
+var _ BetweennessRunner = (*single)(nil)
 
 // RunBetweenness runs one sampled-betweenness sweep against the current
 // snapshot, blocking until done (callers wrap it in a goroutine — the
@@ -53,17 +53,17 @@ var _ BetweennessRunner = (*Executor)(nil)
 // approximate scores — can differ across layouts for the same seed;
 // the job is approximate by construction and carries no bit-identity
 // guarantee.
-func (e *Executor) RunBetweenness(samples int, seed uint64, topk int, progress func(done, total int)) (BetweennessReply, error) {
-	epoch := e.mgr.Epoch()
-	v := e.mgr.View()
+func (b *single) RunBetweenness(samples int, seed uint64, topk int, progress func(done, total int)) (BetweennessReply, error) {
+	epoch := b.mgr.Epoch()
+	v := b.mgr.View()
 	if v.C != nil {
 		return BetweennessReply{}, ErrUnsupported
 	}
 	srcs := centrality.SampleSources(v.G, samples, seed)
-	bc := centrality.Betweenness(e.cfg.Workers, v.G, centrality.Options{
+	bc := centrality.Betweenness(b.cfg.Workers, v.G, centrality.Options{
 		Sources:   srcs,
 		Normalize: true,
-		Strategy:  e.strategy(),
+		Strategy:  b.cfg.strategy(),
 		Progress:  progress,
 	})
 	reply := BetweennessReply{Sources: len(srcs), Epoch: epoch}
@@ -216,8 +216,11 @@ func (t *jobTable) finish() {
 // parameters, starts the sweep in the background, and replies 202 with
 // the job id to poll.
 func (s *Server) handleJobStart(w http.ResponseWriter, r *http.Request) {
-	runner, ok := s.eng.(BetweennessRunner)
-	if !ok {
+	var runner BetweennessRunner
+	if ex, ok := s.eng.(interface{ Backend() Backend }); ok {
+		runner, _ = ex.Backend().(BetweennessRunner)
+	}
+	if runner == nil {
 		v1Error(w, ErrUnsupported)
 		return
 	}

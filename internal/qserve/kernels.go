@@ -120,16 +120,14 @@ func PageRankTol(a Args) float64 { return math.Float64frombits(a.A) }
 // into layout space), so the float average is summed in the same order
 // under every layout; keep copies the triangle counts out for the
 // cache (layout id space, like every cached payload).
-func (e *Executor) clusteringValue(v *snapmgr.View, epoch uint64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
+func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args, keep bool) qcache.Value {
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
 	}
 	if v.C != nil {
-		s.clus.ComputeStream(e.cfg.Workers, v.C)
+		s.clus.ComputeStream(s.cfg.Workers, v.C)
 	} else {
-		s.clus.ComputeCSR(e.cfg.Workers, v.G)
+		s.clus.ComputeCSR(s.cfg.Workers, v.G)
 	}
 	s.clusView = v
 	total, counted, avg := s.clus.Aggregate(s.clusMap, v.NumVertices())
@@ -147,15 +145,13 @@ func (e *Executor) clusteringValue(v *snapmgr.View, epoch uint64, keep bool) qca
 const maxKHop = 1 << 30
 
 // khopValue runs the depth-limited BFS against the pinned view.
-func (e *Executor) khopValue(v *snapmgr.View, epoch uint64, src uint32, k int32, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
-	s.src[0] = translate(v, src)
-	s.khopK = k
+func (s *scratchSet) khopValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+	s.src[0] = translate(v, uint32(a.A))
+	s.khopK = int32(a.B)
 	s.khopReached = 1 // the source itself
 	opt := traversal.Options{
-		Workers:  e.cfg.Workers,
-		Strategy: e.strategy(),
+		Workers:  s.cfg.Workers,
+		Strategy: s.cfg.strategy(),
 		Hooks:    traversal.Hooks{OnLevelEnd: s.khopHook},
 	}
 	if v.C != nil {
@@ -221,9 +217,7 @@ func prRelaxStep(s *scratchSet) func(u, v, t uint32) bool {
 // pagerankValue runs the push-residual PageRank solve against the
 // pinned view. All state is pooled; at Workers=1 the steady state
 // allocates nothing per request.
-func (e *Executor) pagerankValue(v *snapmgr.View, epoch uint64, tol float64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
+func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
 	n := v.NumVertices()
 	s.prRank = resizeF64(s.prRank, n)
 	s.prResid = resizeU64(s.prResid, n)
@@ -238,10 +232,10 @@ func (e *Executor) pagerankValue(v *snapmgr.View, epoch uint64, tol float64, kee
 		s.prSrcs[i] = uint32(i)
 	}
 	s.prLevel = 1
-	s.prTol = tol
+	s.prTol = PageRankTol(a)
 	s.prView = v
 	opt := traversal.Options{
-		Workers: e.cfg.Workers,
+		Workers: s.cfg.Workers,
 		Hooks:   traversal.Hooks{Relax: s.prRelax, OnLevelEnd: s.prLevelEnd},
 	}
 	if v.C != nil {

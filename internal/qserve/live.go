@@ -110,13 +110,15 @@ func (l *Live) Seed(nb dynconn.Neighbors) {
 // back to original ids vertex by vertex; a private store is loaded with
 // each stored arc as one undirected edge, exactly what Apply does per
 // update.
-func (l *Live) SeedView(v *snapmgr.View) {
+func (l *Live) SeedView(v *snapmgr.View) { l.Seed(viewNeighbors(v)) }
+
+// viewNeighbors is a published view's adjacency in original ids.
+func viewNeighbors(v *snapmgr.View) dynconn.Neighbors {
 	if v.C != nil {
-		l.Seed(v.C.Neighbors)
-		return
+		return v.C.Neighbors
 	}
 	g := v.G
-	l.Seed(func(u edge.ID, fn func(w edge.ID, t uint32) bool) {
+	return func(u edge.ID, fn func(w edge.ID, t uint32) bool) {
 		if v.Perm != nil {
 			u = v.Perm[u]
 		}
@@ -129,27 +131,26 @@ func (l *Live) SeedView(v *snapmgr.View) {
 				return
 			}
 		}
-	})
+	}
 }
 
 // EnableLive builds the live connectivity index, seeded from the
-// current snapshot, and starts feeding it from every subsequent Ingest:
-// a view over the served store on an undirected engine, a private store
-// on a directed one. Unpublished updates are published first, so the
-// seed covers the whole store. Call before serving (not synchronized
-// with in-flight Ingest calls). Live queries (Connected with live=1)
-// fail with ErrUnsupported until this is called.
+// backend's current snapshot, and starts feeding it from every
+// subsequent Ingest: a view over the served store (the fleet's stores
+// read by owner) on an undirected engine, a private store on a directed
+// one. Unpublished updates are published first, so the seed covers the
+// whole store. Call before serving (not synchronized with in-flight
+// Ingest calls). Live queries (Connected with live=1) fail with
+// ErrUnsupported until this is called.
 func (e *Executor) EnableLive() {
-	if e.mgr.Staleness() > 0 {
-		e.mgr.Refresh(0)
-	}
+	store, seed := e.b.LiveSource()
 	var l *Live
 	if e.cfg.Undirected {
-		l = NewLiveOver(e.NumVertices(), e.mgr.Store())
+		l = NewLiveOver(e.n, store)
 	} else {
-		l = NewLive(e.NumVertices())
+		l = NewLive(e.n)
 	}
-	l.SeedView(e.mgr.View())
+	l.Seed(seed)
 	e.live = l
 }
 

@@ -1,14 +1,23 @@
 // Package qserve is the query-serving layer over the incremental
-// snapshot pipeline: a fixed-capacity executor pool that runs analysis
-// queries against whatever snapshot the manager currently publishes,
-// with per-worker kernel scratch checked out from a free list instead
-// of allocated per request.
+// snapshot pipeline: one executor that runs analysis queries against
+// whatever snapshot its backend currently publishes, with per-worker
+// kernel scratch checked out from a free list instead of allocated per
+// request.
+//
+// One executor, two backends. The Executor owns the whole query flow —
+// admission, validation, quick answers, the result cache, the live
+// connectivity index, and ingest — and runs it over a Backend, which
+// only pins snapshots, runs kernels from its own pooled scratch, and
+// routes ingest: the single snapshot manager (New, in this package) or
+// the vertex-partitioned shard fleet (internal/shard). A change to the
+// flow is made once and both backends serve it.
 //
 // Query kinds are registered, not hand-plumbed: each kind appears once
 // in this package's registry (see registry.go) with its wire name,
-// parameter decoding, cache-key derivation, kernel, and reply encoding,
-// and the generic (*Executor).Query path runs every kind through the
-// same admission, validation, caching, and scratch-pooling flow. The
+// parameter decoding, cache-key derivation, and reply encoding, and
+// the generic (*Executor).Query path runs every kind through the
+// same admission, validation, caching, and scratch-pooling flow; each
+// backend keeps a kernel table indexed by the kind's dense id. The
 // registered kinds are BFS, delta-stepping SSSP, st-connectivity
 // (snapshot or live), connected components, clustering coefficients,
 // k-hop neighborhood size, and PageRank; stats and the offline sampled
@@ -34,9 +43,7 @@
 // sssp.Scratch keys its cached weighted view by graph pointer, so a
 // scratch that last served an older snapshot transparently rebuilds
 // exactly the state the new snapshot needs (for SSSP one streaming
-// partition pass into arrays it already owns). The free list tags each
-// scratch with the epoch it last served so that revalidation has one
-// hook point (and so tests can observe reuse).
+// partition pass into arrays it already owns).
 package qserve
 
 import (
@@ -45,6 +52,7 @@ import (
 
 	"snapdyn/internal/cc"
 	"snapdyn/internal/cluster"
+	"snapdyn/internal/dynconn"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/par"
@@ -104,11 +112,20 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// scratchSet is one pooled unit of per-query kernel state: the
-// traversal arena + result, the SSSP arena, and a persistent
+// strategy picks the traversal engine for BFS-shaped queries.
+func (c Config) strategy() traversal.Strategy {
+	if c.Undirected {
+		return traversal.DirectionOpt
+	}
+	return traversal.TopDown
+}
+
+// scratchSet is one pooled unit of the single store's per-query kernel
+// state: the traversal arena + result, the SSSP arena, and a persistent
 // st-connectivity early-exit hook (bound once so the steady-state
 // query path allocates no closures).
 type scratchSet struct {
+	cfg  Config
 	trav *traversal.Scratch
 	res  traversal.Result
 	ssp  *sssp.Scratch
@@ -159,17 +176,10 @@ type scratchSet struct {
 	prView     *snapmgr.View
 	prRelax    func(u, v, t uint32) bool
 	prLevelEnd func(int32, int) bool
-
-	// epoch is the snapshot version this set last served. Kernel
-	// scratches self-revalidate (traversal by (n, m), sssp by graph
-	// pointer), so nothing is rebuilt eagerly on an epoch change; the
-	// tag exists so revalidate has a place to hang any future cache
-	// that is keyed by epoch rather than by shape.
-	epoch uint64
 }
 
-func newScratchSet() *scratchSet {
-	s := &scratchSet{trav: traversal.NewScratch(), ssp: sssp.NewScratch()}
+func newScratchSet(cfg Config) *scratchSet {
+	s := &scratchSet{cfg: cfg, trav: traversal.NewScratch(), ssp: sssp.NewScratch()}
 	s.connHook = func(int32, int) bool {
 		return s.res.Level[s.connTarget] == traversal.NotVisited
 	}
@@ -188,11 +198,6 @@ func newScratchSet() *scratchSet {
 	return s
 }
 
-// revalidate prepares the set for a snapshot at the given epoch. The
-// kernel scratches detect shape/graph changes on their own, so this is
-// only the epoch tag today.
-func (s *scratchSet) revalidate(epoch uint64) { s.epoch = epoch }
-
 // Counters reports executor activity. Served counts completed queries,
 // Shed the ones refused with ErrOverloaded, Inflight and Waiting the
 // instantaneous occupancy.
@@ -206,9 +211,8 @@ type Counters struct {
 // Engine is the query surface the HTTP server (and any other frontend)
 // serves: the generic registry-driven Query entry point, the legacy
 // typed methods (thin wrappers over Query), plus ingest, admission
-// counters, and refresh health. The single-snapshot Executor
-// implements it, and so does the sharded fleet executor in
-// internal/shard — one facade, two engines.
+// counters, and refresh health. The Executor implements it over
+// either backend.
 type Engine interface {
 	// Query runs one registered query kind through the engine's
 	// admission, validation, cache, and kernel-dispatch flow. Kinds an
@@ -237,16 +241,53 @@ type Engine interface {
 	Metrics() snapmgr.Metrics
 }
 
-// Executor runs queries against mgr.Current() with pooled scratch and
-// bounded admission. All methods are safe for concurrent use.
+// Backend is the store an Executor serves from: everything that differs
+// between one snapshot manager and a shard fleet, and nothing else.
+// Implementations are safe for concurrent use.
+type Backend interface {
+	// NumVertices is the fixed vertex-set size.
+	NumVertices() int
+	// Pin pins the snapshot a query runs on and returns it with its
+	// epoch lower bound (read before the snapshot) and, when c is not
+	// nil, the cache generation keyed by its identity.
+	Pin(c *qcache.Cache) (pin any, epoch uint64, gen *qcache.Gen)
+	// Unpin hands a pin back once its query is done.
+	Unpin(pin any)
+	// Run executes sp's kernel against pin from the backend's pooled
+	// scratch; keep copies payload slices out of the scratch for the
+	// cache. Callers hold an admission slot, so at most MaxConcurrent
+	// scratch sets ever exist.
+	Run(sp *Spec, pin any, a Args, keep bool) qcache.Value
+	// IngestEpoch applies a batch through the backend's refresh gate(s)
+	// and returns the ack epoch.
+	IngestEpoch(workers int, batch []edge.Update) uint64
+	// WaitEpoch blocks until the published epoch reaches min.
+	WaitEpoch(min uint64, timeout time.Duration) (uint64, error)
+	// Metrics reports refresh activity and lag.
+	Metrics() snapmgr.Metrics
+	// Stats reports the served snapshot's shape, layout, footprint,
+	// epoch and staleness (the Executor adds the cache counters).
+	Stats() StatsReply
+	// LiveSource publishes any unpublished updates and returns the
+	// served store as the live index reads it, plus the published
+	// snapshot's adjacency, in original ids, to seed the index from.
+	LiveSource() (dynconn.Reader, dynconn.Neighbors)
+}
+
+// Executor runs queries against its backend's published snapshots with
+// pooled scratch, bounded admission and the result cache. All methods
+// are safe for concurrent use.
 type Executor struct {
-	mgr   *snapmgr.Manager
+	b     Backend
+	n     int
 	cfg   Config
-	adm   *Admission
-	free  chan *scratchSet
+	adm   *admission
 	cache *qcache.Cache // nil when Config.CacheBytes <= 0
 
-	// ingest, when set (SetIngest), replaces the direct gated apply
+	// mgr is the single backend's manager; nil over any other backend.
+	mgr *snapmgr.Manager
+
+	// ingest, when set (SetIngest), replaces the backend's gated apply
 	// with a durable commit path.
 	ingest func(batch []edge.Update) (uint64, error)
 
@@ -257,30 +298,42 @@ type Executor struct {
 
 var _ Engine = (*Executor)(nil)
 
+// NewExecutor returns an executor over b, which was built for cfg.
+func NewExecutor(b Backend, cfg Config) *Executor {
+	cfg = cfg.WithDefaults()
+	return &Executor{
+		b:     b,
+		n:     b.NumVertices(),
+		cfg:   cfg,
+		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		cache: qcache.New(cfg.CacheBytes),
+	}
+}
+
 // New returns an executor over the manager's published snapshots.
 func New(mgr *snapmgr.Manager, cfg Config) *Executor {
 	cfg = cfg.WithDefaults()
-	return &Executor{
-		mgr:   mgr,
-		cfg:   cfg,
-		adm:   NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		free:  make(chan *scratchSet, cfg.MaxConcurrent),
-		cache: qcache.New(cfg.CacheBytes),
-	}
+	e := NewExecutor(&single{mgr: mgr, cfg: cfg, free: make(chan *scratchSet, cfg.MaxConcurrent)}, cfg)
+	e.mgr = mgr
+	return e
 }
 
 // Cache returns the executor's result cache (nil when disabled) — the
 // observation hook tests and the workload harness verify through.
 func (e *Executor) Cache() *qcache.Cache { return e.cache }
 
-// Manager returns the snapshot manager the executor serves from.
+// Backend returns the backend the executor serves from.
+func (e *Executor) Backend() Backend { return e.b }
+
+// Manager returns the snapshot manager the executor serves from; nil
+// when it serves another backend.
 func (e *Executor) Manager() *snapmgr.Manager { return e.mgr }
 
-// NumVertices returns the managed store's fixed vertex-set size.
-func (e *Executor) NumVertices() int { return e.mgr.Store().NumVertices() }
+// NumVertices returns the backend's fixed vertex-set size.
+func (e *Executor) NumVertices() int { return e.n }
 
 // Ingest applies a batch and returns the ack epoch: by default through
-// the manager's refresh gate (volatile, synchronous), or through the
+// the backend's refresh gate(s) (volatile, synchronous), or through the
 // durable group-commit path when one is installed with SetIngest. When
 // live connectivity is enabled the same batch then updates the dynamic
 // forest, so a live query issued after this call returns observes the
@@ -295,7 +348,7 @@ func (e *Executor) Ingest(workers int, batch []edge.Update) (uint64, error) {
 			return epoch, err
 		}
 	} else {
-		epoch = e.mgr.IngestEpoch(func(t *dyngraph.Tracked) { t.ApplyBatch(workers, batch) })
+		epoch = e.b.IngestEpoch(workers, batch)
 	}
 	if e.live != nil {
 		e.live.Apply(batch)
@@ -304,20 +357,20 @@ func (e *Executor) Ingest(workers int, batch []edge.Update) (uint64, error) {
 }
 
 // SetIngest installs a replacement ingest path (the durable
-// group-commit front, internal/durable). Call before serving; not
-// synchronized with in-flight Ingest calls.
+// group-commit front: internal/durable, or shard.DurableFleet). Call
+// before serving; not synchronized with in-flight Ingest calls.
 func (e *Executor) SetIngest(fn func(batch []edge.Update) (uint64, error)) { e.ingest = fn }
 
-// WaitEpoch blocks until the manager publishes epoch min, for
+// WaitEpoch blocks until the backend publishes epoch min, for
 // read-your-writes against an ingest ack.
 func (e *Executor) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
-	return e.mgr.WaitEpoch(min, timeout)
+	return e.b.WaitEpoch(min, timeout)
 }
 
-// Metrics returns the manager's refresh metrics overlaid with the
+// Metrics returns the backend's refresh metrics overlaid with the
 // result-cache counters (zeros when caching is disabled).
 func (e *Executor) Metrics() snapmgr.Metrics {
-	m := e.mgr.Metrics()
+	m := e.b.Metrics()
 	ctr := e.cache.Counters()
 	m.CacheHits = ctr.Hits
 	m.CacheMisses = ctr.Misses
@@ -330,42 +383,68 @@ func (e *Executor) Metrics() snapmgr.Metrics {
 // Counters returns a point-in-time view of executor activity.
 func (e *Executor) Counters() Counters { return e.adm.Counters() }
 
-// checkout admits the query (queue-or-shed), then hands out the current
-// snapshot view (in whatever storage layout the manager publishes), its
-// epoch lower bound, and — when caching is on — the snapshot's cache
-// generation. No scratch is taken here: a cache hit answers from the
-// generation without ever touching the scratch pool (the 0-alloc hit
-// path); only a miss checks a set out via scratch().
-func (e *Executor) checkout() (*snapmgr.View, uint64, *qcache.Gen, error) {
-	if err := e.adm.Acquire(); err != nil {
-		return nil, 0, nil, err
-	}
+// single is the Backend over one snapshot manager, in whatever storage
+// layout it publishes.
+type single struct {
+	mgr  *snapmgr.Manager
+	cfg  Config
+	free chan *scratchSet
+}
+
+func (b *single) NumVertices() int { return b.mgr.Store().NumVertices() }
+
+// Pin hands out the current view. No scratch is taken here: a cache hit
+// answers from the generation without ever touching the scratch pool
+// (the 0-alloc hit path); only a miss checks a set out, in Run.
+func (b *single) Pin(c *qcache.Cache) (any, uint64, *qcache.Gen) {
 	// Epoch first, then the view: the snapshot served is at least this
 	// fresh (publication stores the view before bumping the epoch).
-	epoch := e.mgr.Epoch()
-	v := e.mgr.View()
-	return v, epoch, e.cache.ForView(v, epoch), nil
+	epoch := b.mgr.Epoch()
+	v := b.mgr.View()
+	return v, epoch, c.ForView(v, epoch)
 }
 
-// scratch checks a set out of the pool. Callers must hold an admission
-// slot: scratch objects are only ever created while holding one and the
-// free list is slot-capacity sized, so at most MaxConcurrent sets exist
-// and unscratch never drops one.
-func (e *Executor) scratch(epoch uint64) *scratchSet {
+func (b *single) Unpin(any) {}
+
+// Run checks a scratch set out of the pool for one kernel. The free
+// list is slot-capacity sized, so returning the set never blocks, and
+// it is back before the caller's slot is released: a queued query that
+// wakes always finds a warm set on the free list.
+func (b *single) Run(sp *Spec, pin any, a Args, keep bool) qcache.Value {
 	var s *scratchSet
 	select {
-	case s = <-e.free:
+	case s = <-b.free:
 	default:
-		s = newScratchSet()
+		s = newScratchSet(b.cfg)
 	}
-	s.revalidate(epoch)
-	return s
+	defer func() { b.free <- s }()
+	return singleKernels[sp.id](s, pin.(*snapmgr.View), a, keep)
 }
 
-// unscratch returns a set to the pool. Runs before the caller's
-// deferred slot release, so a queued query that wakes always finds a
-// warm set on the free list.
-func (e *Executor) unscratch(s *scratchSet) { e.free <- s }
+func (b *single) IngestEpoch(workers int, batch []edge.Update) uint64 {
+	return b.mgr.IngestEpoch(func(t *dyngraph.Tracked) { t.ApplyBatch(workers, batch) })
+}
+
+func (b *single) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
+	return b.mgr.WaitEpoch(min, timeout)
+}
+
+func (b *single) Metrics() snapmgr.Metrics { return b.mgr.Metrics() }
+
+func (b *single) LiveSource() (dynconn.Reader, dynconn.Neighbors) {
+	if b.mgr.Staleness() > 0 {
+		b.mgr.Refresh(0)
+	}
+	return b.mgr.Store(), viewNeighbors(b.mgr.View())
+}
+
+// singleKernel executes one kind against a pinned view from a checked-out
+// scratch set; keep copies payload slices out of the set for the cache.
+type singleKernel func(s *scratchSet, v *snapmgr.View, a Args, keep bool) qcache.Value
+
+// singleKernels is the single store's kernel table, indexed by spec id
+// (filled in registry.go's init, once the ids are assigned).
+var singleKernels []singleKernel
 
 // translate maps an original vertex id into the view's layout space:
 // the identity for plain and compressed views, the held permutation for
@@ -376,14 +455,6 @@ func translate(v *snapmgr.View, u uint32) uint32 {
 		return v.Perm[u]
 	}
 	return u
-}
-
-// strategy picks the traversal engine for BFS-shaped queries.
-func (e *Executor) strategy() traversal.Strategy {
-	if e.cfg.Undirected {
-		return traversal.DirectionOpt
-	}
-	return traversal.TopDown
 }
 
 // BFSReply summarizes one BFS query.
@@ -411,14 +482,12 @@ func (e *Executor) BFS(src uint32) (BFSReply, error) {
 	return BFSReplyFrom(a, r), nil
 }
 
-// bfsValue executes the BFS kernel against the pinned view. keep copies
-// the level array out of the pooled scratch into an immutable slice for
-// the cache; the uncached path skips the copy and stays allocation-free.
-func (e *Executor) bfsValue(v *snapmgr.View, epoch uint64, src uint32, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
-	s.src[0] = translate(v, src)
-	opt := traversal.Options{Workers: e.cfg.Workers, Strategy: e.strategy()}
+// bfsValue executes the BFS kernel against the pinned view. keep copies the
+// level array out of the pooled scratch into an immutable slice for the
+// cache; the uncached path skips the copy and stays allocation-free.
+func (s *scratchSet) bfsValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+	s.src[0] = translate(v, uint32(a.A))
+	opt := traversal.Options{Workers: s.cfg.Workers, Strategy: s.cfg.strategy()}
 	if v.C != nil {
 		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
 	} else {
@@ -467,17 +536,16 @@ func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
 
 // ssspValue executes the shortest-paths kernel against the pinned view;
 // keep copies the distance array out for the cache.
-func (e *Executor) ssspValue(v *snapmgr.View, epoch uint64, src uint32, delta int64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
+func (s *scratchSet) ssspValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+	src := edge.ID(translate(v, uint32(a.A)))
 	var dist []int64
 	if v.C != nil {
 		if s.sspStream == nil {
 			s.sspStream = sssp.NewStreamScratch()
 		}
-		dist = sssp.RunStream(v.C, edge.ID(translate(v, src)), e.cfg.Workers, sssp.LabelWeights, s.sspStream)
+		dist = sssp.RunStream(v.C, src, s.cfg.Workers, sssp.LabelWeights, s.sspStream)
 	} else {
-		dist = sssp.Run(v.G, edge.ID(translate(v, src)), sssp.Options{Workers: e.cfg.Workers, Delta: delta, Scratch: s.ssp})
+		dist = sssp.Run(v.G, src, sssp.Options{Workers: s.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
 	}
 	var val qcache.Value
 	for _, d := range dist {
@@ -537,16 +605,14 @@ func (e *Executor) ConnectedLive(u, v uint32) (ConnReply, error) {
 // connValue executes the early-exiting st-connectivity traversal
 // against the pinned view. The verdict is two scalars — it is cached
 // whole (no payload copy to skip).
-func (e *Executor) connValue(view *snapmgr.View, epoch uint64, u, v uint32) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
+func (s *scratchSet) connValue(view *snapmgr.View, a Args, _ bool) qcache.Value {
 	// The whole query runs in layout space: source, early-exit target,
 	// and the settled level read back. Hop counts are id-invariant.
-	s.src[0] = translate(view, u)
-	s.connTarget = translate(view, v)
+	s.src[0] = translate(view, uint32(a.A))
+	s.connTarget = translate(view, uint32(a.B))
 	opt := traversal.Options{
-		Workers:  e.cfg.Workers,
-		Strategy: e.strategy(),
+		Workers:  s.cfg.Workers,
+		Strategy: s.cfg.strategy(),
 		Hooks:    traversal.Hooks{OnLevelEnd: s.connHook},
 	}
 	if view.C != nil {
@@ -580,20 +646,18 @@ func (e *Executor) Components() (ComponentsReply, error) {
 	return ComponentsReplyFrom(r), nil
 }
 
-// componentsValue executes the component labeling against the pinned
-// view; keep copies the label array out for the cache.
-func (e *Executor) componentsValue(v *snapmgr.View, epoch uint64, keep bool) qcache.Value {
-	s := e.scratch(epoch)
-	defer e.unscratch(s)
+// componentsValue executes the component labeling against the pinned view;
+// keep copies the label array out for the cache.
+func (s *scratchSet) componentsValue(v *snapmgr.View, _ Args, keep bool) qcache.Value {
 	if v.C != nil {
 		s.comp, s.queue = traversal.StreamComponentsInto(v.C, s.comp, s.queue)
 	} else {
 		// Reordered views label in permuted space; component count and
 		// sizes are invariant under relabeling, so the reply is identical.
-		s.comp = cc.ComponentsInto(e.cfg.Workers, v.G, s.comp)
+		s.comp = cc.ComponentsInto(s.cfg.Workers, v.G, s.comp)
 	}
-	s.sizes = cc.CensusInto(e.cfg.Workers, s.comp, s.sizes)
-	_, size := cc.LargestOf(e.cfg.Workers, s.sizes)
+	s.sizes = cc.CensusInto(s.cfg.Workers, s.comp, s.sizes)
+	_, size := cc.LargestOf(s.cfg.Workers, s.sizes)
 	val := qcache.Value{N1: int64(cc.Count(s.comp)), N2: int64(size)}
 	if keep {
 		val.Labels = append([]uint32(nil), s.comp...)
@@ -624,31 +688,36 @@ type StatsReply struct {
 }
 
 // Stats reports the current snapshot's shape, layout, and footprint
-// plus the manager's epoch and staleness. It bypasses admission: stats
-// are cheap (at most one O(n) degree scan) and must stay observable
-// under query overload.
+// plus the backend's epoch and staleness and the cache counters. It
+// bypasses admission: stats are cheap (at most one O(n) degree scan)
+// and must stay observable under query overload.
 func (e *Executor) Stats() StatsReply {
-	epoch := e.mgr.Epoch()
-	v := e.mgr.View()
+	st := e.b.Stats()
+	ctr := e.cache.Counters()
+	st.CacheHits = ctr.Hits
+	st.CacheMisses = ctr.Misses
+	st.Coalesced = ctr.Coalesced
+	st.CacheBytes = ctr.Bytes
+	st.CacheEvictions = ctr.Evictions
+	return st
+}
+
+func (b *single) Stats() StatsReply {
+	epoch := b.mgr.Epoch()
+	v := b.mgr.View()
 	maxDeg := int64(0)
 	if v.C != nil {
 		maxDeg = v.C.MaxDegree()
 	} else {
 		maxDeg = v.G.MaxDegree()
 	}
-	ctr := e.cache.Counters()
 	return StatsReply{
-		Vertices:       v.NumVertices(),
-		Arcs:           v.NumEdges(),
-		MaxDegree:      maxDeg,
-		Epoch:          epoch,
-		Staleness:      e.mgr.Staleness(),
-		SizeBytes:      v.SizeBytes(),
-		Format:         e.mgr.Layout().String(),
-		CacheHits:      ctr.Hits,
-		CacheMisses:    ctr.Misses,
-		Coalesced:      ctr.Coalesced,
-		CacheBytes:     ctr.Bytes,
-		CacheEvictions: ctr.Evictions,
+		Vertices:  v.NumVertices(),
+		Arcs:      v.NumEdges(),
+		MaxDegree: maxDeg,
+		Epoch:     epoch,
+		Staleness: b.mgr.Staleness(),
+		SizeBytes: v.SizeBytes(),
+		Format:    b.mgr.Layout().String(),
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"snapdyn/internal/qcache"
-	"snapdyn/internal/snapmgr"
 )
 
 // ErrUnsupported is returned when a query kind (or a mode of one, such
@@ -70,10 +69,11 @@ type Result struct {
 }
 
 // Spec is one registered query kind: everything the generic serving
-// path needs to admit, validate, cache, execute, and encode it. A kind
-// registers exactly once (in this package's init); the executors, the
-// HTTP layer, and the cache all dispatch through the registry instead
-// of per-kind plumbing.
+// path needs to admit, validate, cache, and encode it. A kind registers
+// exactly once (in this package's init); the executor, the HTTP layer,
+// and the cache all dispatch through the registry instead of per-kind
+// plumbing. Kernels are not part of a Spec: each backend keeps its own
+// kernel table indexed by the spec's dense id.
 type Spec struct {
 	id   int
 	name string
@@ -90,25 +90,20 @@ type Spec struct {
 	// uncacheable (live-path queries). The Kind field always comes from
 	// the spec's registered kind, so keys cannot collide across kinds.
 	key func(a Args) (qcache.Key, bool)
+	// live, when set, answers Args with Live set from the live
+	// update-stream index instead of a snapshot.
+	live func(l *Live, a Args) qcache.Value
 	// decode parses HTTP query parameters into Args.
 	decode func(q url.Values) (Args, error)
-	// record projects Args into the query-trace tuple.
-	record func(a Args) (u, v uint32, delta int64)
 	// encode builds the kind's JSON wire reply.
 	encode func(a Args, r Result) any
-	// run executes the kernel against the pinned single-snapshot view;
-	// keep=true copies payload slices out of pooled scratch for the
-	// cache. The sharded fleet registers its kernels separately
-	// (internal/shard), keyed by the spec's dense id.
-	run func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error)
 }
 
-// Name is the kind's wire name: the <kind> in /v1/query/<kind> and the
-// kind string in query traces.
+// Name is the kind's wire name: the <kind> in /v1/query/<kind>.
 func (sp *Spec) Name() string { return sp.name }
 
 // ID is the kind's dense registration index, stable for the process
-// lifetime — the fleet executor's kernel table is indexed by it.
+// lifetime — each backend's kernel table is indexed by it.
 func (sp *Spec) ID() int { return sp.id }
 
 // CacheKind is the kind's reserved qcache key space.
@@ -141,9 +136,6 @@ func (sp *Spec) CacheKey(a Args) (qcache.Key, bool) { return sp.key(a) }
 
 // Decode parses URL query parameters into the kind's Args.
 func (sp *Spec) Decode(q url.Values) (Args, error) { return sp.decode(q) }
-
-// Record projects Args into the query-trace (u, v, delta) tuple.
-func (sp *Spec) Record(a Args) (u, v uint32, delta int64) { return sp.record(a) }
 
 // Encode builds the kind's JSON reply from a Result.
 func (sp *Spec) Encode(a Args, r Result) any { return sp.encode(a, r) }
@@ -180,18 +172,14 @@ func LookupSpec(name string) *Spec { return byName[name] }
 func NumSpecs() int { return len(specs) }
 
 // The registered query kinds. Registration happens once, here, in a
-// fixed order; everything else (executors, HTTP routes, fleet kernel
-// table, trace replay) is derived from this list.
+// fixed order; everything else (HTTP routes, both backends' kernel
+// tables) is derived from this list.
 var (
 	SpecBFS = &Spec{
 		name: "bfs", kind: qcache.KindBFS, vertexA: true,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindBFS, A: a.A}, true },
 		decode: decodeSrc,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, 0 },
 		encode: func(a Args, r Result) any { return BFSReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.bfsValue(v, epoch, uint32(a.A), keep), nil
-		},
 	}
 
 	SpecSSSP = &Spec{
@@ -200,11 +188,7 @@ var (
 			return qcache.Key{Kind: qcache.KindSSSP, A: a.A, B: a.B}, true
 		},
 		decode: decodeSSSP,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, int64(a.B) },
 		encode: func(a Args, r Result) any { return SSSPReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.ssspValue(v, epoch, uint32(a.A), int64(a.B), keep), nil
-		},
 	}
 
 	SpecConnected = &Spec{
@@ -223,32 +207,27 @@ var (
 			// snapshot-keyed generation.
 			return qcache.Key{Kind: qcache.KindConnected, A: a.A, B: a.B}, !a.Live
 		},
+		live: func(l *Live, a Args) qcache.Value {
+			// Hops is -1 on the live path: the spanning forest proves
+			// connectivity but its tree paths are not shortest paths.
+			return qcache.Value{Flag: l.Connected(uint32(a.A), uint32(a.B)), N1: -1}
+		},
 		decode: decodeConnected,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), uint32(a.B), 0 },
 		encode: func(a Args, r Result) any { return ConnReplyFrom(a, r) },
-		run:    runConnected,
 	}
 
 	SpecComponents = &Spec{
 		name: "components", kind: qcache.KindComponents,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindComponents}, true },
 		decode: decodeNone,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return ComponentsReplyFrom(r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.componentsValue(v, epoch, keep), nil
-		},
 	}
 
 	SpecClustering = &Spec{
 		name: "clustering", kind: qcache.KindClustering,
 		key:    func(a Args) (qcache.Key, bool) { return qcache.Key{Kind: qcache.KindClustering}, true },
 		decode: decodeNone,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return ClusteringReplyFrom(r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.clusteringValue(v, epoch, keep), nil
-		},
 	}
 
 	SpecKHop = &Spec{
@@ -257,11 +236,7 @@ var (
 			return qcache.Key{Kind: qcache.KindKHop, A: a.A, B: a.B}, true
 		},
 		decode: decodeKHop,
-		record: func(a Args) (uint32, uint32, int64) { return uint32(a.A), 0, int64(a.B) },
 		encode: func(a Args, r Result) any { return KHopReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.khopValue(v, epoch, uint32(a.A), int32(a.B), keep), nil
-		},
 	}
 
 	SpecPageRank = &Spec{
@@ -270,11 +245,7 @@ var (
 			return qcache.Key{Kind: qcache.KindPageRank, A: a.A}, true
 		},
 		decode: decodePageRank,
-		record: func(a Args) (uint32, uint32, int64) { return 0, 0, 0 },
 		encode: func(a Args, r Result) any { return PageRankReplyFrom(a, r) },
-		run: func(e *Executor, v *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-			return e.pagerankValue(v, epoch, math.Float64frombits(a.A), keep), nil
-		},
 	}
 )
 
@@ -285,25 +256,42 @@ func init() {
 	} {
 		register(sp)
 	}
+	singleKernels = make([]singleKernel, len(specs))
+	for sp, k := range map[*Spec]singleKernel{
+		SpecBFS:        (*scratchSet).bfsValue,
+		SpecSSSP:       (*scratchSet).ssspValue,
+		SpecConnected:  (*scratchSet).connValue,
+		SpecComponents: (*scratchSet).componentsValue,
+		SpecClustering: (*scratchSet).clusteringValue,
+		SpecKHop:       (*scratchSet).khopValue,
+		SpecPageRank:   (*scratchSet).pagerankValue,
+	} {
+		singleKernels[sp.id] = k
+	}
 }
 
-// Query runs one registered kind against the current snapshot (or the
-// live index, for live-path arguments) with the shared admission,
-// validation, and caching flow every kind rides:
+// Query runs one registered kind against the backend's current
+// snapshot (or the live index, for live-path arguments) with the one
+// admission, validation, and caching flow every kind rides on every
+// backend:
 //
 //	admit (queue-or-shed) → pin snapshot → validate vertex operands →
-//	quick short-circuit → cache lookup → kernel (coalesced on miss).
+//	quick short-circuit → live index or cache lookup → kernel
+//	(coalesced on miss).
 //
 // The uncacheable and cache-disabled paths call the kernel directly —
 // no singleflight closure — preserving the allocation-free steady
 // state; only a cacheable miss pays the closure and the payload copy.
 func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
-	v, epoch, gen, err := e.checkout()
-	if err != nil {
+	if err := e.adm.Acquire(); err != nil {
 		return Result{}, err
 	}
 	defer e.adm.Release()
-	if err := sp.Validate(a, v.NumVertices()); err != nil {
+	pin, epoch, gen := e.b.Pin(e.cache)
+	// Unpin runs before the slot is released (defers run last-in first
+	// out), so pooled pins never outnumber slots.
+	defer e.b.Unpin(pin)
+	if err := sp.Validate(a, e.n); err != nil {
 		return Result{}, err
 	}
 	res := Result{Epoch: epoch}
@@ -311,54 +299,29 @@ func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
 		res.Val = val
 		return res, nil
 	}
+	if a.Live && sp.live != nil {
+		l := e.live
+		if l == nil {
+			return Result{}, ErrUnsupported
+		}
+		res.Val, res.Cache = sp.live(l, a), CacheLive
+		return res, nil
+	}
 	k, cacheable := sp.key(a)
-	if !cacheable {
-		if a.Live {
-			res.Cache = CacheLive
-		}
-		val, err := sp.run(e, v, epoch, a, false)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Val = val
+	if !cacheable || gen == nil {
+		res.Val = e.b.Run(sp, pin, a, false)
 		return res, nil
 	}
 	if val, ok := gen.Lookup(k); ok {
 		res.Val, res.Cache = val, CacheHit
 		return res, nil
 	}
-	if gen == nil {
-		val, err := sp.run(e, v, epoch, a, false)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Val = val
-		return res, nil
-	}
-	val, err := gen.Do(k, func() (qcache.Value, error) {
-		return sp.run(e, v, epoch, a, true)
+	// Kernels cannot fail, so neither can the generation's compute.
+	res.Val, _ = gen.Do(k, func() (qcache.Value, error) {
+		return e.b.Run(sp, pin, a, true), nil
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	res.Val, res.Cache = val, CacheMiss
+	res.Cache = CacheMiss
 	return res, nil
-}
-
-// runConnected answers st-connectivity: from the live update-stream
-// forest when a.Live (no snapshot wait, hop count unavailable), else by
-// the early-exiting snapshot traversal.
-func runConnected(e *Executor, view *snapmgr.View, epoch uint64, a Args, keep bool) (qcache.Value, error) {
-	if a.Live {
-		l := e.live
-		if l == nil {
-			return qcache.Value{}, ErrUnsupported
-		}
-		// Hops is -1 on the live path: the spanning forest proves
-		// connectivity but its tree paths are not shortest paths.
-		return qcache.Value{Flag: l.Connected(uint32(a.A), uint32(a.B)), N1: -1}, nil
-	}
-	return e.connValue(view, epoch, uint32(a.A), uint32(a.B)), nil
 }
 
 // --- decode helpers (URL query parameters → Args) ---

@@ -18,9 +18,7 @@ import (
 // original-id order (shard views are unpermuted, so identity order),
 // which is the same summation order the single-shard engine uses —
 // the float average is bit-identical across engines.
-func (e *Executor) clusteringValue(views []*csr.Graph, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
+func (s *scratchSet) clusteringValue(views []*csr.Graph, _ qserve.Args, keep bool) qcache.Value {
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
 	}
@@ -36,10 +34,8 @@ func (e *Executor) clusteringValue(views []*csr.Graph, keep bool) qcache.Value {
 func identityID(u uint32) uint32 { return u }
 
 // khopValue runs the depth-limited scatter-gather BFS.
-func (e *Executor) khopValue(views []*csr.Graph, src uint32, k int32, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
-	reached := s.sc.KHop(views, src, k)
+func (s *scratchSet) khopValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+	reached := s.sc.KHop(views, uint32(a.A), int32(a.B))
 	val := qcache.Value{N1: int64(reached)}
 	if keep {
 		val.Levels = append([]int32(nil), s.sc.level...)
@@ -61,9 +57,8 @@ const prFleetMaxIters = 1000
 // two engines agree to within a tolerance-proportional error (the
 // documented PageRank exception to bit-identity; iteration counts are
 // not comparable across engines either).
-func (e *Executor) pagerankValue(views []*csr.Graph, tol float64, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
+func (s *scratchSet) pagerankValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+	tol := qserve.PageRankTol(a)
 	p := len(views)
 	n := views[0].N
 	if cap(s.prRank) < n {

@@ -12,6 +12,13 @@
 // independently, so refresh cost and gate stalls scale with the shard,
 // not the whole graph.
 //
+// The fleet serves queries through qserve's one executor (NewExecutor):
+// this package supplies only its backend — per-shard snapshot pinning,
+// the scatter-gather kernel table, ingest routing, and the owner-routed
+// store the live index reads. Admission, validation, quick answers, the
+// result cache and the live path are qserve's, shared with the single
+// store.
+//
 // Contracts (relied on by the scatter-gather kernels in query.go):
 //
 //   - Per-shard epochs are independently monotone. There is no global

@@ -130,8 +130,8 @@ func executorScratch(t *testing.T, ex *Executor, src uint32) (qserve.BFSReply, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := <-ex.free
-	ex.free <- s
+	s := <-ex.b.free
+	ex.b.free <- s
 	return r, s.sc
 }
 

@@ -1,49 +1,60 @@
 package shard
 
 import (
-	"time"
-
 	"snapdyn/internal/cc"
 	"snapdyn/internal/cluster"
 	"snapdyn/internal/csr"
-	"snapdyn/internal/edge"
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/qserve"
-	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/sssp"
 )
 
-// Executor serves the qserve.Engine query surface from a Fleet: the
-// same admission policy (queue-or-shed) and pooled per-query scratch
-// as the single-shard executor, with every query running the
-// scatter-gather kernels over a pinned per-shard snapshot set. It
-// plugs into qserve.NewServer unchanged — one HTTP surface, either
-// engine.
+// Executor is the qserve executor over a Fleet: the one query flow
+// (admission, validation, quick answers, result cache, live index,
+// ingest) with every query running the scatter-gather kernels over a
+// pinned per-shard snapshot set. It plugs into qserve.NewServer
+// unchanged — one HTTP surface, either backend.
 //
-// With Config.CacheBytes > 0 the executor carries the same
-// snapshot-identity result cache as the single-shard engine. The cache
-// identity is the whole pinned view set — one *csr.Graph per shard,
-// compared elementwise — so a refresh on any one shard retires the
-// generation, while no-op refreshes (csr.Refresh republishing the
-// identical graph pointer shard-locally) keep it alive.
+// With Config.CacheBytes > 0 the cache identity is the whole pinned
+// view set — one *csr.Graph per shard, compared elementwise — so a
+// refresh on any one shard retires the generation, while no-op
+// refreshes (csr.Refresh republishing the identical graph pointer
+// shard-locally) keep it alive.
 type Executor struct {
-	fleet *Fleet
-	cfg   qserve.Config
-	adm   *qserve.Admission
-	free  chan *scratchSet
-	pins  chan *pinSet
-	cache *qcache.Cache // nil when Config.CacheBytes <= 0
-
-	// ingest, when set (SetIngest), replaces the direct scatter apply
-	// with a durable commit path (DurableFleet.Ingest).
-	ingest func(batch []edge.Update) (uint64, error)
-
-	// live, when set (EnableLive), is the between-refresh connectivity
-	// index: one dynamic forest over the whole fleet, fed by Ingest.
-	live *qserve.Live
+	*qserve.Executor
+	b *backend
 }
 
 var _ qserve.Engine = (*Executor)(nil)
+
+// NewExecutor returns a fleet executor. cfg.Workers is ignored: a
+// scatter-gather query's parallelism is the shard fan-out.
+func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
+	cfg = cfg.WithDefaults()
+	b := &backend{
+		Fleet: f,
+		// An undirected fleet's views are symmetric, which is what lets
+		// its traversals run pull levels.
+		pull: cfg.Undirected,
+		free: make(chan *scratchSet, cfg.MaxConcurrent),
+		pins: make(chan *pinSet, cfg.MaxConcurrent),
+	}
+	return &Executor{Executor: qserve.NewExecutor(b, cfg), b: b}
+}
+
+// Fleet returns the shard fleet the executor serves from.
+func (e *Executor) Fleet() *Fleet { return e.b.Fleet }
+
+// backend is the qserve.Backend over a Fleet. The embedded Fleet
+// supplies NumVertices, IngestEpoch (the fleet sum-epoch ack),
+// WaitEpoch (the coarse sum-epoch wait) and Metrics; the pools are
+// per executor and slot-capacity sized.
+type backend struct {
+	*Fleet
+	pull bool
+	free chan *scratchSet
+	pins chan *pinSet
+}
 
 // scratchSet is one pooled unit of sharded kernel state: the
 // scatter-gather arena, the component census buffer, the
@@ -76,130 +87,71 @@ type pinSet struct {
 	ids   []any
 }
 
-// NewExecutor returns a fleet executor. cfg.Workers is ignored: a
-// scatter-gather query's parallelism is the shard fan-out.
-func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
-	cfg = cfg.WithDefaults()
-	return &Executor{
-		fleet: f,
-		cfg:   cfg,
-		adm:   qserve.NewAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		free:  make(chan *scratchSet, cfg.MaxConcurrent),
-		pins:  make(chan *pinSet, cfg.MaxConcurrent),
-		cache: qcache.New(cfg.CacheBytes),
-	}
-}
-
-// Fleet returns the shard fleet the executor serves from.
-func (e *Executor) Fleet() *Fleet { return e.fleet }
-
-// Cache returns the executor's result cache (nil when disabled).
-func (e *Executor) Cache() *qcache.Cache { return e.cache }
-
-// NumVertices returns the fleet's fixed vertex-set size.
-func (e *Executor) NumVertices() int { return e.fleet.NumVertices() }
-
-// Ingest routes a batch through the fleet's per-shard gates (or the
-// durable path when one is installed), returning the fleet sum-epoch
-// ack; the live index then reconciles the batch.
-func (e *Executor) Ingest(workers int, batch []edge.Update) (uint64, error) {
-	var epoch uint64
-	if e.ingest != nil {
-		var err error
-		epoch, err = e.ingest(batch)
-		if err != nil {
-			return epoch, err
-		}
-	} else {
-		epoch = e.fleet.IngestEpoch(workers, batch)
-	}
-	if e.live != nil {
-		e.live.Apply(batch)
-	}
-	return epoch, nil
-}
-
-// SetIngest installs a replacement ingest path (per-shard WAL group
-// commit, DurableFleet). Call before serving; not synchronized with
-// in-flight Ingest calls.
-func (e *Executor) SetIngest(fn func(batch []edge.Update) (uint64, error)) { e.ingest = fn }
-
-// WaitEpoch blocks until the fleet sum-epoch reaches min — the coarse
-// fleet-level read-your-writes wait (see Fleet.WaitEpoch).
-func (e *Executor) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
-	return e.fleet.WaitEpoch(min, timeout)
-}
-
-// Metrics returns the fleet-aggregated refresh metrics overlaid with
-// the result-cache counters (zeros when caching is disabled).
-func (e *Executor) Metrics() snapmgr.Metrics {
-	m := e.fleet.Metrics()
-	ctr := e.cache.Counters()
-	m.CacheHits = ctr.Hits
-	m.CacheMisses = ctr.Misses
-	m.CacheCoalesced = ctr.Coalesced
-	m.CacheEvictions = ctr.Evictions
-	m.CacheBytes = ctr.Bytes
-	return m
-}
-
-// Counters returns a point-in-time view of executor activity.
-func (e *Executor) Counters() qserve.Counters { return e.adm.Counters() }
-
-// checkout admits the query, pins one snapshot per shard, and — when
-// caching is on — resolves the pinned set's cache generation. The
-// fleet epoch is read before pinning so the reported epoch is a lower
-// bound on the served snapshots' freshness. No kernel scratch is taken
-// here: a cache hit answers from the generation without touching the
-// arena pool.
-func (e *Executor) checkout() (*pinSet, uint64, *qcache.Gen, error) {
-	if err := e.adm.Acquire(); err != nil {
-		return nil, 0, nil, err
-	}
+// Pin pins one snapshot per shard and, when caching is on, resolves the
+// pinned set's cache generation. The fleet epoch is read before pinning
+// so the reported epoch is a lower bound on the served snapshots'
+// freshness.
+func (b *backend) Pin(c *qcache.Cache) (any, uint64, *qcache.Gen) {
 	var p *pinSet
 	select {
-	case p = <-e.pins:
+	case p = <-b.pins:
 	default:
 		p = &pinSet{}
 	}
-	epoch := e.fleet.Epoch()
-	p.views = e.fleet.View(p.views)
-	var gen *qcache.Gen
-	if e.cache != nil {
-		p.ids = p.ids[:0]
-		for _, g := range p.views {
-			p.ids = append(p.ids, g)
-		}
-		gen = e.cache.ForViews(p.ids, epoch)
+	epoch := b.Epoch()
+	p.views = b.View(p.views)
+	if c == nil {
+		return p, epoch, nil
 	}
-	return p, epoch, gen, nil
+	p.ids = p.ids[:0]
+	for _, g := range p.views {
+		p.ids = append(p.ids, g)
+	}
+	return p, epoch, c.ForViews(p.ids, epoch)
 }
 
-// release returns the pin before freeing the slot.
-func (e *Executor) release(p *pinSet) {
-	e.pins <- p
-	e.adm.Release()
-}
+func (b *backend) Unpin(pin any) { b.pins <- pin.(*pinSet) }
 
-// kscratch checks a kernel arena out of the pool; callers must hold an
-// admission slot, so at most MaxConcurrent arenas exist.
-func (e *Executor) kscratch() *scratchSet {
+// Run checks a kernel arena out of the pool for one kernel; the caller
+// holds an admission slot, so at most MaxConcurrent arenas exist.
+func (b *backend) Run(sp *qserve.Spec, pin any, a qserve.Args, keep bool) qcache.Value {
+	var s *scratchSet
 	select {
-	case s := <-e.free:
-		return s
+	case s = <-b.free:
 	default:
-		// An undirected fleet's views are symmetric, which is what lets
-		// its traversals run pull levels.
-		return &scratchSet{sc: &Scratch{pull: e.cfg.Undirected}}
+		s = &scratchSet{sc: &Scratch{pull: b.pull}}
+	}
+	defer func() { b.free <- s }()
+	return fleetKernels[sp.ID()](s, pin.(*pinSet).views, a, keep)
+}
+
+// fleetKernel executes one kind over a pinned per-shard view set;
+// keep copies payload slices out of the arena for the cache.
+type fleetKernel func(s *scratchSet, views []*csr.Graph, a qserve.Args, keep bool) qcache.Value
+
+// fleetKernels is the fleet's kernel table, indexed by qserve's dense
+// spec id. qserve's registry init runs before this package's (shard
+// imports qserve), so the spec ids are final here.
+var fleetKernels []fleetKernel
+
+func init() {
+	fleetKernels = make([]fleetKernel, qserve.NumSpecs())
+	for sp, k := range map[*qserve.Spec]fleetKernel{
+		qserve.SpecBFS:        (*scratchSet).bfsValue,
+		qserve.SpecSSSP:       (*scratchSet).ssspValue,
+		qserve.SpecConnected:  (*scratchSet).connValue,
+		qserve.SpecComponents: (*scratchSet).componentsValue,
+		qserve.SpecClustering: (*scratchSet).clusteringValue,
+		qserve.SpecKHop:       (*scratchSet).khopValue,
+		qserve.SpecPageRank:   (*scratchSet).pagerankValue,
+	} {
+		fleetKernels[sp.ID()] = k
 	}
 }
 
-func (e *Executor) unscratch(s *scratchSet) { e.free <- s }
-
-func (e *Executor) bfsValue(views []*csr.Graph, src uint32, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
-	level, reached, depth := s.sc.BFS(views, src)
+// bfsValue runs a scatter-gather breadth-first search from a.A.
+func (s *scratchSet) bfsValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+	level, reached, depth := s.sc.BFS(views, uint32(a.A))
 	val := qcache.Value{N1: int64(reached), N2: int64(depth)}
 	if keep {
 		val.Levels = append([]int32(nil), level...)
@@ -207,10 +159,11 @@ func (e *Executor) bfsValue(views []*csr.Graph, src uint32, keep bool) qcache.Va
 	return val
 }
 
-func (e *Executor) ssspValue(views []*csr.Graph, src uint32, delta int64, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
-	dist := s.sc.SSSP(views, src, sssp.LabelWeights, delta)
+// ssspValue runs sharded delta-stepping from a.A with arc time labels as
+// weights, like the single store (delta <= 0 derives the global
+// heuristic width).
+func (s *scratchSet) ssspValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+	dist := s.sc.SSSP(views, uint32(a.A), sssp.LabelWeights, int64(a.B))
 	var val qcache.Value
 	for _, d := range dist {
 		if d != sssp.Inf {
@@ -226,18 +179,18 @@ func (e *Executor) ssspValue(views []*csr.Graph, src uint32, delta int64, keep b
 	return val
 }
 
-func (e *Executor) connValue(views []*csr.Graph, u, v uint32) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
-	if hops, ok := s.sc.STConnected(views, u, v); ok {
+// connValue answers st-connectivity with an early-exiting
+// scatter-gather traversal from a.A.
+func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args, _ bool) qcache.Value {
+	if hops, ok := s.sc.STConnected(views, uint32(a.A), uint32(a.B)); ok {
 		return qcache.Value{Flag: true, N1: int64(hops)}
 	}
 	return qcache.Value{N1: -1}
 }
 
-func (e *Executor) componentsValue(views []*csr.Graph, keep bool) qcache.Value {
-	s := e.kscratch()
-	defer e.unscratch(s)
+// componentsValue labels weakly-connected components by cross-shard
+// label merge; the label array and census are pool-owned.
+func (s *scratchSet) componentsValue(views []*csr.Graph, _ qserve.Args, keep bool) qcache.Value {
 	comp := s.sc.Components(views)
 	s.sizes = cc.CensusInto(1, comp, s.sizes)
 	_, size := cc.LargestOf(1, s.sizes)
@@ -248,11 +201,11 @@ func (e *Executor) componentsValue(views []*csr.Graph, keep bool) qcache.Value {
 	return val
 }
 
-// Stats fans out over the shards, bypassing admission like the
-// single-shard engine so the service stays observable under overload.
-func (e *Executor) Stats() qserve.StatsReply {
-	epoch := e.fleet.Epoch()
-	views := e.fleet.View(nil)
+// Stats fans out over the shards; the executor serves it outside
+// admission so the service stays observable under overload.
+func (b *backend) Stats() qserve.StatsReply {
+	epoch := b.Epoch()
+	views := b.View(nil)
 	var sc Scratch
 	st := sc.Stats(views)
 	// Shards publish plain CSR snapshots; the fleet footprint is their sum.
@@ -260,19 +213,13 @@ func (e *Executor) Stats() qserve.StatsReply {
 	for _, g := range views {
 		bytes += g.SizeBytes()
 	}
-	ctr := e.cache.Counters()
 	return qserve.StatsReply{
-		Vertices:       st.Vertices,
-		Arcs:           st.Arcs,
-		MaxDegree:      st.MaxDegree,
-		Epoch:          epoch,
-		Staleness:      e.fleet.Staleness(),
-		SizeBytes:      bytes,
-		Format:         "plain",
-		CacheHits:      ctr.Hits,
-		CacheMisses:    ctr.Misses,
-		Coalesced:      ctr.Coalesced,
-		CacheBytes:     ctr.Bytes,
-		CacheEvictions: ctr.Evictions,
+		Vertices:  st.Vertices,
+		Arcs:      st.Arcs,
+		MaxDegree: st.MaxDegree,
+		Epoch:     epoch,
+		Staleness: b.Staleness(),
+		SizeBytes: bytes,
+		Format:    "plain",
 	}
 }

@@ -3,36 +3,27 @@
 // math/rand's sampler refuses), a weighted query-type mix, and bursty
 // open-loop arrivals (an on-off modulated Poisson process), all
 // deterministically seeded through internal/xrand so a benchmark run
-// is reproducible bit-for-bit from its seed.
-//
-// It also owns the query-trace wire format: a Recorder tees every
-// query a live snapserve receives into a JSONL trace file
-// (qserve.QueryRecorder), and ReadTrace + Apply replay a captured
-// trace against any qserve.Engine — the record/replay loop that makes
-// a production regression reproducible from its traffic.
+// is reproducible bit-for-bit from its seed. Apply runs a drawn query
+// against any qserve.Engine.
 package workload
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
-	"sync"
 
 	"snapdyn/internal/qserve"
 	"snapdyn/internal/xrand"
 )
 
-// Op is one query in wire form — one JSONL line of a trace.
+// Op is one drawn query.
 type Op struct {
-	Kind string `json:"kind"` // "bfs", "sssp", "connected", "components"
-	U    uint32 `json:"u,omitempty"`
-	V    uint32 `json:"v,omitempty"`
+	Kind string // "bfs", "sssp", "connected", "components"
+	U    uint32
+	V    uint32
 	// Delta is the SSSP bucket width (0 = the engine's heuristic
 	// default — the serving-friendly choice, see qserve.SSSP).
-	Delta int64 `json:"delta,omitempty"`
+	Delta int64
 }
 
 // Mix weighs the query types. Zero-valued fields get no traffic; an
@@ -154,8 +145,8 @@ func (g *Generator) Next() Op {
 }
 
 // Apply runs op against the engine, returning the reply epoch. Unknown
-// kinds are an error (a trace from a newer build), engine errors pass
-// through (shed and stale are the caller's business).
+// kinds are an error, engine errors pass through (shed and stale are
+// the caller's business).
 func Apply(eng qserve.Engine, op Op) (uint64, error) {
 	switch op.Kind {
 	case "bfs":
@@ -173,92 +164,4 @@ func Apply(eng qserve.Engine, op Op) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("workload: unknown op kind %q", op.Kind)
 	}
-}
-
-// Recorder tees queries into a JSONL trace file. It implements
-// qserve.QueryRecorder; install with Server.SetRecorder. Writes are
-// buffered and serialized; Close flushes (graceful shutdown must call
-// it, or the trace tail is lost with the buffer).
-type Recorder struct {
-	mu  sync.Mutex
-	f   *os.File
-	w   *bufio.Writer
-	enc *json.Encoder
-	n   int
-	err error
-}
-
-// NewRecorder creates (truncates) the trace file at path.
-func NewRecorder(path string) (*Recorder, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := bufio.NewWriter(f)
-	return &Recorder{f: f, w: w, enc: json.NewEncoder(w)}, nil
-}
-
-// RecordQuery appends one query to the trace. The first write error
-// sticks and silences the rest (Close reports it): tracing must never
-// take down serving.
-func (r *Recorder) RecordQuery(kind string, u, v uint32, delta int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.err != nil {
-		return
-	}
-	if err := r.enc.Encode(Op{Kind: kind, U: u, V: v, Delta: delta}); err != nil {
-		r.err = err
-		return
-	}
-	r.n++
-}
-
-// Len reports the number of queries recorded so far.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Close flushes and closes the trace, reporting the first error the
-// recorder hit.
-func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	err := r.err
-	if e := r.w.Flush(); err == nil {
-		err = e
-	}
-	if e := r.f.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
-// ReadTrace loads a JSONL trace written by Recorder.
-func ReadTrace(path string) ([]Op, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var ops []Op
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var op Op
-		if err := json.Unmarshal(line, &op); err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: %w", len(ops)+1, err)
-		}
-		ops = append(ops, op)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -82,41 +81,6 @@ func TestSplitIndependentButDeterministic(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if a1.Next() != b1.Next() || a2.Next() != b2.Next() {
 			t.Fatal("split children not reproducible across runs")
-		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	rec, err := NewRecorder(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Op{
-		{Kind: "bfs", U: 3},
-		{Kind: "sssp", U: 9, Delta: 40},
-		{Kind: "connected", U: 1, V: 2},
-		{Kind: "components"},
-	}
-	for _, op := range want {
-		rec.RecordQuery(op.Kind, op.U, op.V, op.Delta)
-	}
-	if rec.Len() != len(want) {
-		t.Fatalf("recorder Len = %d, want %d", rec.Len(), len(want))
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d ops, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
