@@ -1,8 +1,9 @@
 package snapdyn
 
 // One testing.B benchmark per figure of the paper's evaluation, backed by
-// the drivers in internal/bench, plus ablation benches for the design
-// choices DESIGN.md calls out. Run with:
+// the drivers in internal/bench, plus ablation benches for the paper's
+// design choices (degree threshold, initial array size, batching,
+// lock-free inserts). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -141,16 +142,6 @@ func BenchmarkFig11TemporalBC(b *testing.B) {
 	cfg.Scale = 12 // BC is O(sources * m): keep the default run quick
 	for i := 0; i < b.N; i++ {
 		t := ibench.Fig11TemporalBC(cfg, 64)
-		if i == b.N-1 {
-			reportBest(b, t)
-		}
-	}
-}
-
-func BenchmarkFigMemory(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		t := ibench.FigMemory(cfg, nil)
 		if i == b.N-1 {
 			reportBest(b, t)
 		}

@@ -180,8 +180,9 @@
 //     plain original-id CSR lazily, once per snapshot. The footprint
 //     per format is observable (RefreshMetrics.SnapshotBytes/Format,
 //     and the /stats endpoint's sizeBytes/format fields) and
-//     measured by snapbench -fig memory (committed BENCH_memory.json:
-//     compressed ~2.7x fewer bytes per arc than plain at scale 18).
+//     measured by BenchmarkCompressedBFS and BenchmarkReorderedBFS
+//     (bytes per arc beside MTEPS: compressed 2.9 against plain 8.5
+//     at scale 14).
 //   - A durable group-commit ingest path (internal/durable =
 //     internal/batcher + internal/wal), serving under snapserve
 //     -wal-dir. The durability contract: a submission is acknowledged
@@ -210,12 +211,9 @@
 //     kernel sweep (cmd/snapbench -fig kernel
 //     -kernel=bfs|bc|closeness|sssp) whose -bfs engine choice applies
 //     to every BFS-shaped kernel and whose -deltas flag sweeps the
-//     delta-stepping bucket width, a mixed ingest/query pipeline
-//     figure (-fig pipeline) measuring refresh latency vs dirty
-//     fraction and sustained MUPS+MTEPS under concurrent readers, and
-//     a serving figure (-fig service) measuring sustained QPS with
-//     p50/p99 per-query latency through the executor pool under
-//     policy-driven refresh.
+//     delta-stepping bucket width. The serving system itself is
+//     measured end to end and layer by layer by the benchmark/ harness
+//     (bash benchmark/run.sh), not by cmd/snapbench.
 //
 // # Quick start
 //

@@ -2,17 +2,17 @@
 // paper's evaluation. Each driver generates its workload, runs the
 // measured kernel over a worker-count sweep, and returns a timing.Table
 // whose rows are the series the paper plots. Drivers are shared by
-// cmd/snapbench and the root-level testing.B benchmarks.
+// cmd/snapbench and the root-level testing.B benchmarks. The serving
+// system is measured end to end by benchmark/ (bash benchmark/run.sh),
+// not here.
 //
 // Instance sizes are controlled by Config.Scale; the paper's full-scale
 // instances (2^25 vertices, 268M edges) are reachable by raising the
-// scale on machines with enough memory. EXPERIMENTS.md records the scale
-// used for the checked-in results.
+// scale on machines with enough memory.
 package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"snapdyn/internal/centrality"
 	"snapdyn/internal/csr"
@@ -21,7 +21,6 @@ import (
 	"snapdyn/internal/lct"
 	"snapdyn/internal/par"
 	"snapdyn/internal/rmat"
-	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/sssp"
 	"snapdyn/internal/stream"
 	"snapdyn/internal/subgraph"
@@ -513,147 +512,6 @@ func KernelSweep(cfg Config, kernel string, numSources int) *timing.Table {
 	default:
 		panic(fmt.Sprintf("bench: unknown kernel %q (want bfs, bc, closeness, or sssp)", kernel))
 	}
-	return t
-}
-
-// FigPipeline measures the incremental snapshot pipeline — the mixed
-// ingest/query workload the paper motivates but never benchmarks as one
-// system. Two parts:
-//
-// First, snapshot-refresh latency vs dirty fraction: after update
-// batches touching ~0.1%, 1%, and 10% of the vertices, an incremental
-// Refresh (dirty-vertex delta rebuild reusing the previous snapshot's
-// clean spans) is timed against the full FromStore rebuild every
-// snapshot used to cost.
-//
-// Second, the sustained pipeline: an ingest thread applies mixed
-// batches (75% insertions) and republishes the snapshot after each,
-// while queryWorkers goroutines continuously run BFS and delta-stepping
-// SSSP over whatever snapshot is current — the RCU read side, never
-// blocking on ingest. Reported as sustained MUPS on the ingest series
-// and sustained MTEPS (traversed-arc throughput, Ops = arcs per
-// completed query summed) on the query series.
-func FigPipeline(cfg Config, queryWorkers int) *timing.Table {
-	if queryWorkers <= 0 {
-		queryWorkers = 4
-	}
-	n := cfg.n()
-	edges := cfg.generate()
-	extraCfg := cfg
-	extraCfg.Seed += 41
-	extra := extraCfg.generate()
-	ws := cfg.workers()
-	w := ws[len(ws)-1]
-
-	t := &timing.Table{
-		Title: "Pipeline: incremental snapshot refresh + concurrent ingest/query",
-		Note: cfg.instanceNote() + fmt.Sprintf(
-			" (undirected), %d ingest workers, %d query workers", w, queryWorkers),
-	}
-
-	// Undirected: every edge contributes both arcs, like the facade's
-	// Undirected graphs, so BFS reaches the giant component.
-	store := dyngraph.NewTracked(dyngraph.NewHybrid(n, 4*len(edges), 0, cfg.Seed))
-	store.ApplyBatch(w, stream.Mirror(stream.Inserts(edges)))
-	mgr := snapmgr.New(w, store)
-
-	// Part 1: refresh latency vs dirty fraction. Batches insert fresh
-	// mirrored edges over a distinct-source stride so the dirty-vertex
-	// count is controlled.
-	for _, frac := range []float64{0.001, 0.01, 0.10} {
-		k := max(1, int(frac*float64(n))/2) // each mirrored pair dirties ~2 vertices
-		batch := make([]edge.Update, 0, 2*k)
-		stride := n / k
-		if stride < 2 {
-			stride = 2
-		}
-		for i := 0; i < k; i++ {
-			u := uint32((i * stride) % n)
-			v := extra[i%len(extra)].V
-			batch = append(batch,
-				edge.Update{Edge: edge.Edge{U: u, V: v, T: 1}, Op: edge.Insert},
-				edge.Update{Edge: edge.Edge{U: v, V: u, T: 1}, Op: edge.Insert})
-		}
-		store.ApplyBatch(w, batch)
-		dirty := mgr.Staleness()
-		secs := timing.Time(func() { mgr.Refresh(w) })
-		t.Add(timing.Measurement{
-			Label: "refresh", Param: fmt.Sprintf("dirty=%.2f%%", 100*float64(dirty)/float64(n)),
-			Workers: w, Ops: mgr.Current().NumEdges(), Seconds: secs,
-		})
-	}
-	secs := timing.Time(func() { csr.FromStore(w, store) })
-	t.Add(timing.Measurement{Label: "full-rebuild", Workers: w, Ops: store.NumEdges(), Seconds: secs})
-
-	// Part 2: sustained mixed ingest/query.
-	mixed, err := stream.Mixed(edges, extra, len(extra)/2, 0.75, cfg.Seed+42)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	batches := stream.Batches(stream.Mirror(mixed), max(2048, n/8))
-
-	// Query roots come from the degree-filtered sampler (like every
-	// other figure): sources in the giant component genuinely traverse
-	// ~m arcs, keeping the Ops-per-query = NumEdges convention honest.
-	sources := centrality.SampleSources(mgr.Current(), 256, cfg.Seed+43)
-	stop := make(chan struct{})
-	queryArcs := make([]int64, queryWorkers)
-	var qwg sync.WaitGroup
-	for q := 0; q < queryWorkers; q++ {
-		qwg.Add(1)
-		go func(q int) {
-			defer qwg.Done()
-			tsc, res := traversal.NewScratch(), &traversal.Result{}
-			ssc := sssp.NewScratch()
-			var src [1]uint32
-			var arcs int64
-			for i := q; ; i++ {
-				select {
-				case <-stop:
-					queryArcs[q] = arcs
-					return
-				default:
-				}
-				src[0] = sources[i%len(sources)]
-				g := mgr.Current()
-				if i%2 == 0 {
-					traversal.Run(g, src[:], traversal.Options{Workers: 1}, tsc, res)
-				} else {
-					sssp.Run(g, edge.ID(src[0]), sssp.Options{Workers: 1, Scratch: ssc})
-				}
-				arcs += g.NumEdges()
-			}
-		}(q)
-	}
-
-	var applied int64
-	elapsed := timing.Time(func() {
-		for _, b := range batches {
-			store.ApplyBatch(w, b)
-			mgr.Refresh(w)
-			applied += int64(len(b))
-		}
-	})
-	close(stop)
-	qwg.Wait()
-
-	var traversed int64
-	for _, a := range queryArcs {
-		traversed += a
-	}
-	t.Add(timing.Measurement{
-		Label: "pipeline-ingest", Param: fmt.Sprintf("epochs=%d", mgr.Epoch()),
-		Workers: w, Ops: applied, Seconds: elapsed,
-	})
-	t.Add(timing.Measurement{
-		// Not comparable to the kernel figures' MTEPS: each SSSP query
-		// on a freshly published epoch also rebuilds the weighted view
-		// (the sssp.Scratch cache is keyed by graph pointer), so this
-		// series folds view construction into the sustained rate — the
-		// price of querying a moving snapshot, deliberately included.
-		Label: "pipeline-query(MTEPS)", Param: "bfs+sssp",
-		Workers: queryWorkers, Ops: traversed, Seconds: elapsed,
-	})
 	return t
 }
 

@@ -1,18 +1,16 @@
-// Package workload models the serving layer's traffic: skewed source
-// popularity (Zipf with tunable exponent, including the s < 1 range
-// math/rand's sampler refuses), a weighted query-type mix, and bursty
-// open-loop arrivals (an on-off modulated Poisson process), all
-// deterministically seeded through internal/xrand so a benchmark run
-// is reproducible bit-for-bit from its seed. Apply runs a drawn query
-// against any qserve.Engine.
+// Package workload draws the serving benchmark's query operands:
+// skewed source popularity (Zipf with tunable exponent, including the
+// s < 1 range math/rand's sampler refuses) and a weighted query-type
+// mix, deterministically seeded through internal/xrand so a benchmark
+// run is reproducible bit-for-bit from its seed. benchmark/gen.go
+// draws every workload's vertex operands from it, and
+// TestBenchmarkStreamGolden pins that stream.
 package workload
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"snapdyn/internal/qserve"
 	"snapdyn/internal/xrand"
 )
 
@@ -21,9 +19,6 @@ type Op struct {
 	Kind string // "bfs", "sssp", "connected", "components"
 	U    uint32
 	V    uint32
-	// Delta is the SSSP bucket width (0 = the engine's heuristic
-	// default — the serving-friendly choice, see qserve.SSSP).
-	Delta int64
 }
 
 // Mix weighs the query types. Zero-valued fields get no traffic; an
@@ -141,27 +136,5 @@ func (g *Generator) Next() Op {
 		return Op{Kind: "connected", U: g.source(), V: g.source()}
 	default:
 		return Op{Kind: "components"}
-	}
-}
-
-// Apply runs op against the engine, returning the reply epoch. Unknown
-// kinds are an error, engine errors pass through (shed and stale are
-// the caller's business).
-func Apply(eng qserve.Engine, op Op) (uint64, error) {
-	switch op.Kind {
-	case "bfs":
-		r, err := eng.BFS(op.U)
-		return r.Epoch, err
-	case "sssp":
-		r, err := eng.SSSP(op.U, op.Delta)
-		return r.Epoch, err
-	case "connected":
-		r, err := eng.Connected(op.U, op.V)
-		return r.Epoch, err
-	case "components":
-		r, err := eng.Components()
-		return r.Epoch, err
-	default:
-		return 0, fmt.Errorf("workload: unknown op kind %q", op.Kind)
 	}
 }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestGeneratorDeterministic(t *testing.T) {
 	cfg := Config{Vertices: 1 << 10, ZipfS: 1.2, Seed: 42}
@@ -85,44 +82,55 @@ func TestSplitIndependentButDeterministic(t *testing.T) {
 	}
 }
 
-func TestArrivalsMeanRate(t *testing.T) {
-	// Plain Poisson at 1000/s: the mean gap over many draws must be
-	// close to 1ms.
-	a := NewArrivals(1000, 0, 0, 0, 11)
-	var sum time.Duration
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		sum += a.Next()
-	}
-	mean := sum / draws
-	if mean < 900*time.Microsecond || mean > 1100*time.Microsecond {
-		t.Fatalf("mean gap %v, want ~1ms", mean)
-	}
-}
-
-func TestArrivalsBursty(t *testing.T) {
-	// With bursts on, gaps drawn in the on state are ~8x shorter: the
-	// gap distribution must be visibly bimodal — compare the mean gap
-	// against plain Poisson at the same base rate.
-	plain := NewArrivals(1000, 0, 0, 0, 13)
-	burst := NewArrivals(1000, 8, 20*time.Millisecond, 20*time.Millisecond, 13)
-	var ps, bs time.Duration
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		ps += plain.Next()
-		bs += burst.Next()
-	}
-	// Equal on/off holding and 8x burst rate: most arrivals land in
-	// bursts, so the mean gap shrinks well below the calm mean.
-	if bs >= ps*3/4 {
-		t.Fatalf("bursty mean gap %v not below 3/4 of plain %v", bs/draws, ps/draws)
-	}
-	// Determinism: same seed, same gaps.
-	b2 := NewArrivals(1000, 8, 20*time.Millisecond, 20*time.Millisecond, 13)
-	b1 := NewArrivals(1000, 8, 20*time.Millisecond, 20*time.Millisecond, 13)
-	for i := 0; i < 100; i++ {
-		if b1.Next() != b2.Next() {
-			t.Fatal("arrivals not deterministic for a fixed seed")
+// TestBenchmarkStreamGolden pins the operand stream benchmark/gen.go
+// draws: a connected-only mix, so every Next is two source draws. The
+// benchmark's connections each draw from a Split child of one root.
+// A change to NewGenerator, Split or Next that moves these pairs moves
+// every workload's sources, and must come with new benchmark baselines.
+func TestBenchmarkStreamGolden(t *testing.T) {
+	type pair struct{ u, v uint32 }
+	for _, tc := range []struct {
+		vertices    int
+		zipfS       float64
+		root, child [16]pair
+	}{
+		{32, 1.2,
+			[16]pair{{21, 21}, {17, 17}, {0, 3}, {15, 24}, {26, 11}, {24, 2}, {24, 24}, {31, 21},
+				{30, 24}, {25, 17}, {16, 17}, {24, 24}, {30, 24}, {0, 28}, {30, 17}, {26, 14}},
+			[16]pair{{24, 24}, {30, 1}, {28, 21}, {21, 24}, {24, 5}, {16, 15}, {21, 31}, {30, 3},
+				{21, 21}, {24, 5}, {24, 4}, {3, 24}, {5, 24}, {24, 5}, {7, 24}, {4, 21}}},
+		{32, 0,
+			[16]pair{{23, 31}, {14, 24}, {16, 9}, {12, 19}, {16, 13}, {20, 26}, {28, 2}, {15, 3},
+				{1, 16}, {1, 31}, {18, 12}, {8, 16}, {23, 26}, {27, 22}, {20, 27}, {10, 5}},
+			[16]pair{{17, 29}, {13, 15}, {0, 1}, {30, 6}, {16, 11}, {26, 9}, {22, 6}, {28, 24},
+				{16, 3}, {12, 25}, {22, 6}, {18, 27}, {26, 9}, {16, 1}, {11, 19}, {15, 23}}},
+		{1024, 1.2,
+			[16]pair{{444, 961}, {961, 267}, {96, 671}, {734, 692}, {734, 508}, {462, 462}, {564, 961}, {540, 1001},
+				{961, 98}, {403, 169}, {633, 961}, {800, 961}, {600, 713}, {234, 961}, {462, 564}, {462, 734}},
+			[16]pair{{417, 734}, {403, 734}, {961, 603}, {179, 619}, {877, 961}, {901, 671}, {786, 462}, {639, 961},
+				{443, 403}, {102, 229}, {906, 705}, {671, 671}, {867, 846}, {466, 329}, {867, 734}, {272, 1018}}},
+		{1024, 0,
+			[16]pair{{763, 994}, {454, 781}, {535, 292}, {413, 619}, {542, 446}, {660, 834}, {905, 67}, {507, 126},
+				{49, 527}, {44, 1021}, {600, 406}, {259, 542}, {766, 837}, {882, 725}, {671, 889}, {332, 162}},
+			[16]pair{{549, 934}, {430, 497}, {1, 36}, {987, 221}, {541, 355}, {839, 319}, {724, 216}, {925, 797},
+				{540, 120}, {389, 825}, {726, 214}, {590, 874}, {848, 294}, {517, 44}, {361, 630}, {509, 755}}},
+	} {
+		cfg := Config{Vertices: tc.vertices, ZipfS: tc.zipfS, Mix: Mix{Connected: 1}, Seed: 1}
+		for _, s := range []struct {
+			name string
+			gen  *Generator
+			want [16]pair
+		}{
+			{"root", NewGenerator(cfg), tc.root},
+			{"child", NewGenerator(cfg).Split(), tc.child},
+		} {
+			for i, w := range s.want {
+				op := s.gen.Next()
+				if op.Kind != "connected" || op.U != w.u || op.V != w.v {
+					t.Fatalf("vertices=%d zipf=%g %s op %d: %+v, want connected (%d, %d)",
+						tc.vertices, tc.zipfS, s.name, i, op, w.u, w.v)
+				}
+			}
 		}
 	}
 }
