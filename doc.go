@@ -146,10 +146,12 @@
 //     shard's store spans the full vertex set but holds only its owned
 //     vertices' out-arcs; the union of the per-shard CSRs is exactly
 //     the global graph. Queries scatter-gather over one pinned
-//     snapshot per shard: BFS and delta-stepping SSSP run
-//     level-synchronously with a cross-shard frontier exchange per
-//     level (results bit-identical to the single-snapshot kernels),
-//     components merge per-shard labels, stats fan out and reduce.
+//     snapshot per shard, bit-identical to the single-snapshot kernels:
+//     BFS runs level-synchronously with a cross-shard frontier exchange
+//     per level; delta-stepping SSSP and components run the single
+//     kernels' own band loop (sssp.Bands) and hook-and-compress
+//     labeling (cc.ComponentsOver) with a per-shard phase; stats fan
+//     out and reduce.
 //     The fleet is a backend of the same qserve executor, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
 //     surface. The weighted view in wcsr is partitioned, not sorted

@@ -28,7 +28,38 @@ func Components(workers int, g *csr.Graph) []uint32 {
 // when its capacity covers the vertex set — the scratch-pool path that
 // keeps repeated component queries at zero allocations.
 func ComponentsInto(workers int, g *csr.Graph, comp []uint32) []uint32 {
-	n := g.N
+	if workers != 1 {
+		return ComponentsOver(workers, []*csr.Graph{g}, comp)
+	}
+	// A one-view set on the stack: handed to ComponentsOver, whose
+	// parallel closures capture the set, it would move to the heap on
+	// every call (escape analysis is not flow-sensitive).
+	one := [1]*csr.Graph{g}
+	return componentsSerial(one[:], resetLabels(g.N, comp))
+}
+
+// ComponentsOver is ComponentsInto over a view set whose union is the
+// graph: every view spans the same vertex ids, and each arc lives in
+// exactly one of them (a shard fleet's per-shard CSRs, or one whole
+// snapshot). The hook phase scans every vertex's spans in all views, so
+// the labels are the component minima of the union, identical to
+// ComponentsInto on the merged graph.
+func ComponentsOver(workers int, views []*csr.Graph, comp []uint32) []uint32 {
+	comp = resetLabels(views[0].N, comp)
+	// Dedicated serial path at workers == 1: the parallel fan-out lives
+	// in its own function because its closures capture comp, which would
+	// otherwise move the local to the heap on every call — the pooled
+	// serving path must stay at zero allocations per query.
+	if workers == 1 {
+		return componentsSerial(views, comp)
+	}
+	componentsParallel(workers, views, comp)
+	return comp
+}
+
+// resetLabels sizes comp for n vertices and makes every vertex its own
+// label.
+func resetLabels(n int, comp []uint32) []uint32 {
 	if cap(comp) < n {
 		comp = make([]uint32, n)
 	} else {
@@ -37,48 +68,38 @@ func ComponentsInto(workers int, g *csr.Graph, comp []uint32) []uint32 {
 	for i := range comp {
 		comp[i] = uint32(i)
 	}
-	if n == 0 {
-		return comp
-	}
-	// Dedicated serial path at workers == 1: the parallel fan-out lives
-	// in its own function because its closures capture comp, which would
-	// otherwise move the local to the heap on every call (escape
-	// analysis is not flow-sensitive) — the pooled serving path must
-	// stay at zero allocations per query.
-	if workers == 1 {
-		return componentsSerial(g, comp)
-	}
-	componentsParallel(workers, g, comp)
 	return comp
 }
 
 // componentsParallel is the hook-and-compress iteration with parallel
 // fan-out per phase.
-func componentsParallel(workers int, g *csr.Graph, comp []uint32) {
-	n := g.N
+func componentsParallel(workers int, views []*csr.Graph, comp []uint32) {
+	n := len(comp)
 	for {
 		var changed atomic.Bool
 		// Hook: for every arc (u,v), point the root of the larger label
 		// at the smaller label.
 		par.ForDynamic(workers, n, 256, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
-				adj, _ := g.Neighbors(edge.ID(u))
-				cu := atomic.LoadUint32(&comp[u])
-				for _, v := range adj {
-					cv := atomic.LoadUint32(&comp[v])
-					if cu == cv {
-						continue
+				for _, g := range views {
+					adj, _ := g.Neighbors(edge.ID(u))
+					cu := atomic.LoadUint32(&comp[u])
+					for _, v := range adj {
+						cv := atomic.LoadUint32(&comp[v])
+						if cu == cv {
+							continue
+						}
+						hi32, lo32 := cu, cv
+						if hi32 < lo32 {
+							hi32, lo32 = lo32, hi32
+						}
+						// Hook root(hi) -> lo when hi is still a root; a
+						// failed CAS just defers to a later iteration.
+						if atomic.CompareAndSwapUint32(&comp[hi32], hi32, lo32) {
+							changed.Store(true)
+						}
+						cu = atomic.LoadUint32(&comp[u])
 					}
-					hi32, lo32 := cu, cv
-					if hi32 < lo32 {
-						hi32, lo32 = lo32, hi32
-					}
-					// Hook root(hi) -> lo when hi is still a root; a
-					// failed CAS just defers to a later iteration.
-					if atomic.CompareAndSwapUint32(&comp[hi32], hi32, lo32) {
-						changed.Store(true)
-					}
-					cu = atomic.LoadUint32(&comp[u])
 				}
 			}
 		})
@@ -105,27 +126,28 @@ func componentsParallel(workers int, g *csr.Graph, comp []uint32) {
 // componentsSerial is the closure-free hook-and-compress iteration; it
 // converges to the same canonical labels (the component minimum) as the
 // parallel path.
-func componentsSerial(g *csr.Graph, comp []uint32) []uint32 {
-	n := g.N
+func componentsSerial(views []*csr.Graph, comp []uint32) []uint32 {
 	for {
 		changed := false
-		for u := 0; u < n; u++ {
-			adj, _ := g.Neighbors(edge.ID(u))
-			cu := comp[u]
-			for _, v := range adj {
-				cv := comp[v]
-				if cu == cv {
-					continue
+		for _, g := range views {
+			for u := range comp {
+				adj, _ := g.Neighbors(edge.ID(u))
+				cu := comp[u]
+				for _, v := range adj {
+					cv := comp[v]
+					if cu == cv {
+						continue
+					}
+					hi, lo := cu, cv
+					if hi < lo {
+						hi, lo = lo, hi
+					}
+					if comp[hi] == hi {
+						comp[hi] = lo
+						changed = true
+					}
+					cu = comp[u]
 				}
-				hi, lo := cu, cv
-				if hi < lo {
-					hi, lo = lo, hi
-				}
-				if comp[hi] == hi {
-					comp[hi] = lo
-					changed = true
-				}
-				cu = comp[u]
 			}
 		}
 		for u := range comp {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -198,7 +199,7 @@ const MaxIngestBody = 64 << 20
 func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var wire []IngestUpdate
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&wire); err != nil {
+		if err := decodeBody(http.MaxBytesReader(w, r.Body, s.maxBody), &wire); err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				s.fail(w, v1, errTooLarge{fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)})
@@ -248,6 +249,26 @@ func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
 		// the time this reply is written.
 		writeJSON(w, IngestReply{Applied: len(wire), Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
 	}
+}
+
+// decodeBody decodes the one JSON array of updates an ingest body must
+// hold: a null body, or anything but whitespace after the array, is
+// refused rather than half-read.
+func decodeBody(body io.Reader, wire *[]IngestUpdate) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(wire); err != nil {
+		return err
+	}
+	if *wire == nil {
+		return errors.New("want a JSON array of updates, got null")
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the update array")
+		}
+		return err
+	}
+	return nil
 }
 
 // errBadRequest wraps parameter errors so httpError maps them to 400.

@@ -256,6 +256,20 @@ func TestBetweennessJobFlow(t *testing.T) {
 	}
 }
 
+func postJSON(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	return resp.StatusCode, out
+}
+
 // TestIngestBodyLimit: a body over the limit is refused with 413 in the
 // route's error framing and applies nothing; one under it still lands.
 func TestIngestBodyLimit(t *testing.T) {
@@ -265,19 +279,7 @@ func TestIngestBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post := func(path, body string) (int, map[string]any) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		return resp.StatusCode, out
-	}
+	post := func(path, body string) (int, map[string]any) { return postJSON(t, ts, path, body) }
 	arcs := mgr.Store().NumEdges()
 	big := "[" + strings.Repeat(`{"u":1,"v":2,"t":3},`, 40) + `{"u":1,"v":2,"t":3}]`
 
@@ -301,5 +303,50 @@ func TestIngestBodyLimit(t *testing.T) {
 	// Mirrored, self-loop single: three arcs.
 	if got := mgr.Store().NumEdges(); got != arcs+3 {
 		t.Fatalf("store has %d arcs after the small batch, want %d", got, arcs+3)
+	}
+}
+
+// TestIngestRefusesTrailingData: an ingest body is exactly one JSON array
+// of updates. Anything after it but whitespace, or a null body, is a 400
+// bad_request on both routes and applies nothing; a trailing newline is
+// fine.
+func TestIngestRefusesTrailingData(t *testing.T) {
+	mgr, _ := newManager(t, 8, 99)
+	ts := httptest.NewServer(NewServer(New(mgr, Config{}), true, 1).Handler())
+	defer ts.Close()
+
+	const batch = `[{"u":1,"v":2,"t":3}]`
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{batch + ` {"junk": tru`, false},
+		{batch + ` {"u":4,"v":5}`, false},
+		{batch + `[]`, false},
+		{batch + ` x`, false},
+		{batch + `]`, false},
+		{`null`, false},
+		{batch + "\n", true},
+		{" \t" + batch + " \r\n\t ", true},
+	} {
+		for _, path := range []string{"/ingest", "/v1/ingest"} {
+			arcs := mgr.Store().NumEdges()
+			code, body := postJSON(t, ts, path, tc.body)
+			if tc.ok {
+				if code != http.StatusOK || body["applied"] != 1.0 {
+					t.Fatalf("%s %q: status %d, body %v; want 200 applying 1", path, tc.body, code, body)
+				}
+				continue
+			}
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s %q: status %d (%v), want 400", path, tc.body, code, body)
+			}
+			if obj, _ := body["error"].(map[string]any); path == "/v1/ingest" && obj["code"] != "bad_request" {
+				t.Fatalf("%s %q: error body %v, want code bad_request", path, tc.body, body)
+			}
+			if got := mgr.Store().NumEdges(); got != arcs {
+				t.Fatalf("%s %q: refused body changed the store: %d arcs, was %d", path, tc.body, got, arcs)
+			}
+		}
 	}
 }

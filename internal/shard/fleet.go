@@ -19,6 +19,14 @@
 // result cache and the live path are qserve's, shared with the single
 // store.
 //
+// Fleet SSSP and components are the single-snapshot kernels' own code
+// with a per-shard phase. SSSP runs sssp.Bands, the one delta-stepping
+// band loop, and supplies only its relaxation phase: the band's batch
+// scattered by owner, each shard relaxing over its cached weighted
+// view. Components run cc.ComponentsOver, whose hook phase scans the
+// per-shard CSRs. The scatter-gather BFS and the Jacobi PageRank are
+// the fleet's own kernels.
+//
 // Contracts (relied on by the scatter-gather kernels in query.go):
 //
 //   - Per-shard epochs are independently monotone. There is no global

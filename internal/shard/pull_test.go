@@ -203,3 +203,48 @@ func TestFleetBFSAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSSSPComponentsAllocs pins the allocations of warm, uncached
+// fleet SSSP and components: the per-phase shard fan-out's closures and
+// goroutines. The cached weighted views, the levelled bucket ring and
+// the label array are reused, so nothing scales with the graph, and at
+// P=1 components take cc's closure-free serial path. P=2 SSSP measures
+// 410; the bound leaves the two more the race detector's scheduling
+// adds.
+func TestFleetSSSPComponentsAllocs(t *testing.T) {
+	n, ups := testUpdates(t, 12, 8, 11)
+	ups = stream.Mirror(ups)
+	for _, tc := range []struct {
+		p              int
+		ssspMax, ccMax float64
+	}{
+		{1, 67, 0},
+		{2, 412, 22},
+	} {
+		ex := NewExecutor(testFleet(n, tc.p, ups), qserve.Config{MaxConcurrent: 1, Undirected: true})
+		srcs := []uint32{0, 3, 97, 1000, uint32(n / 2), uint32(n - 1)}
+		for _, s := range srcs { // warm the views, buffers and ring
+			if _, err := ex.SSSP(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		sssp := testing.AllocsPerRun(30, func() {
+			if _, err := ex.SSSP(srcs[i%len(srcs)], 0); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if sssp > tc.ssspMax {
+			t.Fatalf("shards=%d: warm uncached SSSP allocates %.1f objects/op, want <= %.0f", tc.p, sssp, tc.ssspMax)
+		}
+		comps := testing.AllocsPerRun(30, func() {
+			if _, err := ex.Components(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if comps > tc.ccMax {
+			t.Fatalf("shards=%d: warm uncached components allocates %.1f objects/op, want <= %.0f", tc.p, comps, tc.ccMax)
+		}
+	}
+}

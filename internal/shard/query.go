@@ -3,6 +3,7 @@ package shard
 import (
 	"sync/atomic"
 
+	"snapdyn/internal/cc"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/frontier"
 	"snapdyn/internal/par"
@@ -16,11 +17,12 @@ const NotVisited = int32(-1)
 
 // Scratch is the reusable arena for scatter-gather queries over one
 // fleet's pinned view set: the global level/distance/label arrays, the
-// per-shard frontiers, the P×P frontier-exchange buckets, and the
-// cached per-shard weighted views for SSSP. Buffers are (re)sized on
-// use for whatever shard count and vertex count the views present. A
-// Scratch must not be shared by concurrent queries; the slices a query
-// returns are overwritten by the next query on the same Scratch.
+// per-shard frontiers, the P×P frontier-exchange buckets, and the SSSP
+// band loop with its cached per-shard weighted views. Buffers are
+// (re)sized on use for whatever shard count and vertex count the views
+// present. A Scratch must not be shared by concurrent queries; the
+// slices a query returns are overwritten by the next query on the same
+// Scratch.
 type Scratch struct {
 	// BFS state: one frontier per shard (owned vertices only) and the
 	// exchange matrix xbuf[s][d] = vertices shard s discovered that
@@ -286,74 +288,13 @@ func (sc *Scratch) pullLevel(views []*csr.Graph, depth int32) {
 	bm.Reset()
 }
 
-// Components labels weakly-connected components over the pinned views
-// with the same hook-and-compress iteration as cc.Components, the hook
-// phase fanned out by shard ownership: shard s hooks over the arcs of
-// its owned vertices (strides s, s+P, ... — exactly the spans its local
-// CSR holds), the compress phase pointer-jumps the shared label array
-// block-parallel. Both converge to the component-minimum vertex id, so
-// the returned labels are identical to the single-shard kernel's. The
-// label array is scratch-owned.
+// Components labels weakly-connected components over the pinned views:
+// cc's hook-and-compress over the view set, with one worker per shard.
+// The labels converge to the component-minimum vertex id, identical to
+// the single-shard kernel's. The label array is scratch-owned.
 func (sc *Scratch) Components(views []*csr.Graph) []uint32 {
-	p := len(views)
-	n := views[0].N
-	if cap(sc.comp) < n {
-		sc.comp = make([]uint32, n)
-	} else {
-		sc.comp = sc.comp[:n]
-	}
-	comp := sc.comp
-	par.ForBlock(p, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			comp[i] = uint32(i)
-		}
-	})
-	if n == 0 {
-		return comp
-	}
-	for {
-		var changed atomic.Bool
-		par.Workers(p, func(s int) {
-			g := views[s]
-			for u := s; u < n; u += p {
-				lo, hi := g.Offsets[u], g.Offsets[u+1]
-				if lo == hi {
-					continue
-				}
-				cu := atomic.LoadUint32(&comp[u])
-				for a := lo; a < hi; a++ {
-					cv := atomic.LoadUint32(&comp[g.Adj[a]])
-					if cu == cv {
-						continue
-					}
-					hi32, lo32 := cu, cv
-					if hi32 < lo32 {
-						hi32, lo32 = lo32, hi32
-					}
-					if atomic.CompareAndSwapUint32(&comp[hi32], hi32, lo32) {
-						changed.Store(true)
-					}
-					cu = atomic.LoadUint32(&comp[u])
-				}
-			}
-		})
-		par.ForBlock(p, n, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				c := atomic.LoadUint32(&comp[u])
-				for {
-					cc := atomic.LoadUint32(&comp[c])
-					if cc == c {
-						break
-					}
-					c = cc
-				}
-				atomic.StoreUint32(&comp[u], c)
-			}
-		})
-		if !changed.Load() {
-			return comp
-		}
-	}
+	sc.comp = cc.ComponentsOver(len(views), views, sc.comp)
+	return sc.comp
 }
 
 // Stats summarizes a pinned view set by per-shard fan-out/reduce.

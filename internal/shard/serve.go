@@ -188,8 +188,8 @@ func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args, _ bool) qcache
 	return qcache.Value{N1: -1}
 }
 
-// componentsValue labels weakly-connected components by cross-shard
-// label merge; the label array and census are pool-owned.
+// componentsValue labels weakly-connected components over the pinned
+// views; the label array and census are pool-owned.
 func (s *scratchSet) componentsValue(views []*csr.Graph, _ qserve.Args, keep bool) qcache.Value {
 	comp := s.sc.Components(views)
 	s.sizes = cc.CensusInto(1, comp, s.sizes)

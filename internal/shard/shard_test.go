@@ -127,8 +127,10 @@ func TestScatterGatherSSSPEquivalence(t *testing.T) {
 		f := testFleet(n, p, ups)
 		views := f.View(nil)
 		ssc := NewScratch()
-		// Heuristic delta (0), a tiny delta (exercises the overflow
-		// ring), and a large one (single band per relaxation wave).
+		// Heuristic delta (0), a tiny one (many sparse bands; labels stay
+		// under 1000, so the ring never overflows — see
+		// TestScatterGatherSSSPOverflow), and a large one (single band
+		// per relaxation wave).
 		for _, delta := range []int64{0, 3, 1 << 20} {
 			for _, src := range []uint32{0, uint32(n / 3)} {
 				want := sssp.Run(ref, src, sssp.Options{Workers: 2, Delta: delta, Scratch: refScratch})
@@ -138,6 +140,48 @@ func TestScatterGatherSSSPEquivalence(t *testing.T) {
 						t.Fatalf("shards=%d delta=%d src=%d: dist[%d] = %d, want %d",
 							p, delta, src, v, got[v], want[v])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestScatterGatherSSSPOverflow runs the single kernel's ring-overflow
+// graphs through fleets at delta=1: weights far past the capped ring's
+// 4096-band window spill relaxations into the overflow list, so the
+// window jump (the ring drains while overflow remains) and the sweep
+// that re-rings an overflow band before the scan can pass it both run.
+func TestScatterGatherSSSPOverflow(t *testing.T) {
+	const chain = 6000
+	shortcut := make([]edge.Edge, 0, chain+2)
+	for v := uint32(0); v < chain-1; v++ {
+		shortcut = append(shortcut, edge.Edge{U: v, V: v + 1, T: 1})
+	}
+	shortcut = append(shortcut,
+		edge.Edge{U: 0, V: chain, T: 5000},          // heavy shortcut into overflow
+		edge.Edge{U: chain, V: chain + 1, T: 1},     // its continuation
+		edge.Edge{U: chain - 1, V: chain + 1, T: 2}, // chain-side path, longer
+	)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []edge.Edge
+	}{
+		{"ring overflow", 6, []edge.Edge{
+			{U: 0, V: 1, T: 50_000}, {U: 1, V: 2, T: 120_000},
+			{U: 0, V: 3, T: 250_000}, {U: 3, V: 4, T: 2},
+			{U: 2, V: 4, T: 90_000}, {U: 0, V: 5, T: 1},
+		}},
+		{"overflow shortcut", chain + 2, shortcut},
+	} {
+		ref := csr.FromEdges(1, tc.n, tc.edges, true)
+		want := sssp.Dijkstra(ref, 0, sssp.LabelWeights)
+		ups := stream.Mirror(stream.Inserts(tc.edges))
+		for _, p := range []int{1, 2, 3} {
+			got := NewScratch().SSSP(testFleet(tc.n, p, ups).View(nil), 0, sssp.LabelWeights, 1)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s shards=%d: dist[%d] = %d, want %d", tc.name, p, v, got[v], want[v])
 				}
 			}
 		}

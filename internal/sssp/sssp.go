@@ -15,7 +15,8 @@
 // Scratch carries every reusable buffer — the distance array, the
 // cyclic bucket ring, the dedup bitmaps, and the per-worker relaxation
 // outputs — so steady-state repeated SSSP over one snapshot allocates
-// nothing.
+// nothing. The band loop is exported as Bands, driven through a Relaxer,
+// so the shard fleet runs this same loop with its own relaxation phase.
 package sssp
 
 import (

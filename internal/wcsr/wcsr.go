@@ -54,6 +54,15 @@ func (g *Graph) NumEdges() int64 { return int64(len(g.Adj)) }
 // Degree returns the out-degree of u.
 func (g *Graph) Degree(u edge.ID) int64 { return g.Offsets[u+1] - g.Offsets[u] }
 
+// Span returns the arc range of u's light prefix, or of its heavy
+// suffix when light is false.
+func (g *Graph) Span(u edge.ID, light bool) (lo, hi int64) {
+	if light {
+		return g.Offsets[u], g.LightEnd[u]
+	}
+	return g.LightEnd[u], g.Offsets[u+1]
+}
+
 // Build materializes weights for g under wf and partitions each
 // adjacency at delta. delta <= 0 picks HeuristicDelta. Panics if wf
 // produces a weight outside [0, MaxUint32].

@@ -233,9 +233,9 @@ func (v *ShardedView) ShortestPaths(src VertexID, delta int64) []int64 {
 	return dist
 }
 
-// Components labels weakly-connected components by cross-shard label
-// merge: comp[u] == comp[v] iff u and v are connected. Labels are
-// bit-identical to Snapshot.Components over the union graph.
+// Components labels weakly-connected components by hooking over every
+// shard's snapshot: comp[u] == comp[v] iff u and v are connected.
+// Labels are bit-identical to Snapshot.Components over the union graph.
 func (v *ShardedView) Components() []uint32 {
 	sc := v.scratch()
 	c := sc.Components(v.views)
