@@ -203,11 +203,15 @@ func (d *Store) TrySubmit(updates []edge.Update) (*batcher.Ack, error) {
 
 // Ingest submits and waits: the synchronous durable ingest call,
 // returning the ack epoch. It returns only after the updates are on
-// disk and applied.
+// disk and applied. An empty submission commits nothing, so its ack
+// epoch is the current one, as on the volatile path.
 func (d *Store) Ingest(updates []edge.Update) (uint64, error) {
 	a, err := d.Submit(updates)
 	if err != nil {
 		return 0, err
+	}
+	if len(updates) == 0 {
+		return d.mgr.Epoch(), nil
 	}
 	return a.Epoch(), a.Err()
 }

@@ -153,6 +153,31 @@ func TestReadYourWrites(t *testing.T) {
 	t.Fatal("acked arc not visible at the ack epoch: read-your-writes broken")
 }
 
+// TestIngestEmptyReturnsCurrentEpoch: an empty batch commits nothing,
+// so its ack is the current published epoch, as on the volatile path;
+// an ack of 0 would read as older than any snapshot a client has seen.
+func TestIngestEmptyReturnsCurrentEpoch(t *testing.T) {
+	d, _, err := Open(testN, 2, nil, nil, Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	mgr := d.Manager()
+	for round := 0; round < 2; round++ {
+		e, err := d.Ingest(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur := mgr.Epoch(); e != cur || e == 0 {
+			t.Fatalf("round %d: empty batch acked epoch %d, current is %d", round, e, cur)
+		}
+		if _, err := d.Ingest(randUpdates(rand.New(rand.NewSource(int64(round))), 10)); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Refresh(1)
+	}
+}
+
 func TestVertexCountMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	d, _, err := Open(testN, 2, nil, randUpdates(rand.New(rand.NewSource(2)), 20), Config{Dir: dir})

@@ -4,12 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
-
-	"snapdyn/internal/edge"
 )
 
 // Server exposes a query Engine over HTTP/JSON — the snapserve
@@ -120,14 +117,6 @@ func (s *Server) fail(w http.ResponseWriter, v1 bool, err error) {
 	httpError(w, err)
 }
 
-// IngestUpdate is the wire form of one structural update.
-type IngestUpdate struct {
-	U  uint32 `json:"u"`
-	V  uint32 `json:"v"`
-	T  uint32 `json:"t"`
-	Op string `json:"op"` // "insert" (default) or "delete"
-}
-
 // IngestReply acknowledges a batch.
 type IngestReply struct {
 	Applied   int    `json:"applied"`
@@ -198,48 +187,15 @@ const MaxIngestBody = 64 << 20
 // selects structured error bodies.
 func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var wire []IngestUpdate
-		if err := decodeBody(http.MaxBytesReader(w, r.Body, s.maxBody), &wire); err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				s.fail(w, v1, errTooLarge{fmt.Errorf("body exceeds %d bytes", tooLarge.Limit)})
-				return
-			}
-			s.fail(w, v1, badParam("body", err))
+		buf := ingestPool.Get().(*ingestBuf)
+		defer putIngestBuf(buf)
+		applied, err := decodeIngest(http.MaxBytesReader(w, r.Body, s.maxBody),
+			uint32(s.eng.NumVertices()), s.undirected, buf)
+		if err != nil {
+			s.fail(w, v1, err)
 			return
 		}
-		n := uint32(s.eng.NumVertices())
-		// Sized once for the mirrored batch: each update followed by
-		// its mirror, self-loops single (stream.Mirror's order).
-		size := len(wire)
-		if s.undirected {
-			size *= 2
-		}
-		batch := make([]edge.Update, 0, size)
-		for i, u := range wire {
-			// Reject out-of-range endpoints up front: past this point the
-			// store trusts its indices, so a bad vertex would corrupt or
-			// crash the shared structure, not just this request.
-			if u.U >= n || u.V >= n {
-				s.fail(w, v1, badParam("updates",
-					fmt.Errorf("update %d: vertex out of range [0,%d): %d->%d", i, n, u.U, u.V)))
-				return
-			}
-			op := edge.Insert
-			switch u.Op {
-			case "", "insert", "ins":
-			case "delete", "del":
-				op = edge.Delete
-			default:
-				s.fail(w, v1, badParam("op", fmt.Errorf("unknown op %q", u.Op)))
-				return
-			}
-			batch = append(batch, edge.Update{Edge: edge.Edge{U: u.U, V: u.V, T: u.T}, Op: op})
-			if s.undirected && u.U != u.V {
-				batch = append(batch, edge.Update{Edge: edge.Edge{U: u.V, V: u.U, T: u.T}, Op: op})
-			}
-		}
-		epoch, err := s.eng.Ingest(s.ingestWorkers, batch)
+		epoch, err := s.eng.Ingest(s.ingestWorkers, buf.batch)
 		if err != nil {
 			s.fail(w, v1, err)
 			return
@@ -247,28 +203,8 @@ func (s *Server) ingestHandler(v1 bool) http.HandlerFunc {
 		// Epoch is the ack epoch: pass it back as minEpoch on a query to
 		// read your writes. On the durable path the updates are fsynced by
 		// the time this reply is written.
-		writeJSON(w, IngestReply{Applied: len(wire), Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
+		writeJSON(w, IngestReply{Applied: applied, Epoch: epoch, Staleness: s.eng.Metrics().Staleness})
 	}
-}
-
-// decodeBody decodes the one JSON array of updates an ingest body must
-// hold: a null body, or anything but whitespace after the array, is
-// refused rather than half-read.
-func decodeBody(body io.Reader, wire *[]IngestUpdate) error {
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(wire); err != nil {
-		return err
-	}
-	if *wire == nil {
-		return errors.New("want a JSON array of updates, got null")
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			err = errors.New("trailing data after the update array")
-		}
-		return err
-	}
-	return nil
 }
 
 // errBadRequest wraps parameter errors so httpError maps them to 400.

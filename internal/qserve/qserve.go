@@ -231,7 +231,9 @@ type Engine interface {
 	// group-commit WAL — returning the ack epoch: the snapshot epoch
 	// guaranteed to contain the batch. On the durable path the call
 	// returns only after the batch is fsynced and applied; an error
-	// means nothing was acknowledged.
+	// means nothing was acknowledged. The batch is the caller's again
+	// once Ingest returns (the HTTP handler reuses it): nothing may
+	// retain it.
 	Ingest(workers int, batch []edge.Update) (uint64, error)
 	// WaitEpoch blocks until the published epoch reaches min (timeout
 	// <= 0 waits forever), returning the epoch observed — the
