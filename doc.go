@@ -22,16 +22,18 @@
 //     unused. Serial steady-state traversals over a reused
 //     Scratch/Result pair allocate nothing at all.
 //   - Dynamic graph kernels, all riding that one engine: a
-//     parent-pointer link-cut forest for connectivity queries (spanning
-//     forests via the multi-source engine), parallel level-synchronous
-//     (temporal) BFS, early-terminating st-connectivity, temporal
-//     reachability (relaxation hooks), induced subgraph extraction by
-//     time interval, parallel connected components with a parallel
-//     census, and the centrality indices — (temporal) betweenness and
-//     stress assemble the Brandes shortest-path DAG through the
-//     engine's arc hooks, closeness needs only its level-count hook —
-//     so the direction-optimizing strategy accelerates centrality
-//     exactly as it does BFS (BCOptions.Strategy, BFSDirectionOpt).
+//     parent-pointer link-cut forest for connectivity queries
+//     (internal/dynconn; spanning forests via the multi-source engine,
+//     the same forest the live index keeps up to date), parallel
+//     level-synchronous (temporal) BFS, early-terminating
+//     st-connectivity, temporal reachability (relaxation hooks),
+//     induced subgraph extraction by time interval, parallel connected
+//     components with a parallel census, and the centrality indices —
+//     (temporal) betweenness and stress assemble the Brandes
+//     shortest-path DAG through the engine's arc hooks, closeness needs
+//     only its level-count hook — so the direction-optimizing strategy
+//     accelerates centrality exactly as it does BFS (BCOptions.Strategy,
+//     BFSDirectionOpt).
 //   - Weighted single-source shortest paths (the paper's hardest
 //     future-work kernel): parallel delta-stepping over a
 //     weight-materialized CSR view (internal/wcsr) that computes and

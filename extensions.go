@@ -11,7 +11,6 @@ import (
 	"snapdyn/internal/cluster"
 	"snapdyn/internal/compress"
 	"snapdyn/internal/dynconn"
-	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/reorder"
 	"snapdyn/internal/sssp"
 	"snapdyn/internal/traversal"
@@ -107,7 +106,7 @@ type DynamicConnectivity struct {
 // NewDynamicConnectivity creates an empty index over n vertices backed
 // by the hybrid representation.
 func NewDynamicConnectivity(n int) *DynamicConnectivity {
-	return &DynamicConnectivity{x: dynconn.New(n, dyngraph.NewHybrid(n, 8*n, 0, 1))}
+	return &DynamicConnectivity{x: dynconn.New(n)}
 }
 
 // InsertEdge adds the undirected edge {u, v} at time t.

@@ -124,23 +124,29 @@ func New(n int, opts ...Option) *Graph {
 	for _, f := range opts {
 		f(&o)
 	}
+	return &Graph{store: dyngraph.NewTracked(o.store(n, o.expectedEdges, o.seed)), undirected: o.undirected}
+}
+
+// store builds the selected representation over n vertices, sized for
+// expectedEdges arcs, with treap priorities drawn from seed.
+func (o *Options) store(n, expectedEdges int, seed uint64) dyngraph.Store {
 	var s dyngraph.Store
 	switch o.rep {
 	case RepDynArr:
-		s = dyngraph.NewDynArr(n, o.expectedEdges)
+		s = dyngraph.NewDynArr(n, expectedEdges)
 	case RepTreaps:
-		s = dyngraph.NewTreapStore(n, o.seed)
+		s = dyngraph.NewTreapStore(n, seed)
 	case RepVpart:
-		s = dyngraph.NewVpart(n, o.expectedEdges)
+		s = dyngraph.NewVpart(n, expectedEdges)
 	case RepEpart:
-		s = dyngraph.NewEpart(n, o.expectedEdges, 0)
+		s = dyngraph.NewEpart(n, expectedEdges, 0)
 	default:
-		s = dyngraph.NewHybrid(n, o.expectedEdges, o.degreeThresh, o.seed)
+		s = dyngraph.NewHybrid(n, expectedEdges, o.degreeThresh, seed)
 	}
 	if o.batched {
 		s = dyngraph.NewBatched(s)
 	}
-	return &Graph{store: dyngraph.NewTracked(s), undirected: o.undirected}
+	return s
 }
 
 // Representation returns the name of the backing structure.

@@ -16,9 +16,9 @@ import (
 
 	"snapdyn/internal/centrality"
 	"snapdyn/internal/csr"
+	"snapdyn/internal/dynconn"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
-	"snapdyn/internal/lct"
 	"snapdyn/internal/par"
 	"snapdyn/internal/rmat"
 	"snapdyn/internal/sssp"
@@ -295,9 +295,7 @@ func Fig7LCTBuild(cfg Config) *timing.Table {
 	}
 	strat := cfg.strategy()
 	for _, w := range cfg.workers() {
-		var f *lct.Forest
-		secs := timing.Time(func() { f = lct.BuildStrategy(w, g, strat) })
-		_ = f
+		secs := timing.Time(func() { dynconn.BuildStrategy(w, g, strat) })
 		t.Add(timing.Measurement{Label: cfg.engineLabel("lct-build"), Workers: w, Ops: g.NumEdges(), Seconds: secs})
 	}
 	return t
@@ -312,7 +310,7 @@ func Fig8Queries(cfg Config, numQueries int) *timing.Table {
 	}
 	edges := cfg.generate()
 	g := csr.FromEdges(0, cfg.n(), edges, true)
-	f := lct.Build(0, g)
+	f := dynconn.Build(0, g)
 	queries := randomQueries(cfg, numQueries)
 	results := make([]bool, len(queries))
 	t := &timing.Table{
@@ -326,12 +324,12 @@ func Fig8Queries(cfg Config, numQueries int) *timing.Table {
 	return t
 }
 
-func randomQueries(cfg Config, k int) []lct.Query {
+func randomQueries(cfg Config, k int) []dynconn.Query {
 	r := xrand.New(cfg.Seed + 8)
 	n := uint32(cfg.n())
-	qs := make([]lct.Query, k)
+	qs := make([]dynconn.Query, k)
 	for i := range qs {
-		qs[i] = lct.Query{U: r.Uint32n(n), V: r.Uint32n(n)}
+		qs[i] = dynconn.Query{U: r.Uint32n(n), V: r.Uint32n(n)}
 	}
 	return qs
 }

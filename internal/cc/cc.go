@@ -4,8 +4,8 @@
 // neighbors, then pointer-jump until the label forest flattens. On
 // low-diameter small-world graphs the iteration count is small.
 //
-// The component labeling feeds link-cut-tree forest construction
-// (internal/lct) and component census queries.
+// The component labeling feeds link-cut forest construction
+// (dynconn.Build) and component census queries.
 package cc
 
 import (

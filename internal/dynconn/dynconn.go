@@ -4,10 +4,21 @@
 // recompute from scratch.
 //
 // The structure combines the paper's two building blocks: a dynamic
-// adjacency store holding the actual multigraph, and a parent-pointer
-// link-cut forest (as in internal/lct) holding one spanning tree per
-// component. The forest never copies the adjacency; it reads it. There
-// are two owners of that adjacency:
+// adjacency store holding the actual multigraph, and a Forest holding
+// one spanning tree per component. The paper deliberately rejects
+// self-adjusting (splay-based) link-cut trees for that forest: "a
+// straightforward implementation ... would be to store with each vertex
+// a pointer to its parent. This supports link, cut, and parent in
+// constant time, but the findroot operation would require a worst-case
+// traversal of O(n) vertices ... for low-diameter graphs such as
+// small-world networks, this operation just requires a small number of
+// hops, as the height of the tree is small." A Forest is that
+// parent-pointer array plus child lists; Build constructs one for a
+// static snapshot (parallel components, then one multi-source parallel
+// BFS), and an Index keeps one up to date under churn.
+//
+// The index's forest never copies the adjacency; it reads it. There are
+// two owners of that adjacency:
 //
 //   - a view (NewView): the store belongs to someone else — the served
 //     store of a snapshot pipeline, which already holds every undirected
@@ -49,14 +60,10 @@ package dynconn
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
 )
-
-// noParent marks a forest root in the parent array.
-const noParent = ^uint32(0)
 
 // Reader is the part of an adjacency store the forest reads: every
 // dyngraph.Store is one. Has and Neighbors must see both arcs of an
@@ -72,22 +79,21 @@ type Neighbors func(u edge.ID, fn func(v edge.ID, t uint32) bool)
 
 // Index maintains connectivity over an undirected dynamic multigraph.
 // Methods are not safe for concurrent mutation; queries (Connected,
-// FindRoot) may run concurrently with each other but not with updates.
-// A viewed store may be written concurrently with any of them.
+// Labels, ComponentCount) may run concurrently with each other but not
+// with updates. A viewed store may be written concurrently with any of
+// them.
 type Index struct {
 	g   Reader
 	own dyngraph.Store // the private store (g itself) under New; nil for a view
 
-	// parent is the spanning forest (link-cut tree as a flat parent
-	// array, as in internal/lct); an arc (u, parent[u]) is a tree edge
-	// by definition. child/next/prev thread each vertex's children into
-	// a doubly linked list so a half of a cut tree can be enumerated
-	// without the store.
-	parent, child, next, prev []uint32
+	// f is the spanning forest; its child lists let a half of a cut
+	// tree be enumerated without the store. It is a field, not
+	// embedded, so Forest's raw Link and Cut, which know nothing of the
+	// store, are not methods of the index.
+	f Forest
 	// size[r] is the vertex count of the tree rooted at r (read at roots
 	// only).
-	size      []uint32
-	treeEdges int64
+	size []uint32
 	// edges counts live undirected edges of an owned store (self-loops
 	// count once); a view does not know it.
 	edges int64
@@ -107,16 +113,11 @@ type Index struct {
 	visit func(v edge.ID, t uint32) bool
 }
 
-// New creates an index that owns its store (the store must be empty;
-// use InsertEdge or Seed to populate). A nil store defaults to the
-// hybrid representation.
-func New(n int, store dyngraph.Store) *Index {
-	if store == nil {
-		store = dyngraph.NewHybrid(n, 8*n, 0, 1)
-	}
-	if store.NumVertices() != n || store.NumEdges() != 0 {
-		panic("dynconn: store must be empty and sized to n")
-	}
+// New creates an index over n vertices that owns a private store of
+// the hybrid representation, initially empty; use InsertEdge or Seed
+// to populate it.
+func New(n int) *Index {
+	store := dyngraph.NewHybrid(n, 8*n, 0, 1)
 	x := NewView(n, store)
 	x.own = store
 	return x
@@ -128,13 +129,10 @@ func New(n int, store dyngraph.Store) *Index {
 // applies.
 func NewView(n int, g Reader) *Index {
 	x := &Index{
-		g:      g,
-		parent: make([]uint32, n),
-		child:  make([]uint32, n),
-		next:   make([]uint32, n),
-		prev:   make([]uint32, n),
-		size:   make([]uint32, n),
-		mark:   make([]uint32, n),
+		g:    g,
+		f:    *NewForest(n),
+		size: make([]uint32, n),
+		mark: make([]uint32, n),
 	}
 	x.reset()
 	x.visit = x.visitArc
@@ -143,46 +141,42 @@ func NewView(n int, g Reader) *Index {
 
 // reset makes every vertex its own tree.
 func (x *Index) reset() {
-	for _, a := range [][]uint32{x.parent, x.child, x.next, x.prev} {
-		for i := range a {
-			a[i] = noParent
-		}
-	}
+	x.f.reset()
 	for i := range x.size {
 		x.size[i] = 1
 	}
-	x.treeEdges = 0
 }
 
 // NumVertices returns the vertex-set size.
-func (x *Index) NumVertices() int { return len(x.parent) }
+func (x *Index) NumVertices() int { return x.f.Size() }
 
 // NumEdges returns the number of live undirected edges in an owned
 // store (0 for a view).
 func (x *Index) NumEdges() int64 { return x.edges }
 
-// TreeEdges returns the current spanning-forest size (diagnostic).
-func (x *Index) TreeEdges() int64 { return x.treeEdges }
-
-// FindRoot walks to the representative of v's component.
-func (x *Index) FindRoot(v edge.ID) edge.ID {
-	for x.parent[v] != noParent {
-		v = x.parent[v]
-	}
-	return v
-}
+// TreeEdges returns the current spanning-forest size (diagnostic,
+// O(n)).
+func (x *Index) TreeEdges() int { return x.f.Size() - x.f.ComponentCount() }
 
 // Connected reports whether u and v are currently connected.
-func (x *Index) Connected(u, v edge.ID) bool {
-	return x.FindRoot(u) == x.FindRoot(v)
-}
+func (x *Index) Connected(u, v edge.ID) bool { return x.f.Connected(u, v) }
+
+// ComponentCount counts the forest's trees, isolated vertices included
+// (diagnostic, O(n)).
+func (x *Index) ComponentCount() int { return x.f.ComponentCount() }
+
+// Labels writes each vertex's tree root into dst (grown to n): the
+// forest's partition, for comparison against a static labelling.
+func (x *Index) Labels(dst []uint32) []uint32 { return x.f.Labels(dst) }
 
 // Seed rebuilds the forest with one BFS: every vertex not yet reached
 // roots a tree and each vertex's parent is the vertex that discovered
 // it. A view seeds from nb, which must enumerate the same arcs the
 // store holds (a snapshot of it, translated to store ids); an owning
 // index first loads every arc nb enumerates into its store as one
-// undirected edge and then searches the store.
+// undirected edge and then searches the store. The BFS is serial and
+// reads only nb, not a CSR as Build does, so it seeds from reordered,
+// compressed and fleet views alike.
 func (x *Index) Seed(nb Neighbors) {
 	var u edge.ID
 	if x.own != nil {
@@ -190,7 +184,7 @@ func (x *Index) Seed(nb Neighbors) {
 			x.insertArcs(u, v, t)
 			return true
 		}
-		for i := range x.parent {
+		for i := range x.f.parent {
 			u = edge.ID(i)
 			nb(u, load)
 		}
@@ -202,12 +196,12 @@ func (x *Index) Seed(nb Neighbors) {
 	discover := func(v edge.ID, _ uint32) bool {
 		if x.mark[v] != ep {
 			x.mark[v] = ep
-			x.attach(v, u)
+			x.f.attach(v, u)
 			q = append(q, v)
 		}
 		return true
 	}
-	for s := range x.parent {
+	for s := range x.f.parent {
 		if x.mark[s] == ep {
 			continue
 		}
@@ -218,7 +212,6 @@ func (x *Index) Seed(nb Neighbors) {
 			nb(u, discover)
 		}
 		x.size[s] = uint32(len(q))
-		x.treeEdges += int64(len(q) - 1)
 	}
 	x.queue[0] = q
 }
@@ -281,16 +274,16 @@ func (x *Index) Apply(batch []edge.Update) {
 func (x *Index) reconcile(u, v edge.ID) {
 	switch {
 	case u == v:
-	case x.parent[u] == v:
+	case x.f.parent[u] == v:
 		if !x.g.Has(u, v) {
 			x.cut(u)
 		}
-	case x.parent[v] == u:
+	case x.f.parent[v] == u:
 		if !x.g.Has(u, v) {
 			x.cut(v)
 		}
 	default:
-		ru, rv := x.FindRoot(u), x.FindRoot(v)
+		ru, rv := x.f.FindRoot(u), x.f.FindRoot(v)
 		if ru != rv && x.g.Has(u, v) {
 			x.link(u, v, ru, rv)
 		}
@@ -309,51 +302,8 @@ func (x *Index) link(u, v, ru, rv edge.ID) {
 
 // hang re-roots u's tree at u and makes it v's child.
 func (x *Index) hang(u, v edge.ID) {
-	x.reroot(u)
-	x.attach(u, v)
-	x.treeEdges++
-}
-
-// attach makes root c a child of p.
-func (x *Index) attach(c, p uint32) {
-	x.parent[c] = p
-	h := x.child[p]
-	x.next[c], x.prev[c] = h, noParent
-	if h != noParent {
-		x.prev[h] = c
-	}
-	x.child[p] = c
-}
-
-// detach makes c, which has a parent, a root.
-func (x *Index) detach(c uint32) {
-	p, pr, nx := x.parent[c], x.prev[c], x.next[c]
-	if pr != noParent {
-		x.next[pr] = nx
-	} else {
-		x.child[p] = nx
-	}
-	if nx != noParent {
-		x.prev[nx] = pr
-	}
-	x.parent[c] = noParent
-}
-
-// reroot makes v the root of its tree by reversing the parent pointers
-// on the v-to-root path (O(height), and heights stay small on
-// small-world components).
-func (x *Index) reroot(v edge.ID) {
-	prev := noParent
-	for cur := v; cur != noParent; {
-		next := x.parent[cur]
-		if next != noParent {
-			x.detach(cur)
-		}
-		if prev != noParent {
-			x.attach(cur, prev)
-		}
-		prev, cur = cur, next
-	}
+	x.f.reroot(u)
+	x.f.attach(u, v)
 }
 
 // nextEpoch reserves two fresh mark values (one per search half).
@@ -374,10 +324,9 @@ func (x *Index) nextEpoch() uint32 {
 // into the other half, which is linked, or when a half runs out of
 // vertices, which then stays split off.
 func (x *Index) cut(child edge.ID) {
-	top := x.FindRoot(x.parent[child])
+	top := x.f.FindRoot(x.f.parent[child])
 	total := x.size[top]
-	x.detach(child)
-	x.treeEdges--
+	x.f.detach(child)
 
 	ep := x.nextEpoch()
 	x.roots = [2]uint32{child, top}
@@ -400,7 +349,7 @@ func (x *Index) cut(child edge.ID) {
 		}
 		w := x.queue[s][x.head[s]]
 		x.head[s]++
-		for c := x.child[w]; c != noParent; c = x.next[c] {
+		for c := x.f.child[w]; c != noParent; c = x.f.next[c] {
 			x.mark[c] = ep + uint32(s)
 			x.queue[s] = append(x.queue[s], c)
 			x.work[s]++
@@ -427,7 +376,7 @@ func (x *Index) visitArc(v edge.ID, _ uint32) bool {
 		return true
 	case x.epoch + uint32(1-s):
 	default:
-		if x.FindRoot(v) != x.roots[1-s] {
+		if x.f.FindRoot(v) != x.roots[1-s] {
 			return true
 		}
 	}
@@ -435,68 +384,26 @@ func (x *Index) visitArc(v edge.ID, _ uint32) bool {
 	return false
 }
 
-// ComponentCount walks the forest and counts roots of non-empty trees
-// plus isolated vertices (diagnostic, O(n)).
-func (x *Index) ComponentCount() int {
-	c := 0
-	for v := range x.parent {
-		if x.parent[v] == noParent {
-			c++
-		}
-	}
-	return c
-}
-
-// Labels writes each vertex's tree root into dst (grown to n): the
-// forest's partition, for comparison against a static labelling.
-func (x *Index) Labels(dst []uint32) []uint32 {
-	dst = slices.Grow(dst[:0], len(x.parent))[:len(x.parent)]
-	for v := range x.parent {
-		dst[v] = x.FindRoot(edge.ID(v))
-	}
-	return dst
-}
-
-// CheckInvariants verifies structural sanity: the forest is acyclic,
-// the child lists hold exactly the parent pointers, every root's size
-// counts its tree, and every tree edge exists in the store. Used by
-// tests; O(n·height).
+// CheckInvariants verifies structural sanity: the forest's own check
+// (acyclic, child lists hold exactly the parent pointers), every root's
+// size counts its tree, and every tree edge exists in the store. Used
+// by tests; O(n·height).
 func (x *Index) CheckInvariants() error {
-	n := len(x.parent)
-	sizes := make([]uint32, n)
-	for v := 0; v < n; v++ {
-		// Acyclicity: walking up must terminate within n hops.
-		hops := 0
-		cur := uint32(v)
-		for x.parent[cur] != noParent {
-			cur = x.parent[cur]
-			hops++
-			if hops > n {
-				return fmt.Errorf("dynconn: cycle through vertex %d", v)
-			}
+	if err := x.f.check(); err != nil {
+		return err
+	}
+	roots := x.f.Labels(nil)
+	sizes := make([]uint32, len(roots))
+	for _, r := range roots {
+		sizes[r]++
+	}
+	for v, p := range x.f.parent {
+		if p == noParent && x.size[v] != sizes[v] {
+			return fmt.Errorf("dynconn: root %d records size %d, its tree has %d", v, x.size[v], sizes[v])
 		}
-		sizes[cur]++
-		// Tree edges must be live in the store.
-		if p := x.parent[v]; p != noParent && !x.g.Has(edge.ID(v), p) {
+		if p != noParent && !x.g.Has(edge.ID(v), p) {
 			return fmt.Errorf("dynconn: tree edge (%d,%d) missing from store", v, p)
 		}
-	}
-	listed := 0
-	for p := 0; p < n; p++ {
-		if x.parent[p] == noParent && x.size[p] != sizes[p] {
-			return fmt.Errorf("dynconn: root %d records size %d, its tree has %d", p, x.size[p], sizes[p])
-		}
-		for c := x.child[p]; c != noParent; c = x.next[c] {
-			if x.parent[c] != uint32(p) {
-				return fmt.Errorf("dynconn: %d listed as a child of %d, parent %d", c, p, x.parent[c])
-			}
-			if listed++; listed > n {
-				return fmt.Errorf("dynconn: child lists cycle")
-			}
-		}
-	}
-	if int64(listed) != x.treeEdges {
-		return fmt.Errorf("dynconn: %d listed children, %d tree edges", listed, x.treeEdges)
 	}
 	return nil
 }

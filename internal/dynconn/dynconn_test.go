@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/rmat"
 	"snapdyn/internal/xrand"
 )
@@ -97,7 +96,7 @@ func (o *naive) components() int {
 }
 
 func TestInsertJoinsComponents(t *testing.T) {
-	x := New(6, nil)
+	x := New(6)
 	if x.Connected(0, 1) {
 		t.Fatal("fresh vertices connected")
 	}
@@ -119,7 +118,7 @@ func TestInsertJoinsComponents(t *testing.T) {
 }
 
 func TestNonTreeInsertKeepsForest(t *testing.T) {
-	x := New(4, nil)
+	x := New(4)
 	x.InsertEdge(0, 1, 1)
 	x.InsertEdge(1, 2, 2)
 	before := x.TreeEdges()
@@ -133,7 +132,7 @@ func TestNonTreeInsertKeepsForest(t *testing.T) {
 }
 
 func TestDeleteNonTreeEdge(t *testing.T) {
-	x := New(4, nil)
+	x := New(4)
 	x.InsertEdge(0, 1, 1)
 	x.InsertEdge(1, 2, 2)
 	x.InsertEdge(0, 2, 3)
@@ -146,7 +145,7 @@ func TestDeleteNonTreeEdge(t *testing.T) {
 }
 
 func TestDeleteTreeEdgeWithReplacement(t *testing.T) {
-	x := New(4, nil)
+	x := New(4)
 	x.InsertEdge(0, 1, 1) // tree
 	x.InsertEdge(1, 2, 2) // tree
 	x.InsertEdge(0, 2, 3) // cycle
@@ -162,7 +161,7 @@ func TestDeleteTreeEdgeWithReplacement(t *testing.T) {
 }
 
 func TestDeleteTreeEdgeSplits(t *testing.T) {
-	x := New(4, nil)
+	x := New(4)
 	x.InsertEdge(0, 1, 1)
 	x.InsertEdge(1, 2, 2)
 	if !x.DeleteEdge(1, 2) {
@@ -177,7 +176,7 @@ func TestDeleteTreeEdgeSplits(t *testing.T) {
 }
 
 func TestParallelEdgesSurviveDeletion(t *testing.T) {
-	x := New(3, nil)
+	x := New(3)
 	x.InsertEdge(0, 1, 1)
 	x.InsertEdge(0, 1, 2) // parallel copy
 	if !x.DeleteEdge(0, 1) {
@@ -195,7 +194,7 @@ func TestParallelEdgesSurviveDeletion(t *testing.T) {
 }
 
 func TestSelfLoops(t *testing.T) {
-	x := New(3, nil)
+	x := New(3)
 	x.InsertEdge(1, 1, 5)
 	if x.NumEdges() != 1 {
 		t.Fatalf("m = %d", x.NumEdges())
@@ -209,7 +208,7 @@ func TestSelfLoops(t *testing.T) {
 }
 
 func TestDeleteAbsent(t *testing.T) {
-	x := New(3, nil)
+	x := New(3)
 	if x.DeleteEdge(0, 1) {
 		t.Fatal("delete of absent edge succeeded")
 	}
@@ -219,7 +218,7 @@ func TestAgainstOracleRandomOps(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		const n = 20
 		r := xrand.New(seed)
-		x := New(n, nil)
+		x := New(n)
 		o := newNaive(n)
 		type e struct{ u, v uint32 }
 		var live []e
@@ -260,7 +259,7 @@ func TestSmallWorldChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := p.NumVertices()
-	x := New(n, dyngraph.NewHybrid(n, 4*len(edges), 0, 9))
+	x := New(n)
 	for _, e := range edges {
 		x.InsertEdge(e.U, e.V, e.T)
 	}
@@ -287,28 +286,8 @@ func TestSmallWorldChurn(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-empty store")
-		}
-	}()
-	s := dyngraph.NewDynArr(4, 8)
-	s.Insert(0, 1, 0)
-	New(4, s)
-}
-
-func TestNewSizeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mis-sized store")
-		}
-	}()
-	New(4, dyngraph.NewDynArr(8, 8))
-}
-
 func TestEdgeCountsHalved(t *testing.T) {
-	x := New(4, nil)
+	x := New(4)
 	x.InsertEdge(0, 1, 1)
 	x.InsertEdge(1, 2, 2)
 	if x.NumEdges() != 2 {

@@ -1,4 +1,4 @@
-package lct
+package dynconn
 
 import (
 	"testing"
@@ -8,11 +8,12 @@ import (
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/rmat"
+	"snapdyn/internal/traversal"
 	"snapdyn/internal/xrand"
 )
 
 func TestLinkCutBasics(t *testing.T) {
-	f := New(5)
+	f := NewForest(5)
 	if f.Size() != 5 {
 		t.Fatalf("size = %d", f.Size())
 	}
@@ -41,7 +42,7 @@ func TestLinkCutBasics(t *testing.T) {
 }
 
 func TestLinkErrors(t *testing.T) {
-	f := New(4)
+	f := NewForest(4)
 	if err := f.Link(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestLinkErrors(t *testing.T) {
 }
 
 func TestCut(t *testing.T) {
-	f := New(4)
+	f := NewForest(4)
 	_ = f.Link(1, 0)
 	_ = f.Link(2, 1)
 	_ = f.Link(3, 2)
@@ -85,14 +86,13 @@ func TestCut(t *testing.T) {
 	}
 }
 
-func TestFindRootHops(t *testing.T) {
-	f := New(4)
+func TestHeight(t *testing.T) {
+	f := NewForest(4)
 	_ = f.Link(1, 0)
 	_ = f.Link(2, 1)
 	_ = f.Link(3, 2)
-	root, hops := f.FindRootHops(3)
-	if root != 0 || hops != 3 {
-		t.Fatalf("(root,hops) = (%d,%d), want (0,3)", root, hops)
+	if f.FindRoot(3) != 0 {
+		t.Fatalf("findroot(3) = %d, want 0", f.FindRoot(3))
 	}
 	if f.Height() != 3 {
 		t.Fatalf("height = %d", f.Height())
@@ -106,12 +106,17 @@ func TestBuildFromGraph(t *testing.T) {
 		{U: 4, V: 5}, // pair
 	}
 	g := csr.FromEdges(2, 7, edges, true)
-	f := Build(4, g)
-	if !f.Connected(0, 2) || !f.Connected(4, 5) {
-		t.Fatal("in-component connectivity lost")
-	}
-	if f.Connected(0, 4) || f.Connected(3, 6) || f.Connected(5, 6) {
-		t.Fatal("cross-component connectivity invented")
+	for _, strategy := range []traversal.Strategy{traversal.TopDown, traversal.DirectionOpt} {
+		f := BuildStrategy(4, g, strategy)
+		if err := f.check(); err != nil {
+			t.Fatal(err)
+		}
+		if !f.Connected(0, 2) || !f.Connected(4, 5) {
+			t.Fatal("in-component connectivity lost")
+		}
+		if f.Connected(0, 4) || f.Connected(3, 6) || f.Connected(5, 6) {
+			t.Fatal("cross-component connectivity invented")
+		}
 	}
 }
 
@@ -120,15 +125,20 @@ func TestBuildMatchesComponents(t *testing.T) {
 	edgesL, _ := rmat.Generate(0, p)
 	g := csr.FromEdges(4, p.NumVertices(), edgesL, true)
 	comp := cc.Components(4, g)
-	f := BuildWithComponents(4, g, comp)
-	// Connectivity by forest must equal connectivity by labels for random
-	// pairs.
-	r := xrand.New(5)
-	for i := 0; i < 5000; i++ {
-		u := edge.ID(r.Uint32n(uint32(g.N)))
-		v := edge.ID(r.Uint32n(uint32(g.N)))
-		if f.Connected(u, v) != cc.SameComponent(comp, u, v) {
-			t.Fatalf("forest and labels disagree on (%d,%d)", u, v)
+	for _, strategy := range []traversal.Strategy{traversal.TopDown, traversal.DirectionOpt} {
+		f := BuildStrategy(4, g, strategy)
+		if err := f.check(); err != nil {
+			t.Fatal(err)
+		}
+		// Connectivity by forest must equal connectivity by labels for
+		// random pairs.
+		r := xrand.New(5)
+		for i := 0; i < 5000; i++ {
+			u := edge.ID(r.Uint32n(uint32(g.N)))
+			v := edge.ID(r.Uint32n(uint32(g.N)))
+			if f.Connected(u, v) != cc.SameComponent(comp, u, v) {
+				t.Fatalf("%v: forest and labels disagree on (%d,%d)", strategy, u, v)
+			}
 		}
 	}
 }
@@ -146,7 +156,7 @@ func TestBuildHeightBounded(t *testing.T) {
 }
 
 func TestConnectedBatch(t *testing.T) {
-	f := New(6)
+	f := NewForest(6)
 	_ = f.Link(1, 0)
 	_ = f.Link(2, 0)
 	_ = f.Link(4, 3)
@@ -166,7 +176,7 @@ func TestLinkCutProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		const n = 24
 		r := xrand.New(seed)
-		f := New(n)
+		f := NewForest(n)
 		parent := make([]int, n) // oracle: parent or -1
 		for i := range parent {
 			parent[i] = -1
@@ -195,6 +205,9 @@ func TestLinkCutProperty(t *testing.T) {
 					return false
 				}
 				parent[v] = -1
+			}
+			if f.check() != nil {
+				return false
 			}
 		}
 		for v := 0; v < n; v++ {

@@ -44,7 +44,7 @@ type Live struct {
 // private store. Seed it from the current snapshot (SeedView) before
 // serving.
 func NewLive(n int) *Live {
-	return &Live{idx: dynconn.New(n, nil)}
+	return &Live{idx: dynconn.New(n)}
 }
 
 // NewLiveOver returns an empty live index over n vertices whose forest

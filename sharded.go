@@ -52,24 +52,7 @@ func NewSharded(n, shards int, opts ...Option) *ShardedGraph {
 		Shards:        shards,
 		ExpectedEdges: o.expectedEdges,
 		NewStore: func(s, n, perShard int) dyngraph.Store {
-			seed := o.seed + uint64(s)
-			var st dyngraph.Store
-			switch o.rep {
-			case RepDynArr:
-				st = dyngraph.NewDynArr(n, perShard)
-			case RepTreaps:
-				st = dyngraph.NewTreapStore(n, seed)
-			case RepVpart:
-				st = dyngraph.NewVpart(n, perShard)
-			case RepEpart:
-				st = dyngraph.NewEpart(n, perShard, 0)
-			default:
-				st = dyngraph.NewHybrid(n, perShard, o.degreeThresh, seed)
-			}
-			if o.batched {
-				st = dyngraph.NewBatched(st)
-			}
-			return st
+			return o.store(n, perShard, o.seed+uint64(s))
 		},
 	})
 	return &ShardedGraph{f: f, undirected: o.undirected}

@@ -7,7 +7,7 @@ import (
 	"snapdyn/internal/centrality"
 	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
-	"snapdyn/internal/lct"
+	"snapdyn/internal/dynconn"
 	"snapdyn/internal/reorder"
 	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/subgraph"
@@ -401,7 +401,7 @@ func (s *Snapshot) LargestComponent(workers int) (rep VertexID, size int) {
 // undirected snapshots build the forest with the direction-optimizing
 // engine, directed ones fall back to top-down.
 func (s *Snapshot) Connectivity(workers int) *Connectivity {
-	return &Connectivity{f: lct.BuildStrategy(workers, s.csrView(), s.kernelStrategy(BFSDirectionOpt))}
+	return &Connectivity{f: dynconn.BuildStrategy(workers, s.csrView(), s.kernelStrategy(BFSDirectionOpt))}
 }
 
 // kernelStrategy demotes a requested engine to top-down on directed
@@ -478,11 +478,11 @@ func (s *Snapshot) SampleSources(k int, seed uint64) []VertexID {
 // concurrently with each other; Link/Cut require external serialization
 // against queries.
 type Connectivity struct {
-	f *lct.Forest
+	f *dynconn.Forest
 }
 
 // NewConnectivity returns a forest of n singleton trees.
-func NewConnectivity(n int) *Connectivity { return &Connectivity{f: lct.New(n)} }
+func NewConnectivity(n int) *Connectivity { return &Connectivity{f: dynconn.NewForest(n)} }
 
 // Connected reports whether u and v are in the same tree (two findroot
 // walks).
@@ -499,7 +499,7 @@ func (c *Connectivity) Link(v, w VertexID) error { return c.f.Link(v, w) }
 func (c *Connectivity) Cut(v VertexID) bool { return c.f.Cut(v) }
 
 // Query is one connectivity query.
-type Query = lct.Query
+type Query = dynconn.Query
 
 // ConnectedBatch answers queries in parallel into results.
 func (c *Connectivity) ConnectedBatch(workers int, queries []Query, results []bool) {
