@@ -15,8 +15,8 @@
 // requests are shed with 503 so latency stays bounded under overload.
 // Results are memoized per snapshot in a -cache-bytes budgeted cache
 // keyed by snapshot identity (0 disables): repeat queries between
-// refreshes are served from immutable cached slices without touching
-// kernel scratch, concurrent identical misses coalesce into one
+// refreshes are served from the cached reply without touching kernel
+// scratch, concurrent identical misses coalesce into one
 // execution, and a republished snapshot invalidates by identity — the
 // old generation dies with its snapshot, no scanning.
 //
@@ -120,8 +120,9 @@ type config struct {
 	// /query/connected?...&live=1 from the update stream.
 	live bool
 
-	// cacheBytes budgets the per-snapshot result cache (0 disables —
-	// every query recomputes).
+	// cacheBytes budgets the per-snapshot result cache at
+	// qcache.EntryBytes per cached reply (0 disables — every query
+	// recomputes).
 	cacheBytes int64
 
 	// walDir enables the durable ingest path: group-commit WAL +

@@ -91,9 +91,12 @@
 //     whole stack as an HTTP/JSON daemon with /ingest, /query/*,
 //     /stats, and /healthz endpoints.
 //   - A snapshot-identity result cache with singleflight coalescing
-//     (internal/qcache, snapserve -cache-bytes): query results are
-//     cached per published snapshot and N concurrent identical queries
-//     execute one kernel run. The identity-invalidation contract: the
+//     (internal/qcache, snapserve -cache-bytes): query replies — the
+//     aggregates each reply is built from, never the kernel's
+//     per-vertex output — are cached per published snapshot at a fixed
+//     256-byte charge each (about budget/256 entries: 262144 at the
+//     64 MiB default), and N concurrent identical queries execute one
+//     kernel run. The identity-invalidation contract: the
 //     cache keys its generation by the published View pointer, never
 //     by the epoch number — a no-op refresh bumps the epoch but
 //     republishes the identical pointer, so entries survive exactly as

@@ -1,9 +1,11 @@
 // Package qcache is the snapshot-identity result cache behind the
-// serving layer: immutable query results (BFS levels, SSSP distances,
-// component labels, connectivity verdicts) keyed by (snapshot identity,
-// query kind, arguments), with singleflight coalescing so N concurrent
+// serving layer: immutable query replies (the per-kind aggregates every
+// reply is built from — reached counts, depths, distances, component
+// census, connectivity verdicts) keyed by (snapshot identity, query
+// kind, arguments), with singleflight coalescing so N concurrent
 // identical queries execute the kernel once and every follower shares
-// the one immutable result.
+// the one reply. Entries hold the reply, not the kernel's per-vertex
+// output: nothing is copied out of the kernel scratch on a miss.
 //
 // Invalidation is free by construction. The RCU snapshot pipeline
 // publishes each materialization as a fresh immutable View and — the
@@ -17,16 +19,16 @@
 //
 // The hit path is allocation-free: generation match is a pointer
 // compare, lookup is one struct-keyed map read under an RWMutex, and
-// the cached Value is returned by value (slice headers only — the
-// backing arrays are shared and immutable). Misses run the caller's
+// the cached Value is returned by value. Misses run the caller's
 // compute function exactly once per key per generation; concurrent
 // callers for the same key block on the leader's completion channel
 // and share its Value (and its error, should the leader fail).
 //
-// Capacity is a byte budget over the result payloads. Inserting past
-// the budget evicts least-recently-stamped ready entries; a single
-// result larger than the whole budget is handed to its waiters but
-// never stored.
+// Capacity is a byte budget charged EntryBytes per resident entry, so
+// a budget B holds about B/EntryBytes entries (64 MiB: 262144).
+// Inserting past the budget evicts least-recently-stamped ready
+// entries; a budget smaller than one entry stores nothing (results are
+// still handed to their waiters).
 package qcache
 
 import (
@@ -55,41 +57,28 @@ type Key struct {
 	A, B uint64
 }
 
-// Value is one immutable cached result. N1/N2, F1/F2, and Flag carry
-// the reply aggregates (interpreted per kind by the caller); the
-// slices hold the full kernel output — BFS levels, SSSP distances,
-// component labels, triangle counts (Dist again), PageRank scores —
-// in the snapshot's own id space, both the evidence for bit-identity
-// verification and the payload a full-result endpoint would serve.
-// Slices are shared between the cache and every hit: they must never
-// be mutated after Store/Do returns them.
+// Value is one immutable cached reply: the aggregates every reply is
+// built from, interpreted per kind by the caller.
 type Value struct {
 	N1, N2 int64
 	F1, F2 float64
 	Flag   bool
-	Levels []int32
-	Dist   []int64
-	Labels []uint32
-	Ranks  []float64
 }
 
-// entryOverhead approximates the fixed per-entry footprint (entry
-// struct, map bucket share, channel) charged against the byte budget
-// on top of the payload slices.
-const entryOverhead = 160
-
-// bytes is the budget charge for a value.
-func (v Value) bytes() int64 {
-	return entryOverhead + 4*int64(len(v.Levels)) + 8*int64(len(v.Dist)) +
-		4*int64(len(v.Labels)) + 8*int64(len(v.Ranks))
-}
+// EntryBytes is the budget charge of one resident entry: the entry
+// struct (80 B), its completion channel (96 B), and its share of the
+// map (a 32 B key-and-pointer slot at the table's load factor and
+// growth slack, about 70 B) — 245 B of live heap per entry measured at
+// 1e3 and 1e5 entries on amd64, rounded up to 256.
+const EntryBytes = 256
 
 // Counters is a point-in-time view of cache activity. Hits are
 // lookups served from a ready entry, Coalesced are followers that
 // waited on an in-flight leader and shared its result (counted
 // separately from hits: they saved a kernel execution but not the
 // latency), Misses are leader executions, Evictions budget-forced
-// removals. Bytes is the live generation's current payload footprint.
+// removals. Bytes is the live generation's current budget charge
+// (EntryBytes per resident entry).
 type Counters struct {
 	Hits      uint64
 	Misses    uint64
@@ -113,8 +102,9 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
-// New returns a cache with the given payload byte budget, or nil (the
-// disabled cache) when budget <= 0.
+// New returns a cache with the given byte budget (about
+// budget/EntryBytes entries), or nil (the disabled cache) when
+// budget <= 0.
 func New(budget int64) *Cache {
 	if budget <= 0 {
 		return nil
@@ -144,7 +134,8 @@ func (c *Cache) Counters() Counters {
 
 // Current returns the live generation (nil on a nil or never-used
 // cache) — the observation hook the bit-identity hammer verifies
-// entries through.
+// entries through: it recomputes each entry's kernel on the
+// generation's pinned snapshot and compares the reply aggregates.
 func (c *Cache) Current() *Gen {
 	if c == nil {
 		return nil
@@ -174,12 +165,11 @@ type Gen struct {
 // entry is one keyed slot: in-flight until done is closed, ready (or
 // failed) after.
 type entry struct {
-	seq    atomic.Uint64 // last-use stamp, for eviction
-	done   chan struct{}
-	val    Value
-	err    error
-	ready  bool
-	gbytes int64 // budget charge while resident (0 = not resident)
+	seq   atomic.Uint64 // last-use stamp, for eviction
+	done  chan struct{}
+	val   Value
+	err   error
+	ready bool
 }
 
 // ID returns the single-snapshot identity the generation serves (nil
@@ -320,17 +310,14 @@ func (g *Gen) Do(k Key, fn func() (Value, error)) (Value, error) {
 	g.mu.Lock()
 	e.val, e.err = val, err
 	e.ready = true
-	if err != nil {
+	switch {
+	case err != nil:
 		delete(g.entries, k) // release the key; next caller retries
-	} else {
-		b := val.bytes()
-		if b > g.c.budget {
-			delete(g.entries, k) // larger than the whole budget: serve, don't store
-		} else {
-			e.gbytes = b
-			g.bytes += b
-			g.evictOver()
-		}
+	case EntryBytes > g.c.budget:
+		delete(g.entries, k) // budget below one entry: serve, don't store
+	default:
+		g.bytes += EntryBytes
+		g.evictOver()
 	}
 	g.mu.Unlock()
 	close(e.done)
@@ -344,11 +331,10 @@ func (g *Gen) Store(k Key, val Value) {
 	if g == nil {
 		return
 	}
-	b := val.bytes()
-	if b > g.c.budget {
+	if EntryBytes > g.c.budget {
 		return
 	}
-	e := &entry{val: val, ready: true, gbytes: b}
+	e := &entry{val: val, ready: true}
 	e.seq.Store(g.c.clock.Add(1))
 	close2 := make(chan struct{})
 	close(close2)
@@ -356,7 +342,7 @@ func (g *Gen) Store(k Key, val Value) {
 	g.mu.Lock()
 	if _, dup := g.entries[k]; !dup {
 		g.entries[k] = e
-		g.bytes += b
+		g.bytes += EntryBytes
 		g.evictOver()
 	}
 	g.mu.Unlock()
@@ -372,7 +358,7 @@ func (g *Gen) evictOver() {
 		var ve *entry
 		var vseq uint64
 		for k, e := range g.entries {
-			if !e.ready || e.gbytes == 0 {
+			if !e.ready {
 				continue // never evict in-flight leaders
 			}
 			if s := e.seq.Load(); ve == nil || s < vseq {
@@ -383,7 +369,7 @@ func (g *Gen) evictOver() {
 			return
 		}
 		delete(g.entries, victim)
-		g.bytes -= ve.gbytes
+		g.bytes -= EntryBytes
 		g.c.evictions.Add(1)
 	}
 }
@@ -398,9 +384,8 @@ func (g *Gen) Len() int {
 	return len(g.entries)
 }
 
-// Range calls fn for every ready entry. The Value's slices are the
-// shared immutable backing arrays — callers may read and retain but
-// must never mutate them. fn returning false stops the walk. Range
+// Range calls fn for every ready entry; fn returning false stops the
+// walk. Range
 // snapshots the entry set under the read lock, then runs fn unlocked,
 // so a slow verifier never stalls inserts.
 func (g *Gen) Range(fn func(Key, Value) bool) {

@@ -43,6 +43,9 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	g.Range(func(Key, Value) bool { t.Fatal("nil gen Range called fn"); return false })
 }
 
+// TestHitMissAndSharedBacking pins the miss-then-hit cycle: the leader
+// computes once, and every later Lookup or Do returns the very reply
+// it stored, charged EntryBytes.
 func TestHitMissAndSharedBacking(t *testing.T) {
 	c := New(1 << 20)
 	id := new(int)
@@ -52,28 +55,25 @@ func TestHitMissAndSharedBacking(t *testing.T) {
 	if _, ok := g.Lookup(k); ok {
 		t.Fatal("lookup hit on empty generation")
 	}
-	levels := []int32{0, 1, 2, -1}
+	want := Value{N1: 3, N2: 2, F1: 0.5, F2: 1.5, Flag: true}
 	calls := 0
 	v, err := g.Do(k, func() (Value, error) {
 		calls++
-		return Value{N1: 3, Levels: levels}, nil
+		return want, nil
 	})
 	if err != nil || calls != 1 {
 		t.Fatalf("Do = err %v, calls %d", err, calls)
 	}
-	if &v.Levels[0] != &levels[0] {
-		t.Fatal("leader's value does not share the computed backing array")
+	if v != want {
+		t.Fatalf("leader's value = %+v, want the computed %+v", v, want)
 	}
 
 	hit, ok := g.Lookup(k)
 	if !ok {
 		t.Fatal("lookup miss after successful Do")
 	}
-	if &hit.Levels[0] != &levels[0] {
-		t.Fatal("hit does not share the cached backing array")
-	}
-	if hit.N1 != 3 {
-		t.Fatalf("hit N1 = %d, want 3", hit.N1)
+	if hit != want {
+		t.Fatalf("hit = %+v, want the cached %+v", hit, want)
 	}
 
 	// Do on a ready key never re-executes.
@@ -81,7 +81,7 @@ func TestHitMissAndSharedBacking(t *testing.T) {
 		t.Fatal("Do re-executed a ready key")
 		return Value{}, nil
 	})
-	if err != nil || &v2.Levels[0] != &levels[0] {
+	if err != nil || v2 != want {
 		t.Fatal("ready-key Do did not return the cached value")
 	}
 
@@ -89,8 +89,8 @@ func TestHitMissAndSharedBacking(t *testing.T) {
 	if ctr.Misses != 1 || ctr.Hits != 2 {
 		t.Fatalf("counters = %+v, want 1 miss / 2 hits", ctr)
 	}
-	if want := (Value{N1: 3, Levels: levels}).bytes(); ctr.Bytes != want {
-		t.Fatalf("bytes = %d, want %d", ctr.Bytes, want)
+	if ctr.Bytes != EntryBytes {
+		t.Fatalf("bytes = %d, want one entry's charge %d", ctr.Bytes, EntryBytes)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var calls atomic.Int64
-	dist := []int64{0, 5, 9}
+	want := Value{N1: 3, N2: 14}
 
 	var wg sync.WaitGroup
 	results := make([]Value, followers+1)
@@ -115,7 +115,7 @@ func TestSingleflightCoalescing(t *testing.T) {
 				close(entered)
 				calls.Add(1)
 				<-gate // hold the flight open until all followers queue
-				return Value{N2: 14, Dist: dist}, nil
+				return want, nil
 			})
 			if err != nil {
 				t.Errorf("follower %d: %v", i, err)
@@ -135,8 +135,8 @@ func TestSingleflightCoalescing(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
 	for i, v := range results {
-		if &v.Dist[0] != &dist[0] || v.N2 != 14 {
-			t.Fatalf("caller %d got a private result: %+v", i, v)
+		if v != want {
+			t.Fatalf("caller %d got %+v, want the leader's %+v", i, v, want)
 		}
 	}
 	// A follower that queued mid-flight counts as coalesced; one that
@@ -199,13 +199,15 @@ func TestErrorsSharedButNotCached(t *testing.T) {
 }
 
 func TestEvictionUnderBudget(t *testing.T) {
-	one := Value{Labels: make([]uint32, 100)} // 160 + 400 = 560 bytes
-	per := one.bytes()
-	c := New(3 * per) // room for exactly 3 entries
+	// Room for exactly 3 entries: a budget short of a 4th charge.
+	c := New(4*EntryBytes - 1)
 	g := c.ForView(new(int), 1)
 
 	for i := range 3 {
-		g.Store(Key{Kind: KindComponents, A: uint64(i)}, Value{Labels: make([]uint32, 100)})
+		g.Store(Key{Kind: KindComponents, A: uint64(i)}, Value{N1: int64(i)})
+	}
+	if ctr := c.Counters(); ctr.Bytes != 3*EntryBytes || ctr.Evictions != 0 {
+		t.Fatalf("counters after 3 stores = %+v, want %d bytes, 0 evictions", ctr, 3*EntryBytes)
 	}
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", g.Len())
@@ -214,7 +216,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	if _, ok := g.Lookup(Key{Kind: KindComponents, A: 0}); !ok {
 		t.Fatal("warm lookup missed")
 	}
-	g.Store(Key{Kind: KindComponents, A: 3}, Value{Labels: make([]uint32, 100)})
+	g.Store(Key{Kind: KindComponents, A: 3}, Value{N1: 3})
 	if g.Len() != 3 {
 		t.Fatalf("Len after insert = %d, want 3", g.Len())
 	}
@@ -228,20 +230,33 @@ func TestEvictionUnderBudget(t *testing.T) {
 	if ctr.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", ctr.Evictions)
 	}
-	if ctr.Bytes > 3*per {
-		t.Fatalf("bytes = %d over budget %d", ctr.Bytes, 3*per)
+	if ctr.Bytes != 3*EntryBytes {
+		t.Fatalf("bytes = %d, want %d", ctr.Bytes, 3*EntryBytes)
 	}
 
-	// An entry larger than the whole budget is served but never stored.
-	k := Key{Kind: KindBFS, A: 99}
-	v, err := g.Do(k, func() (Value, error) {
-		return Value{Levels: make([]int32, 1<<20)}, nil
-	})
-	if err != nil || len(v.Levels) != 1<<20 {
-		t.Fatalf("oversized Do = (%d levels, %v)", len(v.Levels), err)
+	// A miss past the budget evicts the least-recent ready entry too.
+	if _, err := g.Do(Key{Kind: KindBFS, A: 4}, func() (Value, error) { return Value{N1: 4}, nil }); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := g.Lookup(k); ok {
-		t.Fatal("oversized entry was stored")
+	if _, ok := g.Lookup(Key{Kind: KindComponents, A: 2}); ok {
+		t.Fatal("least-recently-used entry survived a miss's eviction")
+	}
+	if ctr := c.Counters(); ctr.Evictions != 2 || ctr.Bytes != 3*EntryBytes || g.Len() != 3 {
+		t.Fatalf("after miss: counters %+v, len %d; want 2 evictions, 3 entries", ctr, g.Len())
+	}
+
+	// A budget below one entry's charge serves results but never
+	// stores them.
+	tiny := New(EntryBytes - 1)
+	tg := tiny.ForView(new(int), 1)
+	k := Key{Kind: KindBFS, A: 99}
+	v, err := tg.Do(k, func() (Value, error) { return Value{N1: 99}, nil })
+	if err != nil || v.N1 != 99 {
+		t.Fatalf("sub-entry budget Do = (%+v, %v)", v, err)
+	}
+	tg.Store(Key{Kind: KindBFS, A: 100}, Value{N1: 100})
+	if _, ok := tg.Lookup(k); ok || tg.Len() != 0 || tiny.Counters().Bytes != 0 {
+		t.Fatalf("sub-entry budget stored %d entries (%d bytes)", tg.Len(), tiny.Counters().Bytes)
 	}
 }
 
@@ -322,7 +337,7 @@ func TestLookupIsAllocationFree(t *testing.T) {
 	c := New(1 << 20)
 	g := c.ForView(new(int), 1)
 	k := Key{Kind: KindBFS, A: 7}
-	g.Store(k, Value{N1: 9, Levels: make([]int32, 4096)})
+	g.Store(k, Value{N1: 9, N2: 4, F1: 0.25, Flag: true})
 
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := g.Lookup(k); !ok {
@@ -336,15 +351,15 @@ func TestLookupIsAllocationFree(t *testing.T) {
 
 // TestFollowerSharedReplyNoAlloc pins the coalesced-follower cost: a
 // Do that lands on an already-resolved entry returns the shared value
-// without allocating — no private copy, no closure evaluation beyond
-// the one the caller already built.
+// without allocating — no closure evaluation beyond the one the caller
+// already built.
 func TestFollowerSharedReplyNoAlloc(t *testing.T) {
 	c := New(1 << 20)
 	g := c.ForView(&struct{}{}, 1)
 	k := Key{Kind: KindBFS, A: 9}
-	levels := []int32{0, 1, 1, 2}
+	want := Value{N1: 4, N2: 3}
 	if _, err := g.Do(k, func() (Value, error) {
-		return Value{N1: 4, N2: 3, Levels: levels}, nil
+		return want, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +375,7 @@ func TestFollowerSharedReplyNoAlloc(t *testing.T) {
 	}); n > 0 {
 		t.Fatalf("follower on resolved entry allocates %.1f objects/op, want 0", n)
 	}
-	if &got.Levels[0] != &levels[0] {
-		t.Fatal("follower reply does not share the leader's backing array")
+	if got != want {
+		t.Fatalf("follower reply = %+v, want the leader's %+v", got, want)
 	}
 }

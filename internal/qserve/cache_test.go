@@ -23,8 +23,10 @@ import (
 // uncached against gen's own pinned snapshot — the bit-identity oracle:
 // a cached reply must be indistinguishable from running the kernel on
 // the exact snapshot the entry was computed from, no matter how many
-// refreshes have happened since.
-func verifyCachedEntries(t *testing.T, gen *qcache.Gen, limit int) int {
+// refreshes have happened since. The served kernel reruns from a
+// scratch set built with ex's config; its per-vertex output, read from
+// the set, must match an independent reference kernel vertex by vertex.
+func verifyCachedEntries(t *testing.T, ex *Executor, gen *qcache.Gen, limit int) int {
 	t.Helper()
 	if gen == nil {
 		return 0
@@ -34,6 +36,7 @@ func verifyCachedEntries(t *testing.T, gen *qcache.Gen, limit int) int {
 		t.Fatalf("generation identity %T is not a view", gen.ID())
 	}
 	g := view.G
+	s := newScratchSet(ex.cfg)
 	checked := 0
 	gen.Range(func(k qcache.Key, v qcache.Value) bool {
 		switch k.Kind {
@@ -44,17 +47,29 @@ func verifyCachedEntries(t *testing.T, gen *qcache.Gen, limit int) int {
 					k.A, v.N1, v.N2, want.Reached, want.Levels)
 				return false
 			}
-			for i := range v.Levels {
-				if v.Levels[i] != want.Level[i] {
-					t.Errorf("cached BFS(%d) level[%d] = %d, uncached %d", k.A, i, v.Levels[i], want.Level[i])
+			if got := s.bfsValue(view, Args{A: k.A}); got != v {
+				t.Errorf("cached BFS(%d) = %+v, served kernel on pinned view %+v", k.A, v, got)
+				return false
+			}
+			for i, l := range s.res.Level {
+				if l != want.Level[i] {
+					t.Errorf("served BFS(%d) level[%d] = %d, reference %d", k.A, i, l, want.Level[i])
 					return false
 				}
 			}
 		case qcache.KindSSSP:
+			if got := s.ssspValue(view, Args{A: k.A, B: k.B}); got != v {
+				t.Errorf("cached SSSP(%d) = %+v, served kernel on pinned view %+v", k.A, v, got)
+				return false
+			}
 			dist := sssp.Run(g, uint32(k.A), sssp.Options{Workers: 1, Delta: int64(k.B)})
-			for i := range v.Dist {
-				if v.Dist[i] != dist[i] {
-					t.Errorf("cached SSSP(%d) dist[%d] = %d, uncached %d", k.A, i, v.Dist[i], dist[i])
+			if len(s.dist) != len(dist) {
+				t.Errorf("served SSSP(%d) has %d distances, reference %d", k.A, len(s.dist), len(dist))
+				return false
+			}
+			for i, d := range s.dist {
+				if d != dist[i] {
+					t.Errorf("served SSSP(%d) dist[%d] = %d, reference %d", k.A, i, d, dist[i])
 					return false
 				}
 			}
@@ -142,7 +157,7 @@ func TestCacheHammer(t *testing.T) {
 			default:
 			}
 			gen := ex.cache.Current()
-			verified += verifyCachedEntries(t, gen, 3)
+			verified += verifyCachedEntries(t, ex, gen, 3)
 			if gen != nil && gen.Epoch() > mgr.Epoch() {
 				t.Errorf("generation epoch %d ahead of manager %d", gen.Epoch(), mgr.Epoch())
 				return
@@ -275,7 +290,7 @@ func TestCacheIdentityInvalidation(t *testing.T) {
 	if ngen == gen || ngen.Len() != 1 {
 		t.Fatalf("new generation should hold exactly the recomputed entry, got len %d", ngen.Len())
 	}
-	if verifyCachedEntries(t, ngen, 8) != 1 {
+	if verifyCachedEntries(t, ex, ngen, 8) != 1 {
 		t.Fatal("post-refresh entry not verifiable")
 	}
 }

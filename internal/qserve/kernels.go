@@ -118,9 +118,8 @@ func PageRankTol(a Args) float64 { return math.Float64frombits(a.A) }
 // clusteringValue runs the pooled triangle count against the pinned
 // view. The per-vertex aggregation iterates original ids (translated
 // into layout space), so the float average is summed in the same order
-// under every layout; keep copies the triangle counts out for the
-// cache (layout id space, like every cached payload).
-func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args, keep bool) qcache.Value {
+// under every layout.
+func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args) qcache.Value {
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
 	}
@@ -132,11 +131,7 @@ func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args, keep bool) qcache.
 	s.clusView = v
 	total, counted, avg := s.clus.Aggregate(s.clusMap, v.NumVertices())
 	s.clusView = nil
-	val := qcache.Value{N1: total, N2: counted, F1: avg}
-	if keep {
-		val.Dist = append([]int64(nil), s.clus.Triangles()...)
-	}
-	return val
+	return qcache.Value{N1: total, N2: counted, F1: avg}
 }
 
 // maxKHop caps the k parameter; any larger k behaves as unbounded
@@ -145,7 +140,7 @@ func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args, keep bool) qcache.
 const maxKHop = 1 << 30
 
 // khopValue runs the depth-limited BFS against the pinned view.
-func (s *scratchSet) khopValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+func (s *scratchSet) khopValue(v *snapmgr.View, a Args) qcache.Value {
 	s.src[0] = translate(v, uint32(a.A))
 	s.khopK = int32(a.B)
 	s.khopReached = 1 // the source itself
@@ -159,11 +154,7 @@ func (s *scratchSet) khopValue(v *snapmgr.View, a Args, keep bool) qcache.Value 
 	} else {
 		traversal.Run(v.G, s.src[:1], opt, s.trav, &s.res)
 	}
-	val := qcache.Value{N1: int64(s.khopReached)}
-	if keep {
-		val.Levels = append([]int32(nil), s.res.Level...)
-	}
-	return val
+	return qcache.Value{N1: int64(s.khopReached)}
 }
 
 // PageRank solve parameters. The damping factor is fixed — it is part
@@ -215,9 +206,9 @@ func prRelaxStep(s *scratchSet) func(u, v, t uint32) bool {
 }
 
 // pagerankValue runs the push-residual PageRank solve against the
-// pinned view. All state is pooled; at Workers=1 the steady state
-// allocates nothing per request.
-func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+// pinned view. All state is pooled, the scores stay in s.prRank; at
+// Workers=1 the steady state allocates nothing per request.
+func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args) qcache.Value {
 	n := v.NumVertices()
 	s.prRank = resizeF64(s.prRank, n)
 	s.prResid = resizeU64(s.prResid, n)
@@ -256,11 +247,7 @@ func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args, keep bool) qcache.Va
 			maxRank = r
 		}
 	}
-	val := qcache.Value{N1: int64(s.res.Levels), F1: maxRank, F2: sum}
-	if keep {
-		val.Ranks = append([]float64(nil), s.prRank[:n]...)
-	}
-	return val
+	return qcache.Value{N1: int64(s.res.Levels), F1: maxRank, F2: sum}
 }
 
 // atomicAddFloat adds x to the float64 stored as bits at p, returning

@@ -168,8 +168,10 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 		t.Fatalf("reply metadata %+v implausible", got)
 	}
 
-	// The cached score vector (plain layout: original id space) must be
-	// within the same band elementwise.
+	// The served kernel, rerun from a scratch set on the cached entry's
+	// pinned view, reproduces the cached reply, and its score vector
+	// (plain layout: original id space) is within the same band
+	// elementwise.
 	gen := ex.Cache().Current()
 	if gen == nil {
 		t.Fatal("no generation after a cacheable pagerank query")
@@ -179,10 +181,14 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 		if k.Kind != qcache.KindPageRank {
 			return true
 		}
-		if len(v.Ranks) != n {
-			t.Fatalf("cached rank vector has %d entries, want %d", len(v.Ranks), n)
+		s := newScratchSet(ex.cfg)
+		if rerun := s.pagerankValue(gen.ID().(*snapmgr.View), PageRankArgs(tol)); rerun != v {
+			t.Fatalf("cached pagerank %+v, served kernel on pinned view %+v", v, rerun)
 		}
-		for i, r := range v.Ranks {
+		if len(s.prRank) != n {
+			t.Fatalf("served rank vector has %d entries, want %d", len(s.prRank), n)
+		}
+		for i, r := range s.prRank {
 			if math.Abs(r-ref[i]) > bound {
 				t.Fatalf("rank[%d] = %v, reference %v (bound %v)", i, r, ref[i], bound)
 			}

@@ -90,11 +90,12 @@ type Config struct {
 	// Undirected declares the managed snapshots symmetric, enabling the
 	// direction-opt traversal strategy for BFS-shaped queries.
 	Undirected bool
-	// CacheBytes is the result-cache payload budget; <= 0 disables
-	// caching (every query recomputes). The cache is keyed by snapshot
-	// identity — the published View pointer, never the epoch number —
-	// so no-op refreshes keep entries alive and a real refresh retires
-	// the whole generation with its snapshot (see internal/qcache).
+	// CacheBytes is the result-cache budget, charged qcache.EntryBytes
+	// per cached reply; <= 0 disables caching (every query recomputes).
+	// The cache is keyed by snapshot identity — the published View
+	// pointer, never the epoch number — so no-op refreshes keep entries
+	// alive and a real refresh retires the whole generation with its
+	// snapshot (see internal/qcache).
 	CacheBytes int64
 }
 
@@ -130,8 +131,10 @@ type scratchSet struct {
 	res  traversal.Result
 	ssp  *sssp.Scratch
 	// sspStream is the compressed-layout SSSP arena; nil until the first
-	// SSSP against a LayoutCompressed snapshot.
+	// SSSP against a LayoutCompressed snapshot. dist is the last SSSP's
+	// distance array, owned by whichever of the two arenas ran it.
 	sspStream *sssp.StreamScratch
+	dist      []int64
 	src       [1]uint32
 
 	// comp and sizes are the component query's label array and census,
@@ -256,10 +259,9 @@ type Backend interface {
 	// Unpin hands a pin back once its query is done.
 	Unpin(pin any)
 	// Run executes sp's kernel against pin from the backend's pooled
-	// scratch; keep copies payload slices out of the scratch for the
-	// cache. Callers hold an admission slot, so at most MaxConcurrent
-	// scratch sets ever exist.
-	Run(sp *Spec, pin any, a Args, keep bool) qcache.Value
+	// scratch and returns the reply aggregates. Callers hold an
+	// admission slot, so at most MaxConcurrent scratch sets ever exist.
+	Run(sp *Spec, pin any, a Args) qcache.Value
 	// IngestEpoch applies a batch through the backend's refresh gate(s)
 	// and returns the ack epoch.
 	IngestEpoch(workers int, batch []edge.Update) uint64
@@ -412,7 +414,7 @@ func (b *single) Unpin(any) {}
 // list is slot-capacity sized, so returning the set never blocks, and
 // it is back before the caller's slot is released: a queued query that
 // wakes always finds a warm set on the free list.
-func (b *single) Run(sp *Spec, pin any, a Args, keep bool) qcache.Value {
+func (b *single) Run(sp *Spec, pin any, a Args) qcache.Value {
 	var s *scratchSet
 	select {
 	case s = <-b.free:
@@ -420,7 +422,7 @@ func (b *single) Run(sp *Spec, pin any, a Args, keep bool) qcache.Value {
 		s = newScratchSet(b.cfg)
 	}
 	defer func() { b.free <- s }()
-	return singleKernels[sp.id](s, pin.(*snapmgr.View), a, keep)
+	return singleKernels[sp.id](s, pin.(*snapmgr.View), a)
 }
 
 func (b *single) IngestEpoch(workers int, batch []edge.Update) uint64 {
@@ -441,8 +443,9 @@ func (b *single) LiveSource() (dynconn.Reader, dynconn.Neighbors) {
 }
 
 // singleKernel executes one kind against a pinned view from a checked-out
-// scratch set; keep copies payload slices out of the set for the cache.
-type singleKernel func(s *scratchSet, v *snapmgr.View, a Args, keep bool) qcache.Value
+// scratch set and returns the reply aggregates; the kernel's per-vertex
+// output stays in the set.
+type singleKernel func(s *scratchSet, v *snapmgr.View, a Args) qcache.Value
 
 // singleKernels is the single store's kernel table, indexed by spec id
 // (filled in registry.go's init, once the ids are assigned).
@@ -484,10 +487,9 @@ func (e *Executor) BFS(src uint32) (BFSReply, error) {
 	return BFSReplyFrom(a, r), nil
 }
 
-// bfsValue executes the BFS kernel against the pinned view. keep copies the
-// level array out of the pooled scratch into an immutable slice for the
-// cache; the uncached path skips the copy and stays allocation-free.
-func (s *scratchSet) bfsValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+// bfsValue executes the BFS kernel against the pinned view; the level
+// array stays in s.res.
+func (s *scratchSet) bfsValue(v *snapmgr.View, a Args) qcache.Value {
 	s.src[0] = translate(v, uint32(a.A))
 	opt := traversal.Options{Workers: s.cfg.Workers, Strategy: s.cfg.strategy()}
 	if v.C != nil {
@@ -495,11 +497,7 @@ func (s *scratchSet) bfsValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
 	} else {
 		traversal.Run(v.G, s.src[:1], opt, s.trav, &s.res)
 	}
-	val := qcache.Value{N1: int64(s.res.Reached), N2: int64(s.res.Levels)}
-	if keep {
-		val.Levels = append([]int32(nil), s.res.Level...)
-	}
-	return val
+	return qcache.Value{N1: int64(s.res.Reached), N2: int64(s.res.Levels)}
 }
 
 // SSSPReply summarizes one delta-stepping shortest-paths query.
@@ -537,29 +535,25 @@ func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
 }
 
 // ssspValue executes the shortest-paths kernel against the pinned view;
-// keep copies the distance array out for the cache.
-func (s *scratchSet) ssspValue(v *snapmgr.View, a Args, keep bool) qcache.Value {
+// s.dist is left pointing at the distances, owned by the SSSP scratch.
+func (s *scratchSet) ssspValue(v *snapmgr.View, a Args) qcache.Value {
 	src := edge.ID(translate(v, uint32(a.A)))
-	var dist []int64
 	if v.C != nil {
 		if s.sspStream == nil {
 			s.sspStream = sssp.NewStreamScratch()
 		}
-		dist = sssp.RunStream(v.C, src, s.cfg.Workers, sssp.LabelWeights, s.sspStream)
+		s.dist = sssp.RunStream(v.C, src, s.cfg.Workers, sssp.LabelWeights, s.sspStream)
 	} else {
-		dist = sssp.Run(v.G, src, sssp.Options{Workers: s.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
+		s.dist = sssp.Run(v.G, src, sssp.Options{Workers: s.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
 	}
 	var val qcache.Value
-	for _, d := range dist {
+	for _, d := range s.dist {
 		if d != sssp.Inf {
 			val.N1++
 			if d > val.N2 {
 				val.N2 = d
 			}
 		}
-	}
-	if keep {
-		val.Dist = append([]int64(nil), dist...)
 	}
 	return val
 }
@@ -605,9 +599,8 @@ func (e *Executor) ConnectedLive(u, v uint32) (ConnReply, error) {
 }
 
 // connValue executes the early-exiting st-connectivity traversal
-// against the pinned view. The verdict is two scalars — it is cached
-// whole (no payload copy to skip).
-func (s *scratchSet) connValue(view *snapmgr.View, a Args, _ bool) qcache.Value {
+// against the pinned view.
+func (s *scratchSet) connValue(view *snapmgr.View, a Args) qcache.Value {
 	// The whole query runs in layout space: source, early-exit target,
 	// and the settled level read back. Hop counts are id-invariant.
 	s.src[0] = translate(view, uint32(a.A))
@@ -649,8 +642,8 @@ func (e *Executor) Components() (ComponentsReply, error) {
 }
 
 // componentsValue executes the component labeling against the pinned view;
-// keep copies the label array out for the cache.
-func (s *scratchSet) componentsValue(v *snapmgr.View, _ Args, keep bool) qcache.Value {
+// the label array stays in s.comp.
+func (s *scratchSet) componentsValue(v *snapmgr.View, _ Args) qcache.Value {
 	if v.C != nil {
 		s.comp, s.queue = traversal.StreamComponentsInto(v.C, s.comp, s.queue)
 	} else {
@@ -660,11 +653,7 @@ func (s *scratchSet) componentsValue(v *snapmgr.View, _ Args, keep bool) qcache.
 	}
 	s.sizes = cc.CensusInto(s.cfg.Workers, s.comp, s.sizes)
 	_, size := cc.LargestOf(s.cfg.Workers, s.sizes)
-	val := qcache.Value{N1: int64(cc.Count(s.comp)), N2: int64(size)}
-	if keep {
-		val.Labels = append([]uint32(nil), s.comp...)
-	}
-	return val
+	return qcache.Value{N1: int64(cc.Count(s.comp)), N2: int64(size)}
 }
 
 // StatsReply summarizes the served snapshot and the serving state,
@@ -680,8 +669,8 @@ type StatsReply struct {
 	Format    string `json:"format"`
 	// Result-cache activity (internal/qcache); all zero when caching
 	// is disabled. Coalesced counts followers that shared an in-flight
-	// leader's execution; CacheBytes is the live generation's payload
-	// footprint.
+	// leader's execution; CacheBytes is the live generation's budget
+	// charge (qcache.EntryBytes per entry).
 	CacheHits      uint64 `json:"cacheHits"`
 	CacheMisses    uint64 `json:"cacheMisses"`
 	Coalesced      uint64 `json:"coalesced"`

@@ -281,7 +281,8 @@ func init() {
 //
 // The uncacheable and cache-disabled paths call the kernel directly —
 // no singleflight closure — preserving the allocation-free steady
-// state; only a cacheable miss pays the closure and the payload copy.
+// state; a cacheable miss runs the same kernel and pays only the
+// closure and the entry it stores.
 func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
 	if err := e.adm.Acquire(); err != nil {
 		return Result{}, err
@@ -309,7 +310,7 @@ func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
 	}
 	k, cacheable := sp.key(a)
 	if !cacheable || gen == nil {
-		res.Val = e.b.Run(sp, pin, a, false)
+		res.Val = e.b.Run(sp, pin, a)
 		return res, nil
 	}
 	if val, ok := gen.Lookup(k); ok {
@@ -318,7 +319,7 @@ func (e *Executor) Query(sp *Spec, a Args) (Result, error) {
 	}
 	// Kernels cannot fail, so neither can the generation's compute.
 	res.Val, _ = gen.Do(k, func() (qcache.Value, error) {
-		return e.b.Run(sp, pin, a, true), nil
+		return e.b.Run(sp, pin, a), nil
 	})
 	res.Cache = CacheMiss
 	return res, nil

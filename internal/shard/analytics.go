@@ -18,29 +18,20 @@ import (
 // original-id order (shard views are unpermuted, so identity order),
 // which is the same summation order the single-shard engine uses —
 // the float average is bit-identical across engines.
-func (s *scratchSet) clusteringValue(views []*csr.Graph, _ qserve.Args, keep bool) qcache.Value {
+func (s *scratchSet) clusteringValue(views []*csr.Graph, _ qserve.Args) qcache.Value {
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
 	}
 	s.clus.ComputeViews(len(views), views)
 	total, counted, avg := s.clus.Aggregate(identityID, views[0].N)
-	val := qcache.Value{N1: total, N2: counted, F1: avg}
-	if keep {
-		val.Dist = append([]int64(nil), s.clus.Triangles()...)
-	}
-	return val
+	return qcache.Value{N1: total, N2: counted, F1: avg}
 }
 
 func identityID(u uint32) uint32 { return u }
 
 // khopValue runs the depth-limited scatter-gather BFS.
-func (s *scratchSet) khopValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
-	reached := s.sc.KHop(views, uint32(a.A), int32(a.B))
-	val := qcache.Value{N1: int64(reached)}
-	if keep {
-		val.Levels = append([]int32(nil), s.sc.level...)
-	}
-	return val
+func (s *scratchSet) khopValue(views []*csr.Graph, a qserve.Args) qcache.Value {
+	return qcache.Value{N1: int64(s.sc.KHop(views, uint32(a.A), int32(a.B)))}
 }
 
 // prFleetMaxIters hard-caps the power-iteration rounds, mirroring the
@@ -57,7 +48,7 @@ const prFleetMaxIters = 1000
 // two engines agree to within a tolerance-proportional error (the
 // documented PageRank exception to bit-identity; iteration counts are
 // not comparable across engines either).
-func (s *scratchSet) pagerankValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+func (s *scratchSet) pagerankValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	tol := qserve.PageRankTol(a)
 	p := len(views)
 	n := views[0].N
@@ -130,11 +121,7 @@ func (s *scratchSet) pagerankValue(views []*csr.Graph, a qserve.Args, keep bool)
 			maxRank = r
 		}
 	}
-	val := qcache.Value{N1: int64(iters), F1: maxRank, F2: sum}
-	if keep {
-		val.Ranks = append([]float64(nil), rank...)
-	}
-	return val
+	return qcache.Value{N1: int64(iters), F1: maxRank, F2: sum}
 }
 
 // addFloatBits adds x to the float64 stored as bits at p (CAS loop) —

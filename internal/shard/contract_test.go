@@ -25,6 +25,35 @@ func (h heldBackend) Pin(c *qcache.Cache) (any, uint64, *qcache.Gen) {
 	return h.Backend.Pin(c)
 }
 
+// contractEngine is one row of the engine table the serving contract
+// runs over: build returns an executor for cfg and a refresh that
+// republishes after an ingest.
+type contractEngine struct {
+	name  string
+	build func(cfg qserve.Config) (*qserve.Executor, func())
+}
+
+// contractEngines returns the single store and fleets of one and three
+// shards, each over the mirrored stream ups on n vertices.
+func contractEngines(n int, ups []edge.Update) []contractEngine {
+	fleet := func(p int) func(cfg qserve.Config) (*qserve.Executor, func()) {
+		return func(cfg qserve.Config) (*qserve.Executor, func()) {
+			f := testFleet(n, p, ups)
+			return NewExecutor(f, cfg).Executor, func() { f.Refresh(2) }
+		}
+	}
+	return []contractEngine{
+		{"single", func(cfg qserve.Config) (*qserve.Executor, func()) {
+			mgr := snapmgr.New(2, dyngraph.NewTracked(dyngraph.NewHybrid(n, len(ups), 0, 1)))
+			mgr.Ingest(func(s *dyngraph.Tracked) { s.ApplyBatch(2, ups) })
+			mgr.Refresh(2)
+			return qserve.New(mgr, cfg), func() { mgr.Refresh(2) }
+		}},
+		{"fleet P=1", fleet(1)},
+		{"fleet P=3", fleet(3)},
+	}
+}
+
 // TestEngineContract holds the single store and the fleet (one and
 // three shards) to one serving contract: bad vertices, live queries
 // before EnableLive, the reflexive quick answer, the cache disposition
@@ -35,25 +64,7 @@ func TestEngineContract(t *testing.T) {
 	n, ups := testUpdates(t, 8, 4, 61)
 	ups = stream.Mirror(ups)
 	bridge := stream.Mirror([]edge.Update{{Edge: edge.Edge{U: 3, V: uint32(n - 1), T: 5000}, Op: edge.Insert}})
-	fleet := func(p int) func(cfg qserve.Config) (*qserve.Executor, func()) {
-		return func(cfg qserve.Config) (*qserve.Executor, func()) {
-			f := testFleet(n, p, ups)
-			return NewExecutor(f, cfg).Executor, func() { f.Refresh(2) }
-		}
-	}
-	for _, tc := range []struct {
-		name  string
-		build func(cfg qserve.Config) (*qserve.Executor, func())
-	}{
-		{"single", func(cfg qserve.Config) (*qserve.Executor, func()) {
-			mgr := snapmgr.New(2, dyngraph.NewTracked(dyngraph.NewHybrid(n, len(ups), 0, 1)))
-			mgr.Ingest(func(s *dyngraph.Tracked) { s.ApplyBatch(2, ups) })
-			mgr.Refresh(2)
-			return qserve.New(mgr, cfg), func() { mgr.Refresh(2) }
-		}},
-		{"fleet P=1", fleet(1)},
-		{"fleet P=3", fleet(3)},
-	} {
+	for _, tc := range contractEngines(n, ups) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := qserve.Config{Undirected: true, MaxConcurrent: 2, MaxQueue: 1, CacheBytes: 8 << 20}
 			ex, refresh := tc.build(cfg)
@@ -149,6 +160,66 @@ func TestEngineContract(t *testing.T) {
 			if st.CacheHits != m.CacheHits || st.CacheMisses != m.CacheMisses || st.Coalesced != m.CacheCoalesced ||
 				st.CacheBytes != m.CacheBytes || st.CacheEvictions != m.CacheEvictions {
 				t.Fatalf("stats cache counters %+v disagree with metrics %+v", st, m)
+			}
+		})
+	}
+}
+
+// TestCachedMissAllocParity holds a cacheable miss to the uncached
+// kernel path on the single store and the fleet (one and three
+// shards): a warm miss on a fresh key may allocate at most 1 KiB more
+// than the same query with the cache off — the entry it stores and the
+// singleflight closure, never a copy of the kernel's per-vertex output
+// (4 KiB or more per query at this scale).
+func TestCachedMissAllocParity(t *testing.T) {
+	n, ups := testUpdates(t, 10, 4, 67)
+	ups = stream.Mirror(ups)
+	cfg := qserve.Config{Undirected: true, MaxConcurrent: 1}
+	cached := cfg
+	cached.CacheBytes = 8 << 20
+	for _, tc := range contractEngines(n, ups) {
+		t.Run(tc.name, func(t *testing.T) {
+			off, _ := tc.build(cfg)
+			b := off.Backend()
+			allocated := func(ex *qserve.Executor, sp *qserve.Spec, a qserve.Args) (uint64, qserve.CacheState) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				r, err := ex.Query(sp, a)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return after.TotalAlloc - before.TotalAlloc, r.Cache
+			}
+			for _, q := range []struct {
+				sp *qserve.Spec
+				k  uint64
+			}{{qserve.SpecBFS, 0}, {qserve.SpecSSSP, 0}, {qserve.SpecKHop, 2}, {qserve.SpecComponents, 0}} {
+				// Warm the scratch pool for this kind.
+				off.Query(q.sp, qserve.Args{A: 1, B: q.k})
+				// Minimum over rounds, each a miss in a fresh executor
+				// whose generation another query already installed, so
+				// neither side pays a one-off growth.
+				minOff, minOn := ^uint64(0), ^uint64(0)
+				for round := uint64(0); round < 5; round++ {
+					a := qserve.Args{A: 2 + 97*round, B: q.k}
+					on := qserve.NewExecutor(b, cached)
+					if _, err := on.Query(qserve.SpecConnected, qserve.Args{A: 1, B: 2}); err != nil {
+						t.Fatal(err)
+					}
+					d, _ := allocated(off, q.sp, a)
+					minOff = min(minOff, d)
+					d, state := allocated(on, q.sp, a)
+					if state != qserve.CacheMiss {
+						t.Fatalf("%s%+v: disposition %v, want a miss", q.sp.Name(), a, state)
+					}
+					minOn = min(minOn, d)
+				}
+				t.Logf("%s: cacheable miss %d B, uncached %d B", q.sp.Name(), minOn, minOff)
+				if minOn > minOff+1024 {
+					t.Errorf("%s: cacheable miss allocates %d B, uncached %d B: %d B over the 1 KiB entry allowance",
+						q.sp.Name(), minOn, minOff, minOn-minOff-1024)
+				}
 			}
 		})
 	}

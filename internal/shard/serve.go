@@ -114,7 +114,7 @@ func (b *backend) Unpin(pin any) { b.pins <- pin.(*pinSet) }
 
 // Run checks a kernel arena out of the pool for one kernel; the caller
 // holds an admission slot, so at most MaxConcurrent arenas exist.
-func (b *backend) Run(sp *qserve.Spec, pin any, a qserve.Args, keep bool) qcache.Value {
+func (b *backend) Run(sp *qserve.Spec, pin any, a qserve.Args) qcache.Value {
 	var s *scratchSet
 	select {
 	case s = <-b.free:
@@ -122,12 +122,12 @@ func (b *backend) Run(sp *qserve.Spec, pin any, a qserve.Args, keep bool) qcache
 		s = &scratchSet{sc: &Scratch{pull: b.pull}}
 	}
 	defer func() { b.free <- s }()
-	return fleetKernels[sp.ID()](s, pin.(*pinSet).views, a, keep)
+	return fleetKernels[sp.ID()](s, pin.(*pinSet).views, a)
 }
 
-// fleetKernel executes one kind over a pinned per-shard view set;
-// keep copies payload slices out of the arena for the cache.
-type fleetKernel func(s *scratchSet, views []*csr.Graph, a qserve.Args, keep bool) qcache.Value
+// fleetKernel executes one kind over a pinned per-shard view set and
+// returns the reply aggregates; per-vertex output stays in the arena.
+type fleetKernel func(s *scratchSet, views []*csr.Graph, a qserve.Args) qcache.Value
 
 // fleetKernels is the fleet's kernel table, indexed by qserve's dense
 // spec id. qserve's registry init runs before this package's (shard
@@ -150,19 +150,15 @@ func init() {
 }
 
 // bfsValue runs a scatter-gather breadth-first search from a.A.
-func (s *scratchSet) bfsValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
-	level, reached, depth := s.sc.BFS(views, uint32(a.A))
-	val := qcache.Value{N1: int64(reached), N2: int64(depth)}
-	if keep {
-		val.Levels = append([]int32(nil), level...)
-	}
-	return val
+func (s *scratchSet) bfsValue(views []*csr.Graph, a qserve.Args) qcache.Value {
+	_, reached, depth := s.sc.BFS(views, uint32(a.A))
+	return qcache.Value{N1: int64(reached), N2: int64(depth)}
 }
 
 // ssspValue runs sharded delta-stepping from a.A with arc time labels as
 // weights, like the single store (delta <= 0 derives the global
 // heuristic width).
-func (s *scratchSet) ssspValue(views []*csr.Graph, a qserve.Args, keep bool) qcache.Value {
+func (s *scratchSet) ssspValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	dist := s.sc.SSSP(views, uint32(a.A), sssp.LabelWeights, int64(a.B))
 	var val qcache.Value
 	for _, d := range dist {
@@ -173,15 +169,12 @@ func (s *scratchSet) ssspValue(views []*csr.Graph, a qserve.Args, keep bool) qca
 			}
 		}
 	}
-	if keep {
-		val.Dist = append([]int64(nil), dist...)
-	}
 	return val
 }
 
 // connValue answers st-connectivity with an early-exiting
 // scatter-gather traversal from a.A.
-func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args, _ bool) qcache.Value {
+func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	if hops, ok := s.sc.STConnected(views, uint32(a.A), uint32(a.B)); ok {
 		return qcache.Value{Flag: true, N1: int64(hops)}
 	}
@@ -190,15 +183,11 @@ func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args, _ bool) qcache
 
 // componentsValue labels weakly-connected components over the pinned
 // views; the label array and census are pool-owned.
-func (s *scratchSet) componentsValue(views []*csr.Graph, _ qserve.Args, keep bool) qcache.Value {
+func (s *scratchSet) componentsValue(views []*csr.Graph, _ qserve.Args) qcache.Value {
 	comp := s.sc.Components(views)
 	s.sizes = cc.CensusInto(1, comp, s.sizes)
 	_, size := cc.LargestOf(1, s.sizes)
-	val := qcache.Value{N1: int64(cc.Count(comp)), N2: int64(size)}
-	if keep {
-		val.Labels = append([]uint32(nil), comp...)
-	}
-	return val
+	return qcache.Value{N1: int64(cc.Count(comp)), N2: int64(size)}
 }
 
 // Stats fans out over the shards; the executor serves it outside

@@ -22,6 +22,11 @@ type Policy struct {
 	MaxAge time.Duration
 	// Poll is how often the refresher checks the triggers; <= 0 derives
 	// a default (MaxAge/8, floored at 1ms, or 5ms when MaxAge is unset).
+	// Both the dirty and the age trigger are checked only on this tick,
+	// so a refresh starts up to one Poll after its trigger fires — 62.5
+	// ms under snapserve's defaults (-refresh-age 500ms, derived poll) —
+	// and a minEpoch read (WaitEpoch on an ingest ack) waits up to one
+	// tick plus one refresh.
 	Poll time.Duration
 	// Workers is the parallelism of each background refresh; <= 0 means
 	// GOMAXPROCS.

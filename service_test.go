@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"snapdyn/internal/qcache"
 	"snapdyn/internal/qserve"
 )
 
@@ -296,10 +297,10 @@ func BenchmarkCachedBFS(b *testing.B) {
 		b.ReportMetric(arcs*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
 	})
 	b.Run("miss", func(b *testing.B) {
-		// A budget that holds only a couple of level arrays: cycling 64
-		// sources guarantees every op recomputes and evicts.
+		// A budget that holds only two entries: cycling 64 sources
+		// guarantees every op recomputes and evicts.
 		ex := executorFor(sm, qserve.Config{Undirected: true, MaxConcurrent: 1,
-			CacheBytes: 1 << 20})
+			CacheBytes: 2 * qcache.EntryBytes})
 		if _, err := ex.BFS(srcs[0]); err != nil {
 			b.Fatal(err)
 		}
