@@ -75,7 +75,10 @@ func WithRepresentation(r Representation) Option {
 }
 
 // WithExpectedEdges sizes initial adjacency arrays to the paper's k·m/n
-// heuristic and pre-reserves arena capacity.
+// heuristic. Dyn-arr, Vpart and Epart also pre-reserve arena capacity
+// for m entries; the hybrid representation (the default) caps its first
+// array at the degree threshold and reserves nothing, so its memory
+// follows what is loaded.
 func WithExpectedEdges(m int) Option {
 	return func(o *Options) { o.expectedEdges = m }
 }

@@ -1,7 +1,10 @@
 // Package arena implements the custom memory-management scheme the paper
-// uses for adjacency storage: a large chunk of memory is reserved up
-// front, and worker threads carve blocks out of it in a thread-safe way,
-// avoiding per-insert allocator (malloc) traffic.
+// uses for adjacency storage: memory is held in large chunks, and worker
+// threads carve blocks out of them in a thread-safe way, avoiding
+// per-insert allocator (malloc) traffic. A caller that knows its load can
+// reserve the chunks up front (the paper's "allocate a large chunk of
+// memory at algorithm initiation"); allocation bump-allocates through the
+// reserved chunks before it adds another.
 //
 // Blocks hold fixed-width uint64 entries (an adjacency entry packs a
 // 32-bit neighbor id and a 32-bit time-stamp). Blocks are addressed by
@@ -18,9 +21,14 @@ import (
 )
 
 const (
-	// chunkEntries is the number of uint64 entries per backing chunk.
-	// 1<<20 entries = 8 MiB per chunk.
+	// chunkEntries is the number of uint64 entries per reserved backing
+	// chunk, and the most an on-demand chunk holds: 1<<20 entries = 8 MiB.
 	chunkEntries = 1 << 20
+
+	// minChunkEntries is the smallest on-demand chunk: 1<<16 entries =
+	// 512 KiB. On-demand chunks double the arena's capacity up to
+	// chunkEntries, so a small load does not sit in an 8 MiB chunk.
+	minChunkEntries = 1 << 16
 
 	// maxClass is the largest supported size class exponent: blocks of up
 	// to 2^maxClass entries. Larger requests get dedicated chunks.
@@ -32,8 +40,9 @@ const (
 type Arena struct {
 	mu     sync.Mutex
 	chunks [][]uint64
-	cur    []uint64 // active chunk
-	off    int      // next free entry in cur
+	spare  [][]uint64 // reserved chunks not yet bump-allocated from
+	cur    []uint64   // active chunk
+	off    int        // next free entry in cur
 
 	free [maxClass + 1][][]uint64 // recycled blocks per size class
 
@@ -43,8 +52,8 @@ type Arena struct {
 
 // New returns an empty arena. Memory is reserved chunk by chunk on demand;
 // reserveEntries (if > 0) pre-allocates capacity for that many entries up
-// front, matching the paper's "allocate a large chunk of memory at
-// algorithm initiation".
+// front, in whole chunkEntries chunks, matching the paper's "allocate a
+// large chunk of memory at algorithm initiation".
 func New(reserveEntries int) *Arena {
 	a := &Arena{}
 	if reserveEntries > 0 {
@@ -52,7 +61,7 @@ func New(reserveEntries int) *Arena {
 		for i := 0; i < n; i++ {
 			a.chunks = append(a.chunks, make([]uint64, chunkEntries))
 		}
-		a.cur = a.chunks[0]
+		a.cur, a.spare = a.chunks[0], a.chunks[1:]
 	}
 	return a
 }
@@ -99,8 +108,16 @@ func (a *Arena) Alloc(n int) []uint64 {
 		return b
 	}
 	if a.cur == nil || a.off+size > len(a.cur) {
-		a.cur = make([]uint64, chunkEntries)
-		a.chunks = append(a.chunks, a.cur)
+		if len(a.spare) > 0 {
+			a.cur, a.spare = a.spare[0], a.spare[1:]
+		} else {
+			held := 0
+			for _, c := range a.chunks {
+				held += len(c)
+			}
+			a.cur = make([]uint64, max(size, min(chunkEntries, max(minChunkEntries, held))))
+			a.chunks = append(a.chunks, a.cur)
+		}
 		a.off = 0
 	}
 	b := a.cur[a.off : a.off+size : a.off+size]

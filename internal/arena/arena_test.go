@@ -97,6 +97,48 @@ func TestReserve(t *testing.T) {
 	}
 }
 
+// TestReserveIsUsed pins that allocations within the reservation are
+// carved from the reserved chunks: none is added until they are full.
+func TestReserveIsUsed(t *testing.T) {
+	a := New(3 * chunkEntries)
+	const block = 1 << 16
+	for i := 0; i < 3*chunkEntries/block; i++ {
+		a.Alloc(block)
+	}
+	if got := a.Stats().Chunks; got != 3 {
+		t.Fatalf("chunks after filling the reservation = %d, want 3", got)
+	}
+	a.Alloc(1)
+	if s := a.Stats(); s.Chunks != 4 || s.EntriesReserved != 4*chunkEntries {
+		t.Fatalf("after one more alloc: %v, want a 4th full chunk", s)
+	}
+}
+
+// TestChunksGrowWithLoad pins on-demand chunk sizing: an unreserved
+// arena starts at minChunkEntries and each new chunk doubles its
+// capacity, up to chunkEntries; a block larger than that chunk gets a
+// chunk of its own size.
+func TestChunksGrowWithLoad(t *testing.T) {
+	a := New(0)
+	var held []int64
+	for range 8 {
+		a.Alloc(minChunkEntries)
+		held = append(held, a.Stats().EntriesReserved)
+	}
+	want := []int64{1, 2, 4, 4, 8, 8, 8, 8}
+	for i, h := range held {
+		if h != want[i]*minChunkEntries {
+			t.Fatalf("capacity after %d chunk-sized allocs = %d entries, want %d", i+1, h, want[i]*minChunkEntries)
+		}
+	}
+	b := New(0)
+	b.Alloc(1)
+	b.Alloc(2 * minChunkEntries)
+	if s := b.Stats(); s.Chunks != 2 || s.EntriesReserved != 3*minChunkEntries {
+		t.Fatalf("after a block past the chunk: %v, want chunks of %d and %d entries", s, minChunkEntries, 2*minChunkEntries)
+	}
+}
+
 func TestFreeIgnoresBadBlocks(t *testing.T) {
 	a := New(0)
 	a.Free(nil)               // empty

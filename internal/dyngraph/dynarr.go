@@ -40,17 +40,26 @@ func (c *arrCore) insert(u, v edge.ID, t uint32) {
 		if len(d) > 0 {
 			grow = 2 * len(d)
 		}
-		nd := c.ar.Alloc(grow)
-		copy(nd, d)
-		c.data[u] = nd
-		if d != nil {
-			c.ar.Free(d)
-		}
-		d = nd
+		c.reserve(u, grow)
+		d = c.data[u]
 	}
 	d[l] = pack(v, t)
 	c.length[u] = l + 1
 	c.alive[u]++
+}
+
+// reserve grows u's block, if it is smaller, to hold n tuples.
+func (c *arrCore) reserve(u edge.ID, n int) {
+	d := c.data[u]
+	if n <= len(d) {
+		return
+	}
+	nd := c.ar.Alloc(n)
+	copy(nd, d[:c.length[u]])
+	c.data[u] = nd
+	if d != nil {
+		c.ar.Free(d)
+	}
 }
 
 // delete tombstones one matching tuple, reporting success.

@@ -1,7 +1,9 @@
 package dyngraph
 
 import (
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"snapdyn/internal/arena"
 	"snapdyn/internal/edge"
@@ -45,7 +47,11 @@ var _ Store = (*Hybrid)(nil)
 
 // NewHybrid creates a hybrid store over n vertices with the given degree
 // threshold (0 uses DefaultDegreeThresh), expecting about expectedEdges
-// insertions.
+// insertions. expectedEdges sizes a vertex's first array block by the
+// paper's k·m/n rule, capped at the threshold, past which the vertex
+// leaves array mode. Nothing is reserved up front: the arena and the
+// treap node slices grow with what is loaded, and ApplyBatch sizes a
+// vertex's block, and a bulk load's node slices, from the batch itself.
 func NewHybrid(n, expectedEdges, thresh int, seed uint64) *Hybrid {
 	if thresh <= 0 {
 		thresh = DefaultDegreeThresh
@@ -54,11 +60,12 @@ func NewHybrid(n, expectedEdges, thresh int, seed uint64) *Hybrid {
 	for i := range roots {
 		roots[i] = nilNode
 	}
+	first := min(thresh, max(2, 2*expectedEdges/max(1, n)))
 	return &Hybrid{
 		name:   "hybrid-arr-treap",
 		thresh: uint32(thresh),
 		isTr:   make([]bool, n),
-		arr:    newArrCore(n, arena.ClassSize(max(2, 2*expectedEdges/max(1, n))), expectedEdges),
+		arr:    newArrCore(n, arena.ClassSize(first), 0),
 		pool:   newTreapPool(defaultTreapShards, seed),
 		roots:  roots,
 		deg:    make([]uint32, n),
@@ -90,17 +97,25 @@ func (s *Hybrid) IsTreap(u edge.ID) bool {
 func (s *Hybrid) Insert(u, v edge.ID, t uint32) {
 	sh := s.pool.shard(u)
 	sh.mu.Lock()
+	s.insert(sh, u, v, t)
+	sh.mu.Unlock()
+	s.live.Add(1)
+}
+
+// insert adds u->v with label t; called with u's shard mutex held. An
+// array-mode vertex at the threshold migrates before the tuple lands,
+// so it never grows a block only to free it: the treap sees the array's
+// tuples and then this one, the order migrating afterwards would give.
+func (s *Hybrid) insert(sh *treapShard, u, v edge.ID, t uint32) {
+	if !s.isTr[u] && s.arr.alive[u] >= s.thresh {
+		s.migrate(sh, u)
+	}
 	if s.isTr[u] {
 		s.roots[u] = sh.insert(s.roots[u], v, t)
 		s.deg[u]++
 	} else {
 		s.arr.insert(u, v, t)
-		if s.arr.alive[u] > s.thresh {
-			s.migrate(sh, u)
-		}
 	}
-	sh.mu.Unlock()
-	s.live.Add(1)
 }
 
 // migrate converts u's adjacency from array to treap form; called with
@@ -266,25 +281,21 @@ func (s *Hybrid) ApplyBatch(workers int, batch []edge.Update) {
 	}
 	perm := psort.Order(workers, keys)
 	bounds := groupBounds(keys, perm)
+	if s.live.Load() == 0 {
+		s.presize(workers, batch, perm, bounds)
+	}
 	par.ForDynamic(workers, len(bounds)-1, 8, func(glo, ghi int) {
 		for g := glo; g < ghi; g++ {
-			lo, hi := bounds[g], bounds[g+1]
-			u := batch[perm[lo]].U
+			grp := perm[bounds[g]:bounds[g+1]]
+			u := batch[grp[0]].U
 			sh := s.pool.shard(u)
 			sh.mu.Lock()
+			s.fitGroup(sh, u, batch, grp)
 			var delta int64
-			for i := lo; i < hi; i++ {
-				up := &batch[perm[i]]
+			for _, i := range grp {
+				up := &batch[i]
 				if up.Op == edge.Insert {
-					if s.isTr[u] {
-						s.roots[u] = sh.insert(s.roots[u], up.V, up.T)
-						s.deg[u]++
-					} else {
-						s.arr.insert(u, up.V, up.T)
-						if s.arr.alive[u] > s.thresh {
-							s.migrate(sh, u)
-						}
-					}
+					s.insert(sh, u, up.V, up.T)
 					delta++
 					continue
 				}
@@ -302,6 +313,90 @@ func (s *Hybrid) ApplyBatch(workers int, batch []edge.Update) {
 			s.live.Add(delta)
 		}
 	})
+}
+
+// fitGroup readies u for its batch group's inserts before they apply;
+// called with u's shard mutex held. A group that cannot take an
+// array-mode u past the threshold grows u's block once, to
+// ClassSize(len + inserts). An all-insert group that does takes u to
+// treap mode first, so its inserts go straight to the treap. A mixed
+// group that might cross is left to insert's own migration. None of
+// this changes the order tuples reach the array or the treap, so the
+// priority draws and the treap are those of one Insert at a time.
+func (s *Hybrid) fitGroup(sh *treapShard, u edge.ID, batch []edge.Update, grp []uint32) {
+	if s.isTr[u] {
+		return
+	}
+	k := 0
+	for _, i := range grp {
+		if batch[i].Op == edge.Insert {
+			k++
+		}
+	}
+	switch {
+	case int(s.arr.alive[u])+k <= int(s.thresh):
+		s.arr.reserve(u, int(s.arr.length[u])+k)
+	case k == len(grp):
+		s.migrate(sh, u)
+	}
+}
+
+// presize sizes the treap shards' node slices for a batch applied to an
+// empty store (a bulk load), so they carry no append-growth slack. Every
+// all-insert group past the threshold goes straight to treap mode, one
+// node per distinct neighbor; each shard grows once to hold its groups'
+// nodes. Later batches grow the slices by append.
+func (s *Hybrid) presize(workers int, batch []edge.Update, perm []uint32, bounds []int) {
+	nodes := make([]int, len(bounds)-1)
+	par.ForDynamic(workers, len(nodes), 8, func(glo, ghi int) {
+		var vs []uint32
+	group:
+		for g := glo; g < ghi; g++ {
+			grp := perm[bounds[g]:bounds[g+1]]
+			if len(grp) <= int(s.thresh) {
+				continue
+			}
+			vs = vs[:0]
+			for _, i := range grp {
+				if batch[i].Op != edge.Insert {
+					continue group
+				}
+				vs = append(vs, batch[i].V)
+			}
+			slices.Sort(vs)
+			nodes[g] = len(slices.Compact(vs))
+		}
+	})
+	need := make([]int, len(s.pool.shards))
+	for g, c := range nodes {
+		need[batch[perm[bounds[g]]].U&s.pool.mask] += c
+	}
+	for i, c := range need {
+		if c == 0 {
+			continue
+		}
+		sh := &s.pool.shards[i]
+		sh.mu.Lock()
+		sh.nodes = slices.Grow(sh.nodes, max(0, c-len(sh.free)))
+		sh.mu.Unlock()
+	}
+}
+
+// SizeBytes reports the memory the store holds: arena chunk capacity
+// (free-listed blocks included), treap node and free-index capacity,
+// and the per-vertex arrays.
+func (s *Hybrid) SizeBytes() int64 {
+	b := 8*s.arr.ar.Stats().EntriesReserved +
+		int64(cap(s.arr.data))*int64(unsafe.Sizeof([]uint64(nil))) +
+		4*int64(cap(s.arr.length)+cap(s.arr.alive)+cap(s.roots)+cap(s.deg)) + int64(cap(s.isTr)) +
+		int64(len(s.pool.shards))*int64(unsafe.Sizeof(treapShard{}))
+	for i := range s.pool.shards {
+		sh := &s.pool.shards[i]
+		sh.mu.Lock()
+		b += int64(cap(sh.nodes))*int64(unsafe.Sizeof(tnode{})) + 4*int64(cap(sh.free))
+		sh.mu.Unlock()
+	}
+	return b
 }
 
 // TreapVertexCount returns how many vertices have migrated to treap mode,

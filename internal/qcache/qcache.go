@@ -325,29 +325,6 @@ func (g *Gen) Do(k Key, fn func() (Value, error)) (Value, error) {
 	return val, err
 }
 
-// Store inserts a precomputed value for k (the non-singleflight path;
-// used by callers that already executed). An existing entry wins.
-func (g *Gen) Store(k Key, val Value) {
-	if g == nil {
-		return
-	}
-	if EntryBytes > g.c.budget {
-		return
-	}
-	e := &entry{val: val, ready: true}
-	e.seq.Store(g.c.clock.Add(1))
-	close2 := make(chan struct{})
-	close(close2)
-	e.done = close2
-	g.mu.Lock()
-	if _, dup := g.entries[k]; !dup {
-		g.entries[k] = e
-		g.bytes += EntryBytes
-		g.evictOver()
-	}
-	g.mu.Unlock()
-}
-
 // evictOver removes least-recently-stamped ready entries until the
 // generation fits the budget. Called with g.mu held. The scan is
 // O(entries) per eviction round, paid on the miss path only — misses

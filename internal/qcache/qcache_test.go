@@ -36,7 +36,6 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	if err != nil || v.N1 != 7 || !ran {
 		t.Fatalf("nil gen Do = (%+v, %v), ran=%v", v, err, ran)
 	}
-	g.Store(Key{}, Value{})
 	if g.Len() != 0 {
 		t.Fatal("nil gen Len != 0")
 	}
@@ -204,7 +203,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	g := c.ForView(new(int), 1)
 
 	for i := range 3 {
-		g.Store(Key{Kind: KindComponents, A: uint64(i)}, Value{N1: int64(i)})
+		put(g, Key{Kind: KindComponents, A: uint64(i)}, Value{N1: int64(i)})
 	}
 	if ctr := c.Counters(); ctr.Bytes != 3*EntryBytes || ctr.Evictions != 0 {
 		t.Fatalf("counters after 3 stores = %+v, want %d bytes, 0 evictions", ctr, 3*EntryBytes)
@@ -216,7 +215,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	if _, ok := g.Lookup(Key{Kind: KindComponents, A: 0}); !ok {
 		t.Fatal("warm lookup missed")
 	}
-	g.Store(Key{Kind: KindComponents, A: 3}, Value{N1: 3})
+	put(g, Key{Kind: KindComponents, A: 3}, Value{N1: 3})
 	if g.Len() != 3 {
 		t.Fatalf("Len after insert = %d, want 3", g.Len())
 	}
@@ -254,7 +253,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 	if err != nil || v.N1 != 99 {
 		t.Fatalf("sub-entry budget Do = (%+v, %v)", v, err)
 	}
-	tg.Store(Key{Kind: KindBFS, A: 100}, Value{N1: 100})
+	put(tg, Key{Kind: KindBFS, A: 100}, Value{N1: 100})
 	if _, ok := tg.Lookup(k); ok || tg.Len() != 0 || tiny.Counters().Bytes != 0 {
 		t.Fatalf("sub-entry budget stored %d entries (%d bytes)", tg.Len(), tiny.Counters().Bytes)
 	}
@@ -265,7 +264,7 @@ func TestGenerationIdentity(t *testing.T) {
 	v1, v2 := new(int), new(int)
 
 	g1 := c.ForView(v1, 1)
-	g1.Store(Key{Kind: KindBFS, A: 1}, Value{N1: 1})
+	put(g1, Key{Kind: KindBFS, A: 1}, Value{N1: 1})
 
 	// Same pointer (no-op refresh republished it, epoch bumped): the
 	// generation — and its entries — survive.
@@ -306,7 +305,7 @@ func TestForViewsElementwiseIdentity(t *testing.T) {
 
 	buf := []any{a, b}
 	g1 := c.ForViews(buf, 2)
-	g1.Store(Key{Kind: KindSSSP, A: 5}, Value{N2: 5})
+	put(g1, Key{Kind: KindSSSP, A: 5}, Value{N2: 5})
 
 	// Caller reuses its buffer with identical pinned views: same gen.
 	buf[0], buf[1] = a, b
@@ -337,7 +336,7 @@ func TestLookupIsAllocationFree(t *testing.T) {
 	c := New(1 << 20)
 	g := c.ForView(new(int), 1)
 	k := Key{Kind: KindBFS, A: 7}
-	g.Store(k, Value{N1: 9, N2: 4, F1: 0.25, Flag: true})
+	put(g, k, Value{N1: 9, N2: 4, F1: 0.25, Flag: true})
 
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := g.Lookup(k); !ok {
@@ -378,4 +377,9 @@ func TestFollowerSharedReplyNoAlloc(t *testing.T) {
 	if got != want {
 		t.Fatalf("follower reply = %+v, want the leader's %+v", got, want)
 	}
+}
+
+// put caches val for k through the miss path.
+func put(g *Gen, k Key, val Value) {
+	g.Do(k, func() (Value, error) { return val, nil })
 }
