@@ -363,14 +363,14 @@ func ssspBenchSnapshot(b *testing.B) (*Snapshot, VertexID) {
 
 // BenchmarkSSSPDeltaStepping measures weighted shortest paths (the
 // paper's future-work kernel) through the scratch-reusing
-// pre-partitioned delta-stepping kernel: steady state over a warm
-// SSSPScratch, so allocs/op reflects the zero-allocation relaxation
-// loop rather than the one-time weighted-view build. Compare MTEPS
-// against BenchmarkSSSPDijkstra.
+// delta-stepping kernel: steady state over a warm SSSPScratch, so
+// allocs/op reflects the zero-allocation relaxation loop rather than
+// the one-time buffer sizing. Compare MTEPS against
+// BenchmarkSSSPDijkstra.
 func BenchmarkSSSPDeltaStepping(b *testing.B) {
 	snap, src := ssspBenchSnapshot(b)
 	opt := SSSPOptions{Scratch: NewSSSPScratch()}
-	snap.SSSPWith(src, opt) // warm the weighted view and kernel buffers
+	snap.SSSPWith(src, opt) // warm the kernel buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -381,8 +381,8 @@ func BenchmarkSSSPDeltaStepping(b *testing.B) {
 
 // BenchmarkSSSPColdSnapshot is BenchmarkSSSPDeltaStepping's instance as
 // a serving scratch sees it under ingest: every query lands on a newly
-// published snapshot, so each iteration re-prepares the weighted view
-// (one streaming partition pass) before relaxing. It alternates two
+// published snapshot, so each iteration re-chooses the bucket width
+// (a fixed-size label sample) before relaxing. It alternates two
 // snapshots of the same graph at the pooled executors' Workers = 1; the
 // gap to BenchmarkSSSPDeltaStepping is what a refresh costs an SSSP
 // query. After the first lap the path must not allocate.
@@ -395,7 +395,7 @@ func BenchmarkSSSPColdSnapshot(b *testing.B) {
 		snaps[0].SSSPWith(src, opt)
 		snaps[1].SSSPWith(src, opt)
 	}
-	lap() // size the view, the kernel buffers and the bucket ring
+	lap() // size the kernel buffers and the bucket ring
 	if allocs := testing.AllocsPerRun(2, lap); allocs != 0 {
 		b.Fatalf("cold-snapshot SSSP allocates %g objects per lap, want 0", allocs)
 	}

@@ -35,18 +35,17 @@
 //     accelerates centrality exactly as it does BFS (BCOptions.Strategy,
 //     BFSDirectionOpt).
 //   - Weighted single-source shortest paths (the paper's hardest
-//     future-work kernel): parallel delta-stepping over a
-//     weight-materialized CSR view (internal/wcsr) that computes and
-//     validates each arc weight once and pre-partitions every adjacency
-//     into a light prefix and heavy suffix, so each relaxation phase
-//     scans only its own arcs. Snapshot.SSSPWith with a warm
-//     SSSPScratch reuses the view, the cyclic bucket ring, the dedup
-//     bitmaps, and the per-worker outputs — steady-state repeated SSSP
-//     allocates nothing and runs ~2.4x faster than the previous
-//     map-deduped loop (and ~matches sequential Dijkstra per-edge at
-//     one worker, scaling with workers from there). Dijkstra with a
-//     typed binary heap (no interface boxing) remains the validation
-//     baseline (Snapshot.ShortestPathsDijkstra).
+//     future-work kernel): parallel delta-stepping straight over the
+//     pinned snapshot, GAP-style: each band relaxes every arc of its
+//     vertices until none re-enters it, reading the label as the
+//     weight, so there is no weighted copy of the arcs and no
+//     light/heavy pre-partition. Snapshot.SSSPWith with a warm
+//     SSSPScratch reuses the chosen delta, the cyclic bucket ring, the
+//     dedup bitmap, and the per-worker outputs — all O(n) — so
+//     steady-state repeated SSSP allocates nothing, on one snapshot or
+//     across newly published ones. Dijkstra with a typed binary heap
+//     (no interface boxing) remains the validation baseline
+//     (Snapshot.ShortestPathsDijkstra).
 //   - The facade: Snapshot.BFSWith/BFSOptions and a reusable Traverser
 //     for traversals; BFSDirectionOpt requires an undirected snapshot
 //     (directed snapshots demote to top-down) and is several times
@@ -159,14 +158,11 @@
 //     out and reduce.
 //     The fleet is a backend of the same qserve executor, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
-//     surface. The weighted view in wcsr is partitioned, not sorted
-//     — delta-stepping needs light arcs before heavy ones and nothing
-//     more — so preparing it for a newly published snapshot, or for
-//     another delta, is one streaming O(m) pass (Rebuild, 4-5 ms per
-//     million arcs on one core, no allocation): a refresh costs the
-//     next SSSP query about half a warm kernel run, and the fleet
-//     re-partitions only the shards whose snapshot moved. The default
-//     bucket width is the mean weight over 2*sqrt(mean degree).
+//     surface. SSSP reads each snapshot's arcs in place on both
+//     backends, so a refresh costs the next SSSP query only the delta
+//     heuristic's fixed-size sample (2^16 labels per shard). The
+//     default bucket width is the mean weight over 2*sqrt(mean
+//     degree).
 //   - Memory-scale snapshot formats as first-class pipeline citizens
 //     (Graph.ManagerWithLayout): the manager can publish plain CSR,
 //     degree-/BFS-/RCM-reordered CSR (internal/reorder), or

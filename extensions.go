@@ -154,10 +154,10 @@ func (s *Snapshot) Stress(workers int, opt BCOptions) []float64 {
 // InfDistance marks unreachable vertices in ShortestPaths results.
 const InfDistance = sssp.Inf
 
-// SSSPScratch is the reusable arena for repeated shortest-path runs over
-// one snapshot: it caches the weight-materialized, light/heavy-
-// partitioned view of the graph and every kernel buffer, so steady-state
-// SSSPWith calls allocate nothing. A scratch must not be shared by
+// SSSPScratch is the reusable arena for repeated shortest-path runs: it
+// caches the bucket width chosen for the last snapshot and every kernel
+// buffer, all O(n), so steady-state SSSPWith calls allocate nothing,
+// over one snapshot or across newly published ones. A scratch must not be shared by
 // concurrent runs; the distance slice returned by a run using it is
 // overwritten by the next.
 type SSSPScratch = sssp.Scratch
@@ -172,8 +172,8 @@ type SSSPOptions struct {
 	// Workers is the parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Delta is the bucket width; <= 0 picks the heuristic (mean arc
-	// weight over 2*sqrt(mean degree), at least 1). Light arcs (weight <= Delta) are relaxed to a fixpoint
-	// within each distance band, heavy arcs once per settled vertex.
+	// weight over 2*sqrt(mean degree), at least 1). Each distance band
+	// relaxes every arc of its vertices until none re-enters the band.
 	Delta int64
 	// Scratch, when non-nil, is reused across calls (see SSSPScratch).
 	Scratch *SSSPScratch
@@ -181,13 +181,13 @@ type SSSPOptions struct {
 
 // SSSPWith computes single-source shortest path distances under opt,
 // treating each arc's time label as its non-negative weight (label 0 =
-// free arc), using parallel delta-stepping over a light/heavy
-// pre-partitioned weighted view. The result matches Dijkstra exactly;
+// free arc), using parallel delta-stepping straight over the snapshot's
+// arcs. The result matches Dijkstra exactly;
 // unreachable vertices hold InfDistance.
 //
 // Storage layouts are invisible here like everywhere else: compressed
 // snapshots run the streaming Bellman-Ford kernel (Delta and Scratch
-// are ignored — there is no bucketed view to cache), reordered ones
+// are ignored — the stream kernel has no buckets), reordered ones
 // delta-step in layout space and translate the distances back, and the
 // returned slice is always indexed by original vertex id.
 func (s *Snapshot) SSSPWith(src VertexID, opt SSSPOptions) []int64 {
@@ -219,10 +219,9 @@ func (s *Snapshot) translateDistances(dist []int64) []int64 {
 // each arc's time label as its non-negative weight (label 0 = free arc),
 // using parallel delta-stepping. delta <= 0 picks a heuristic bucket
 // width; the result matches Dijkstra exactly. It is SSSPWith with a
-// throwaway scratch, so every call pays the O(m) weighted-view build
-// (materialized weights + light/heavy partition) before relaxing; for
-// repeated sources over one snapshot use SSSPWith with a warm scratch,
-// which builds the view once and thereafter allocates nothing.
+// throwaway scratch, so every call allocates the O(n) kernel buffers;
+// for repeated sources use SSSPWith with a warm scratch, which
+// thereafter allocates nothing.
 func (s *Snapshot) ShortestPaths(workers int, src VertexID, delta int64) []int64 {
 	return s.SSSPWith(src, SSSPOptions{Workers: workers, Delta: delta})
 }

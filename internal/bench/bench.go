@@ -50,7 +50,7 @@ type Config struct {
 	BFSEngine string
 	// Deltas is the bucket-width sweep for the "sssp" kernel: one
 	// measurement series per value, with 0 meaning the heuristic
-	// (wcsr.HeuristicDelta) width. Empty means just the heuristic.
+	// (sssp.HeuristicDelta) width. Empty means just the heuristic.
 	Deltas []int64
 }
 
@@ -488,12 +488,12 @@ func KernelSweep(cfg Config, kernel string, numSources int) *timing.Table {
 		}
 		t.Note += fmt.Sprintf(", source %d, label weights", src)
 		for _, delta := range deltas {
-			// One scratch per delta: the cached weighted view is keyed
-			// by (graph, delta), so sharing across the worker sweep
-			// reuses it while a delta change rebuilds it untimed here.
+			// One scratch per delta: the chosen delta is cached by
+			// (graph, delta), so the worker sweep reuses it and the
+			// bucket ring sized for it.
 			scratch := sssp.NewScratch()
 			opt := sssp.Options{Delta: delta, Scratch: scratch}
-			sssp.Run(g, src, opt) // warm the view and buffers
+			sssp.Run(g, src, opt) // warm the buffers and ring
 			for _, w := range cfg.workers() {
 				opt.Workers = w
 				secs := timing.Time(func() { sssp.Run(g, src, opt) })

@@ -26,9 +26,9 @@
 //
 // Capacity is a byte budget charged EntryBytes per resident entry, so
 // a budget B holds about B/EntryBytes entries (64 MiB: 262144).
-// Inserting past the budget evicts least-recently-stamped ready
-// entries; a budget smaller than one entry stores nothing (results are
-// still handed to their waiters).
+// Inserting past the budget evicts the least-recently-stamped eighth
+// of the ready entries in one scan; a budget smaller than one entry
+// stores nothing (results are still handed to their waiters).
 package qcache
 
 import (
@@ -325,30 +325,79 @@ func (g *Gen) Do(k Key, fn func() (Value, error)) (Value, error) {
 	return val, err
 }
 
-// evictOver removes least-recently-stamped ready entries until the
-// generation fits the budget. Called with g.mu held. The scan is
-// O(entries) per eviction round, paid on the miss path only — misses
-// just ran a full graph kernel, so the scan is noise.
+// evictOver brings the generation back under the budget, an eighth
+// at a time: one scan collects the ready entries' stamps, selection
+// finds the stamp of the max(1, len/8)-th oldest (or enough to fit, if
+// more), and a second scan drops every ready entry at or below it. The
+// next len/8 misses then insert without scanning, so a full generation
+// costs a miss O(1) amortised entries scanned instead of a scan per
+// miss. Called with g.mu held. Stamps are unique; a hit that restamps
+// an entry during the scans only spares it, and the loop runs again if
+// that left the generation over budget. In-flight leaders are never
+// evicted.
 func (g *Gen) evictOver() {
 	for g.bytes > g.c.budget {
-		var victim Key
-		var ve *entry
-		var vseq uint64
-		for k, e := range g.entries {
-			if !e.ready {
-				continue // never evict in-flight leaders
-			}
-			if s := e.seq.Load(); ve == nil || s < vseq {
-				victim, ve, vseq = k, e, s
+		stamps := make([]uint64, 0, len(g.entries))
+		for _, e := range g.entries {
+			if e.ready {
+				stamps = append(stamps, e.seq.Load())
 			}
 		}
-		if ve == nil {
+		if len(stamps) == 0 {
 			return
 		}
-		delete(g.entries, victim)
-		g.bytes -= EntryBytes
-		g.c.evictions.Add(1)
+		drop := max(1, len(g.entries)/8, int((g.bytes-g.c.budget+EntryBytes-1)/EntryBytes))
+		cutoff := selectNth(stamps, min(drop, len(stamps))-1)
+		for k, e := range g.entries {
+			if e.ready && e.seq.Load() <= cutoff {
+				delete(g.entries, k)
+				g.bytes -= EntryBytes
+				g.c.evictions.Add(1)
+			}
+		}
 	}
+}
+
+// selectNth returns the value of rank k (0-based) in s, reordering s:
+// Hoare quickselect with a median-of-three pivot, O(len(s)) expected.
+func selectNth(s []uint64, k int) uint64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // Len returns the number of resident entries (ready and in-flight).

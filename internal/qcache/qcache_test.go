@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,6 +257,79 @@ func TestEvictionUnderBudget(t *testing.T) {
 	put(tg, Key{Kind: KindBFS, A: 100}, Value{N1: 100})
 	if _, ok := tg.Lookup(k); ok || tg.Len() != 0 || tiny.Counters().Bytes != 0 {
 		t.Fatalf("sub-entry budget stored %d entries (%d bytes)", tg.Len(), tiny.Counters().Bytes)
+	}
+}
+
+// TestEvictionAmortised fills a generation well past its budget and
+// bounds what a miss pays for eviction: once full, a scan of the
+// generation drops its oldest eighth, so only about one miss in
+// capacity/8 scans at all (about 8 entries scanned per miss amortised,
+// not a full scan per miss), the oldest entries are the ones that go,
+// and the generation never exceeds its budget.
+func TestEvictionAmortised(t *testing.T) {
+	const capacity = 4096
+	c := New(capacity * EntryBytes)
+	g := c.ForView(new(int), 1)
+	for i := range capacity {
+		put(g, Key{Kind: KindSSSP, A: uint64(i)}, Value{N1: int64(i)})
+	}
+	if ctr := c.Counters(); ctr.Evictions != 0 || g.Len() != capacity {
+		t.Fatalf("filled to the budget: %d entries, %d evictions", g.Len(), ctr.Evictions)
+	}
+	const misses = 10 * capacity
+	scans, prev := 0, uint64(0)
+	for i := capacity; i < capacity+misses; i++ {
+		put(g, Key{Kind: KindSSSP, A: uint64(i)}, Value{N1: int64(i)})
+		ev := c.Counters().Evictions
+		if ev != prev {
+			scans++
+			if ev-prev != (capacity+1)/8 {
+				t.Fatalf("miss %d evicted %d entries at once, want %d", i, ev-prev, (capacity+1)/8)
+			}
+		}
+		prev = ev
+		if g.Len() > capacity {
+			t.Fatalf("miss %d: %d entries resident, budget holds %d", i, g.Len(), capacity)
+		}
+	}
+	if maxScans := misses/(capacity/8) + 1; scans > maxScans {
+		t.Fatalf("%d of %d misses scanned the generation, want <= %d", scans, misses, maxScans)
+	}
+	if scanned := float64(scans) * (capacity + 1) / misses; scanned > 9 {
+		t.Fatalf("%.1f entries scanned per miss, want about 8", scanned)
+	}
+	// LRU order held: every survivor is newer than every evicted entry.
+	oldest := capacity + misses - g.Len()
+	if _, ok := g.Lookup(Key{Kind: KindSSSP, A: uint64(oldest - 1)}); ok {
+		t.Fatalf("entry %d, older than %d survivors, is still resident", oldest-1, g.Len())
+	}
+	for _, i := range []int{oldest, capacity + misses - 1} {
+		if _, ok := g.Lookup(Key{Kind: KindSSSP, A: uint64(i)}); !ok {
+			t.Fatalf("recent entry %d was evicted", i)
+		}
+	}
+}
+
+func TestSelectNth(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 100, 1000} {
+		for _, k := range []int{0, n / 3, n / 2, n - 1} {
+			s := make([]uint64, n)
+			for i := range s {
+				s[i] = uint64((i*7919 + 13) % (n + 3)) // distinct for these n, some shuffled
+			}
+			sorted := slices.Clone(s)
+			slices.Sort(sorted)
+			if got := selectNth(s, k); got != sorted[k] {
+				t.Fatalf("n=%d k=%d: got %d, want %d", n, k, got, sorted[k])
+			}
+		}
+	}
+	dup := []uint64{5, 1, 5, 5, 1, 3, 5, 1}
+	sorted := slices.Sorted(slices.Values(dup))
+	for k := range dup {
+		if got := selectNth(slices.Clone(dup), k); got != sorted[k] {
+			t.Fatalf("duplicates k=%d: got %d, want %d", k, got, sorted[k])
+		}
 	}
 }
 

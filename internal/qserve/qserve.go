@@ -40,10 +40,10 @@
 //
 // Scratch reuse across epochs is safe by construction: a
 // traversal.Scratch re-validates itself by graph shape (n, m) and an
-// sssp.Scratch keys its cached weighted view by graph pointer, so a
+// sssp.Scratch keys its cached bucket width by graph pointer, so a
 // scratch that last served an older snapshot transparently rebuilds
-// exactly the state the new snapshot needs (for SSSP one streaming
-// partition pass into arrays it already owns).
+// exactly the state the new snapshot needs (for SSSP a fixed-size
+// sample of its labels; the kernel reads the arcs in place).
 package qserve
 
 import (
@@ -513,15 +513,14 @@ type SSSPReply struct {
 // SSSP runs delta-stepping shortest paths from src with the arc time
 // labels as weights (delta <= 0 picks the heuristic bucket width).
 //
-// The pooled scratch caches its weighted graph view keyed by (graph,
-// delta): requests that agree on delta (in particular the <= 0
-// default) reuse it across the epoch. The first SSSP a scratch serves
-// on a newly published snapshot, and any request whose delta differs
-// from the scratch's cached one, re-partitions the view inside the
-// request: one streaming O(m) pass with no allocation, 4-5 ms per
-// million arcs against a 7-8 ms warm kernel run. Per-request delta
-// tuning is therefore cheap, but the default width already sits on the
-// flat part of the curve.
+// The kernel relaxes the pinned snapshot's arcs in place, reading each
+// label as its weight; the pooled scratch holds only O(n) buffers and
+// the bucket width chosen for (graph, delta). The first SSSP a scratch
+// serves on a newly published snapshot, and any request whose delta
+// differs from the cached one, re-chooses the width from a fixed-size
+// sample of 2^16 labels, with no allocation. Per-request delta tuning
+// is therefore free, but the default width already sits on the flat
+// part of the curve.
 // Under LayoutCompressed the query runs the streaming Bellman-Ford
 // kernel (sssp.RunStream) instead of delta-stepping — distances are
 // identical; delta is ignored there (the stream kernel has no buckets).
@@ -534,8 +533,9 @@ func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
 	return SSSPReplyFrom(a, r), nil
 }
 
-// ssspValue executes the shortest-paths kernel against the pinned view;
-// s.dist is left pointing at the distances, owned by the SSSP scratch.
+// ssspValue executes the shortest-paths kernel straight over the pinned
+// view's arcs; s.dist is left pointing at the distances, owned by the
+// SSSP scratch.
 func (s *scratchSet) ssspValue(v *snapmgr.View, a Args) qcache.Value {
 	src := edge.ID(translate(v, uint32(a.A)))
 	if v.C != nil {

@@ -250,15 +250,15 @@ func TestSteadyStateQueriesDoNotAllocateScratch(t *testing.T) {
 }
 
 // TestSSSPAfterGrowingRefreshDoesNotAllocate is the cold half of the
-// guard above: the first SSSP on a newly published snapshot re-prepares
-// the pooled scratch's weighted view, and that must stay inside the
-// arrays the scratch already owns even when the refresh added arcs (the
-// view keeps m/8 headroom) — a refresh may cost a query one partition
-// pass, never 8 bytes per arc of fresh garbage.
+// guard above: the first SSSP on a newly published snapshot re-chooses
+// the pooled scratch's bucket width, and that must stay inside the
+// buffers the scratch already owns even when the refresh added arcs —
+// the kernel reads the new snapshot's arcs in place, so a refresh never
+// costs a query fresh garbage.
 func TestSSSPAfterGrowingRefreshDoesNotAllocate(t *testing.T) {
 	mgr, _ := newManager(t, 10, 13)
 	ex := New(mgr, Config{Undirected: true, MaxConcurrent: 1})
-	for i := 0; i < 2; i++ { // size the view, the buffers and the bucket ring
+	for i := 0; i < 2; i++ { // size the buffers and the bucket ring
 		if _, err := ex.SSSP(1, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ const NotVisited = int32(-1)
 // Scratch is the reusable arena for scatter-gather queries over one
 // fleet's pinned view set: the global level/distance/label arrays, the
 // per-shard frontiers, the P×P frontier-exchange buckets, and the SSSP
-// band loop with its cached per-shard weighted views. Buffers are
+// band loop with the delta chosen for the view set. Buffers are
 // (re)sized on use for whatever shard count and vertex count the views
 // present. A Scratch must not be shared by concurrent queries; the
 // slices a query returns are overwritten by the next query on the same

@@ -7,22 +7,22 @@ import (
 	"snapdyn/internal/frontier"
 	"snapdyn/internal/par"
 	"snapdyn/internal/sssp"
-	"snapdyn/internal/wcsr"
 )
 
-// ssspState is the sharded delta-stepping arena: per-shard weighted
-// views (cached across runs over one pinned view set), the band loop
-// shared with the single-shard kernel, and the per-shard sub-batches of
-// the owner scatter.
+// ssspState is the sharded delta-stepping arena: the delta chosen for
+// the pinned view set, the band loop shared with the single-shard
+// kernel, and the per-shard sub-batches of the owner scatter. It holds
+// no per-arc state: shards relax their own snapshots' arcs in place.
 type ssspState struct {
-	views   []wcsr.Graph
-	viewFor []*csr.Graph // the graph each view was built from; nil = invalid
-	viewWF  uintptr
-	viewReq int64 // requested delta (cache key; <= 0 means heuristic)
-
-	bands sssp.Bands
-	dist  []int64
-	sub   [][]uint32 // relaxation batch scattered by owner
+	deltas sssp.DeltaCache
+	bands  sssp.Bands
+	views  []*csr.Graph    // the pinned view set of the current run
+	wf     sssp.WeightFunc // nil: the label is the weight
+	dist   []int64
+	sub    [][]uint32 // relaxation batch scattered by owner
+	out    *frontier.Buckets
+	bad    atomic.Bool
+	body   func(s int) // relaxShard, bound once
 }
 
 // SSSP runs sharded delta-stepping from src over the pinned views,
@@ -32,22 +32,21 @@ type ssspState struct {
 //
 // The band loop is the single-shard kernel's (sssp.Bands); only the
 // relaxation phase differs. Each phase scatters the band's batch by
-// vertex owner, every shard relaxes its sub-batch's light (or heavy)
-// arcs over its own weighted view with CAS on the shared distance
-// array, and the winners are gathered back into the ring at the phase
-// barrier — the "tentative-distance relaxations exchanged per delta
-// bucket" protocol. delta <= 0 derives one global delta from the
-// per-shard weight distributions (wcsr.HeuristicDelta over all shard
-// views), so all shards agree on band boundaries.
-func (sc *Scratch) SSSP(views []*csr.Graph, src uint32, wf wcsr.WeightFunc, delta int64) []int64 {
+// vertex owner, every shard relaxes its sub-batch's arcs straight from
+// its own snapshot with CAS on the shared distance array, and the
+// winners are gathered back into the ring at the phase barrier — the
+// "tentative-distance relaxations exchanged per delta bucket" protocol.
+// delta <= 0 derives one global delta from every shard's labels
+// (sssp.HeuristicDelta over all views, cached per view set), so all
+// shards agree on band boundaries. A weight out of range panics on the
+// caller's goroutine, never inside a shard worker.
+func (sc *Scratch) SSSP(views []*csr.Graph, src uint32, wf sssp.WeightFunc, delta int64) []int64 {
 	p := len(views)
 	sp := &sc.sp
-	sc.ensureViews(views, wf, delta)
-	var maxW uint32
-	for s := range sp.views {
-		maxW = max(maxW, sp.views[s].MaxW)
-	}
-	sp.dist = sp.bands.Reset(p, views[0].N, maxW, sp.views[0].Delta)
+	sp.wf = sssp.Custom(wf)
+	delta, maxW := sp.deltas.Choose(sp.wf, delta, views[0].N, views...)
+	sp.dist = sp.bands.Reset(p, views[0].N, maxW, delta)
+	sp.views = append(sp.views[:0], views...)
 	if len(sp.sub) != p {
 		sp.sub = make([][]uint32, p)
 	}
@@ -55,77 +54,13 @@ func (sc *Scratch) SSSP(views []*csr.Graph, src uint32, wf wcsr.WeightFunc, delt
 	return sp.dist
 }
 
-// ensureViews brings the cached per-shard weighted views up to date.
-// Each view is keyed by its own shard's graph pointer: shards refresh
-// independently, so only the shards whose snapshot moved are
-// re-partitioned (one streaming pass each, in parallel). All shards
-// share one delta so they agree on band boundaries; a heuristic
-// request (delta <= 0) derives it from every shard's labels before any
-// view is built, and a shard whose cached view was cut at another
-// delta is re-partitioned too.
-func (sc *Scratch) ensureViews(views []*csr.Graph, wf wcsr.WeightFunc, delta int64) {
-	sp := &sc.sp
-	p := len(views)
-	wfp, wf := sssp.ViewKey(wf)
-	if len(sp.views) != p {
-		sp.views = make([]wcsr.Graph, p)
-		sp.viewFor = make([]*csr.Graph, p)
-	}
-	if sp.viewWF != wfp {
-		clear(sp.viewFor)
-		sp.viewWF = wfp
-	}
-	stale := sp.viewReq != delta
-	for s := range views {
-		stale = stale || sp.viewFor[s] != views[s]
-	}
-	if !stale {
-		return
-	}
-	sp.viewReq = delta
-	if delta <= 0 {
-		delta = wcsr.HeuristicDelta(wf, views[0].N, views...)
-	}
-	sc.rebuildViews(views, wf, delta)
-}
-
-// rebuildViews re-partitions, at delta, every shard view that is not
-// already current. wcsr.Rebuild reports bad weights by panicking on its
-// caller's goroutine — here a fleet worker, where an unhandled panic
-// would kill the process — so it is ferried back to the coordinator;
-// the failed shard's key stays cleared and the next run rebuilds it.
-// The fan-out lives apart from ensureViews so that its escaping closure
-// costs the warm-hit path no allocation.
-func (sc *Scratch) rebuildViews(views []*csr.Graph, wf wcsr.WeightFunc, delta int64) {
-	sp := &sc.sp
-	var pan atomic.Pointer[panicValue]
-	par.Workers(len(views), func(s int) {
-		if sp.viewFor[s] == views[s] && sp.views[s].Delta == delta {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				pan.CompareAndSwap(nil, &panicValue{r})
-			}
-		}()
-		sp.viewFor[s] = nil
-		sp.views[s].Rebuild(1, views[s], wf, delta)
-		sp.viewFor[s] = views[s]
-	})
-	if pv := pan.Load(); pv != nil {
-		panic(pv.v)
-	}
-}
-
-type panicValue struct{ v any }
-
 // Phase is the fleet's sssp.Relaxer: it scatters the batch by owner and
-// fans the relaxation out across shards. Shard s relaxes the light (or
-// heavy) arcs of its owned batch members over its own weighted view,
-// CAS-minimizing into the shared distance array; its winners land in
-// out's bucket s for the band loop to drain. Within a shard the loop is
-// serial — parallelism is the shard fan-out.
-func (sp *ssspState) Phase(batch []uint32, light bool, out *frontier.Buckets) {
+// fans the relaxation out across shards. Shard s relaxes every arc of
+// its owned batch members from its own snapshot, CAS-minimizing into
+// the shared distance array; its winners land in out's bucket s for the
+// band loop to drain. Within a shard the loop is serial — parallelism
+// is the shard fan-out.
+func (sp *ssspState) Phase(batch []uint32, out *frontier.Buckets) {
 	p := len(sp.sub)
 	for s := range sp.sub {
 		sp.sub[s] = sp.sub[s][:0]
@@ -133,17 +68,29 @@ func (sp *ssspState) Phase(batch []uint32, light bool, out *frontier.Buckets) {
 	for _, u := range batch {
 		sp.sub[int(u)%p] = append(sp.sub[int(u)%p], u)
 	}
-	par.Workers(p, func(s int) {
-		wg := &sp.views[s]
-		dist := sp.dist
-		local := out.Take(s)
-		for _, u := range sp.sub[s] {
-			du := atomic.LoadInt64(&dist[u])
-			lo, hi := wg.Span(u, light)
-			for a := lo; a < hi; a++ {
-				local = sssp.Relax(dist, wg.Adj[a], du+int64(wg.W[a]), local)
-			}
-		}
-		out.Put(s, local)
-	})
+	if sp.body == nil {
+		sp.body = sp.relaxShard
+	}
+	sp.out = out
+	par.Workers(p, sp.body)
+	if sp.bad.Load() {
+		sp.bad.Store(false)
+		sssp.BadWeight(sp.wf, sp.views...)
+	}
+}
+
+// relaxShard is shard s's share of a phase: every arc of its owned
+// batch members, relaxed from its own snapshot into bucket s.
+func (sp *ssspState) relaxShard(s int) {
+	g, dist := sp.views[s], sp.dist
+	local := sp.out.Take(s)
+	var bad, b bool
+	for _, u := range sp.sub[s] {
+		local, b = sssp.RelaxSpan(g, sp.wf, g.Offsets[u], g.Offsets[u+1], atomic.LoadInt64(&dist[u]), dist, local)
+		bad = bad || b
+	}
+	sp.out.Put(s, local)
+	if bad {
+		sp.bad.Store(true)
+	}
 }

@@ -11,76 +11,43 @@ import (
 	"snapdyn/internal/stream"
 )
 
-// TestEnsureViewsPerShard: shards refresh independently, so a moved
-// snapshot pointer re-partitions that shard's weighted view alone; a
-// delta change re-partitions every shard, since all must agree on band
-// boundaries; distances stay exact throughout.
-func TestEnsureViewsPerShard(t *testing.T) {
+// TestFleetDeltaCache: one delta is chosen per pinned view set and
+// request, shared by every shard so they agree on band boundaries, and
+// distances stay exact as shards move and requests change.
+func TestFleetDeltaCache(t *testing.T) {
 	n, ups := testUpdates(t, 9, 8, 29)
 	ref := refSnapshot(n, ups)
 	f := testFleet(n, 3, ups)
 	views := f.View(nil)
 	sc := NewScratch()
-	check := func(ctx string, delta int64) {
+	check := func(ctx string, delta, want int64) {
 		t.Helper()
 		got := sc.SSSP(views, 1, sssp.LabelWeights, delta)
-		want := sssp.Dijkstra(ref, 1, sssp.LabelWeights)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: dist[%d] = %d, want %d", ctx, v, got[v], want[v])
+		for v, d := range sssp.Dijkstra(ref, 1, sssp.LabelWeights) {
+			if got[v] != d {
+				t.Fatalf("%s: dist[%d] = %d, want %d", ctx, v, got[v], d)
 			}
 		}
-		for s := range sc.sp.views {
-			if sc.sp.views[s].Delta != sc.sp.views[0].Delta {
-				t.Fatalf("%s: shard %d delta %d, shard 0 delta %d", ctx, s, sc.sp.views[s].Delta, sc.sp.views[0].Delta)
-			}
+		if d := sc.sp.deltas.Delta(); d != want {
+			t.Fatalf("%s: delta %d, want %d", ctx, d, want)
 		}
 	}
-	// mark scribbles on every cached view; rebuilt reports which shards
-	// a later run re-partitioned (a rebuild overwrites the scribble).
-	mark := func() {
-		for s := range sc.sp.views {
-			sc.sp.views[s].MaxW = ^uint32(0)
-		}
-	}
-	rebuilt := func() (out []int) {
-		for s := range sc.sp.views {
-			if sc.sp.views[s].MaxW != ^uint32(0) {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-
-	check("cold", 0)
-	mark()
-	sc.ensureViews(views, sssp.LabelWeights, 0)
-	if r := rebuilt(); len(r) != 0 {
-		t.Fatalf("warm hit rebuilt shards %v", r)
-	}
+	auto := sssp.HeuristicDelta(nil, n, views...)
+	check("cold", 0, auto)
+	check("warm", 0, auto)
 
 	// Shard 1 publishes a new snapshot (same arcs, new pointer).
 	g1 := *views[1]
 	views[1] = &g1
-	sc.ensureViews(views, sssp.LabelWeights, 0)
-	if r := rebuilt(); len(r) != 1 || r[0] != 1 {
-		t.Fatalf("one moved pointer rebuilt shards %v, want [1]", r)
-	}
-	check("after shard 1 moved", 0)
-
-	mark()
-	sc.ensureViews(views, sssp.LabelWeights, 7)
-	if r := rebuilt(); len(r) != 3 {
-		t.Fatalf("delta change rebuilt shards %v, want all three", r)
-	}
-	check("explicit delta", 7)
-	check("back to the heuristic", 0)
+	check("after shard 1 moved", 0, auto)
+	check("explicit delta", 7, 7)
+	check("back to the heuristic", 0, auto)
 }
 
-// TestEnsureViewsFerriesPanic: a bad weight function panics inside a
-// fleet worker; the coordinator must re-raise it on its own goroutine
-// and leave no half-built view behind under a valid key.
-func TestEnsureViewsFerriesPanic(t *testing.T) {
+// TestFleetSSSPBadWeightPanicsOnCaller: a bad weight function is met
+// inside a fleet worker; the panic must surface on the coordinator's
+// goroutine, and the scratch must serve the next query exactly.
+func TestFleetSSSPBadWeightPanicsOnCaller(t *testing.T) {
 	views := []*csr.Graph{
 		csr.FromEdges(1, 4, []edge.Edge{{U: 0, V: 1, T: 3}, {U: 2, V: 3, T: 4}}, false),
 		csr.FromEdges(1, 4, []edge.Edge{{U: 1, V: 2, T: 5}}, false),
@@ -103,11 +70,83 @@ func TestEnsureViewsFerriesPanic(t *testing.T) {
 	}
 }
 
+// coldViewSets returns two view sets of one p-shard fleet holding the
+// scale-14 R-MAT graph (edge factor ef, labels 1..100, undirected): the
+// same arcs under distinct shard snapshot pointers, as a pooled scratch
+// sees them across publications.
+func coldViewSets(tb testing.TB, p, ef int) (int, [2][]*csr.Graph) {
+	const scale = 14
+	n := 1 << scale
+	edges, err := rmat.Generate(2, rmat.PaperParams(scale, ef*n, 100, 3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	views := testFleet(n, p, stream.Mirror(stream.Inserts(edges))).View(nil)
+	var sets [2][]*csr.Graph
+	for i := range sets {
+		for _, v := range views {
+			g := *v
+			sets[i] = append(sets[i], &g)
+		}
+	}
+	return n, sets
+}
+
+// TestFleetSSSPFootprint: a P=2 fleet scratch alternating two pinned
+// view sets retains O(n) bytes of SSSP state and no per-arc array. At
+// mean degree 64 one uint32 per arc would be 256 B/vertex.
+func TestFleetSSSPFootprint(t *testing.T) {
+	n, sets := coldViewSets(t, 2, 32)
+	sc := NewScratch()
+	for i, s := range []uint32{0, 17, 999, 4000, 0, 17, 999, 4000} {
+		sc.SSSP(sets[i&1], s, sssp.LabelWeights, 0)
+	}
+	m := sets[0][0].NumEdges() + sets[0][1].NumEdges()
+	size := sc.sp.bands.SizeBytes()
+	for _, b := range sc.sp.sub {
+		size += 4 * int64(cap(b))
+	}
+	t.Logf("n=%d m=%d: fleet SSSP state holds %d B (%.1f B/vertex)", n, m, size, float64(size)/float64(n))
+	if size > 88*int64(n) || size >= 4*m {
+		t.Fatalf("fleet SSSP state holds %d B: want <= 88 B/vertex and under one uint32 per arc (%d B)", size, 4*m)
+	}
+}
+
+// BenchmarkFleetSSSPColdViews is BenchmarkSSSPColdSnapshot's fleet
+// analogue: every query lands on a newly pinned view set, alternating
+// two, so a view-set change must cost the relaxation nothing per arc.
+// At P=1 the run has one shard worker and, after the first lap, must
+// not allocate; at P=2 a lap may allocate only what the per-phase shard
+// fan-out does over one warm view set.
+func BenchmarkFleetSSSPColdViews(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			_, sets := coldViewSets(b, p, 8)
+			sc := NewScratch()
+			const src = 3
+			lap := func() {
+				sc.SSSP(sets[0], src, sssp.LabelWeights, 0)
+				sc.SSSP(sets[1], src, sssp.LabelWeights, 0)
+			}
+			lap() // size the buffers and the bucket ring
+			warm := testing.AllocsPerRun(2, func() { sc.SSSP(sets[0], src, sssp.LabelWeights, 0) })
+			if cold := testing.AllocsPerRun(2, lap); cold > 2*warm || (p == 1 && cold != 0) {
+				b.Fatalf("cold-view fleet SSSP allocates %g objects per lap (warm %g per query)", cold, warm)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.SSSP(sets[i&1], src, sssp.LabelWeights, 0)
+			}
+		})
+	}
+}
+
 // BenchmarkSSSPDeltaSweep is where the default bucket width comes from:
 // warm SSSP over the end-to-end benchmark's graph shape (R-MAT scale 16,
 // edge factor 8, labels 1..100, undirected) on both engines — the
 // single-snapshot kernel at the serving Workers = 1 and the 2-shard
-// fleet — per explicit delta, beside delta=auto (wcsr.HeuristicDelta).
+// fleet — per explicit delta, beside delta=auto (sssp.HeuristicDelta).
 // The default must sit on the flat part of both curves; README "SSSP:
 // what a refresh costs, and choosing delta" quotes this sweep.
 func BenchmarkSSSPDeltaSweep(b *testing.B) {

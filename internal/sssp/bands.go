@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"snapdyn/internal/frontier"
 	"snapdyn/internal/par"
@@ -9,40 +10,40 @@ import (
 
 // maxRing caps the cyclic bucket ring size. Bands beyond the ring's
 // window spill into an overflow list that is redistributed when the
-// window catches up — only reachable when delta is tiny relative to the
-// largest weight.
+// window catches up — reachable when delta is tiny relative to the
+// largest weight, or when an arc outweighs every weight the delta
+// heuristic sampled.
 const maxRing = 1 << 12
 
 // Relaxer runs one relaxation phase of a delta-stepping band loop: it
-// relaxes the light (or heavy) arcs of every batch vertex, CAS-minimizing
-// into the distance array Bands.Reset returned, and leaves each target
-// whose distance it lowered in one of out's buckets: any of the first
+// relaxes every arc of every batch vertex, CAS-minimizing into the
+// distance array Bands.Reset returned, and leaves each target whose
+// distance it lowered in one of out's buckets: any of the first
 // workers, as given to Reset. A target may be left more than once.
 type Relaxer interface {
-	Phase(batch []uint32, light bool, out *frontier.Buckets)
+	Phase(batch []uint32, out *frontier.Buckets)
 }
 
 // Bands is the delta-stepping band loop and its reusable state: the
 // distance array, the cyclic bucket ring with its overflow list, the
-// batch-dedup and settled bitmaps, and the per-worker buckets the
-// relaxer's phases leave their winners in. The loop settles distance
-// bands of width delta in order — a fixpoint of light phases per band,
-// then one heavy phase over the band's settled vertices — and moves each
-// phase's winners into the ring. How a phase relaxes arcs is the
-// Relaxer's business: the single-snapshot kernel partitions the batch's
-// arcs across workers, the shard fleet scatters it by vertex owner.
-// After warm-up a run allocates nothing of its own.
+// batch-dedup bitmap, and the per-worker buckets the relaxer's phases
+// leave their winners in. The loop settles distance bands of width
+// delta in order — each band a fixpoint of phases over the band's
+// vertices, all of whose arcs are relaxed — and moves each phase's
+// winners into the ring. How a phase relaxes arcs is the Relaxer's
+// business: the single-snapshot kernel partitions the batch's arcs
+// across workers, the shard fleet scatters it by vertex owner. After
+// warm-up a run allocates nothing of its own, and every buffer is
+// O(n): no state is kept per arc.
 type Bands struct {
 	dist  []int64
 	delta int64
 
-	inBatch   *frontier.Bitmap // dedups one batch; cleared per batch member
-	inSettled *frontier.Bitmap // dedups a band's settled set; cleared per band
-	out       *frontier.Buckets
+	inBatch *frontier.Bitmap // dedups one batch; cleared per batch member
+	out     *frontier.Buckets
 
 	ring     [][]uint32 // cyclic bucket array, power-of-two length
 	overflow []uint32
-	settled  []uint32
 	batch    []uint32
 }
 
@@ -59,15 +60,16 @@ func (b *Bands) Reset(workers, n int, maxW uint32, delta int64) []int64 {
 	b.delta = delta
 	if b.inBatch == nil {
 		b.inBatch = frontier.NewBitmap(n)
-		b.inSettled = frontier.NewBitmap(n)
 	} else if b.inBatch.Len() != n {
 		b.inBatch.Grow(n)
-		b.inSettled.Grow(n)
 	}
 	if b.out == nil {
 		b.out = frontier.NewBuckets(workers)
 	} else {
 		b.out.Grow(workers)
+	}
+	for w := 0; w < b.out.Width(); w++ {
+		b.out.Put(w, b.out.Take(w)) // a run a weight panic cut short leaves winners
 	}
 	if s := ringSize(maxW, delta); len(b.ring) < s {
 		ring := make([][]uint32, s)
@@ -94,7 +96,8 @@ func (b *Bands) Reset(workers, n int, maxW uint32, delta int64) []int64 {
 // allocate up to.
 const ringBudget = 16
 
-// levelRing gives every slot of the (empty) ring the capacity of its
+// levelRing empties every slot of the ring (a run a weight panic cut
+// short leaves entries behind) and gives each the capacity of its
 // largest one, rounded up to a power of two. Which bands are crowded
 // depends on the source, so left alone each new source regrows a
 // different handful of slots and the steady state keeps allocating long
@@ -104,7 +107,8 @@ const ringBudget = 16
 // weights makes thousands of sparse bands — keeps growing slot by slot.
 func levelRing(ring [][]uint32, n int) {
 	maxCap := 0
-	for _, s := range ring {
+	for i, s := range ring {
+		ring[i] = s[:0]
 		maxCap = max(maxCap, cap(s))
 	}
 	if maxCap == 0 {
@@ -122,10 +126,11 @@ func levelRing(ring [][]uint32, n int) {
 }
 
 // ringSize returns the power-of-two ring length covering every band a
-// relaxation from the current band can reach: light targets stay within
-// one band, heavy targets within maxW/delta + 1, so maxW/delta + 2
-// consecutive bands always suffice (capped at maxRing; the overflow
-// list absorbs the pathological remainder).
+// relaxation from the current band can reach when no arc outweighs
+// maxW: a target lands at most maxW/delta + 1 bands ahead, so
+// maxW/delta + 2 consecutive bands suffice (capped at maxRing). The
+// overflow list absorbs the rest: heavier arcs than the sampled maxW,
+// and the pathological remainder past the cap.
 func ringSize(maxW uint32, delta int64) int {
 	span := int64(maxW)/delta + 2
 	s := 4
@@ -167,10 +172,10 @@ func (b *Bands) Run(src uint32, r Relaxer) {
 		}
 		slot := &b.ring[int(cur)&mask]
 
-		// Light fixpoint: relax the band's light arcs until no vertex
-		// re-enters it. A vertex improved within its own band re-enters
-		// the slot and is re-relaxed with the smaller distance.
-		settled := b.settled[:0]
+		// Fixpoint: relax the band's vertices until none re-enters it.
+		// A vertex improved within its own band re-enters the slot and
+		// is relaxed again with the smaller distance; targets in later
+		// bands wait in theirs.
 		for len(*slot) > 0 {
 			raw := *slot
 			batch := b.batch[:0]
@@ -187,29 +192,14 @@ func (b *Bands) Run(src uint32, r Relaxer) {
 			*slot = raw[:0]
 			for _, v := range batch {
 				b.inBatch.Clear(v)
-				if b.inSettled.Set(v) {
-					settled = append(settled, v)
-				}
 			}
 			b.batch = batch
 			if len(batch) == 0 {
 				continue
 			}
-			r.Phase(batch, true, b.out)
+			r.Phase(batch, b.out)
 			queued += b.drain(cur, mask)
 		}
-
-		// Heavy pass: once per vertex settled in this band, with its
-		// final distance. Heavy targets always land in strictly later
-		// bands, so the fixpoint cannot reopen.
-		if len(settled) > 0 {
-			r.Phase(settled, false, b.out)
-			queued += b.drain(cur, mask)
-			for _, v := range settled {
-				b.inSettled.Clear(v)
-			}
-		}
-		b.settled = settled
 		cur++
 	}
 }
@@ -279,4 +269,24 @@ func (b *Bands) sweepOverflow(cur int64, mask int) int {
 	}
 	b.overflow = keep
 	return added
+}
+
+// SizeBytes returns the bytes the loop's buffers hold: the distance
+// array, the dedup bitmap, the ring and overflow list, the batch, and
+// the relaxer's output buckets. Every one is O(n).
+func (b *Bands) SizeBytes() int64 {
+	s := 8*int64(cap(b.dist)) + 4*int64(cap(b.overflow)+cap(b.batch)) +
+		int64(cap(b.ring))*int64(unsafe.Sizeof([]uint32(nil)))
+	if b.inBatch != nil {
+		s += 8 * int64(cap(b.inBatch.Words()))
+	}
+	for _, slot := range b.ring {
+		s += 4 * int64(cap(slot))
+	}
+	if b.out != nil {
+		for w := 0; w < b.out.Width(); w++ {
+			s += 4 * int64(cap(b.out.Buf(w)))
+		}
+	}
+	return s
 }

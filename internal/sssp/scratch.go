@@ -8,7 +8,6 @@ import (
 	"snapdyn/internal/frontier"
 	"snapdyn/internal/par"
 	"snapdyn/internal/psort"
-	"snapdyn/internal/wcsr"
 )
 
 // serialArcs is the phase size — in arcs, not vertices — below which a
@@ -17,61 +16,40 @@ import (
 // hub on the parallel path.
 const serialArcs = 1024
 
-// Scratch is the reusable arena for delta-stepping: the cached weighted
-// graph view, the band loop's state (distance array, bucket ring,
-// bitmaps and per-worker relaxation outputs), and the persistent
-// executor closure set. After a warm-up run, repeated SSSP over the same
-// snapshot (any source) allocates nothing. A Scratch must not be shared
-// by concurrent runs, and the distance slice returned by a run is
-// overwritten by the next.
-//
-// A run over a graph pointer the Scratch has not seen — every newly
-// published snapshot — or with another delta re-partitions the cached
-// weighted view first: one streaming O(m) pass into the arrays already
-// held (4-5 ms per million arcs on one core, no allocation at
-// Workers == 1, m/8 headroom for snapshots that grew), so a cold run
-// costs about one and a half warm ones.
-//
-// The cached weighted view is keyed by the graph pointer, the requested
-// delta, and the weight function's code pointer. Distinct named
-// functions (LabelWeights vs UnitWeights) therefore never collide, but
-// closures created from the same source location share a code pointer
-// regardless of their captures — when reusing one Scratch across such
-// closures, call Invalidate between them.
+// Scratch is the reusable arena for delta-stepping: the delta chosen
+// for the last graph, the band loop's state (distance array, bucket
+// ring, dedup bitmap and per-worker relaxation outputs), and the
+// persistent executor closure set. Every buffer is O(n); the kernel
+// reads weights from the snapshot's own arcs, so a run over a graph
+// pointer the Scratch has not seen — every newly published snapshot —
+// costs only the delta heuristic's fixed-size sample. After a warm-up
+// run, repeated SSSP (any source, any snapshot of the same size)
+// allocates nothing. A Scratch must not be shared by concurrent runs,
+// and the distance slice returned by a run is overwritten by the next.
 type Scratch struct {
-	prep      wcsr.Graph
-	prepFor   *csr.Graph
-	prepDelta int64
-	prepWF    uintptr
-	prepOK    bool
-
-	bands Bands
-	ex    *exec
+	deltas DeltaCache
+	bands  Bands
+	ex     *exec
 }
 
 // NewScratch returns an empty arena; buffers are sized on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// Invalidate drops the cached weighted view, forcing the next run to
-// rebuild it. Needed only when reusing one Scratch across same-origin
-// closures with different captures (see the cache-key note above);
-// distinct functions are told apart automatically.
-func (sc *Scratch) Invalidate() { sc.prepOK = false }
+// Invalidate drops the cached delta, so the next run samples the graph
+// again. The cache is keyed by graph and requested delta, not by weight
+// function: call it when switching weight functions over one snapshot
+// and the heuristic width should follow. Distances are exact either
+// way.
+func (sc *Scratch) Invalidate() { sc.deltas.Invalidate() }
 
-// prepare returns the weighted view for (g, wf, delta), rebuilding the
-// cached one (wcsr.Rebuild, into the arrays it already holds) when any
-// of the three changed.
-func (sc *Scratch) prepare(workers int, g *csr.Graph, wf WeightFunc, delta int64) *wcsr.Graph {
-	key, build := ViewKey(wf)
-	if !sc.prepOK || sc.prepFor != g || sc.prepWF != key || sc.prepDelta != delta {
-		// Disarm the cache before Rebuild: a weight-validation panic
-		// mid-rebuild leaves the view half-overwritten, and a caller
-		// that recovers must not be handed it under the stale key.
-		sc.prepOK = false
-		sc.prep.Rebuild(workers, g, build, delta)
-		sc.prepFor, sc.prepDelta, sc.prepWF, sc.prepOK = g, delta, key, true
+// SizeBytes returns the bytes the scratch retains between runs: the
+// band loop's buffers and the executor's phase offsets, all O(n).
+func (sc *Scratch) SizeBytes() int64 {
+	s := sc.bands.SizeBytes()
+	if sc.ex != nil {
+		s += 8 * int64(cap(sc.ex.offsets))
 	}
-	return &sc.prep
+	return s
 }
 
 // exec returns the persistent executor, binding the phase body once per
@@ -86,15 +64,17 @@ func (sc *Scratch) exec() *exec {
 	return sc.ex
 }
 
-// run executes delta-stepping from src over the weighted view, writing
-// into (and returning) the scratch-owned distance array.
-func (sc *Scratch) run(workers int, wg *wcsr.Graph, src edge.ID) []int64 {
+// run executes delta-stepping from src over g with weights from wf
+// (nil: the label), writing into (and returning) the scratch-owned
+// distance array.
+func (sc *Scratch) run(workers int, g *csr.Graph, wf WeightFunc, delta int64, src edge.ID) []int64 {
 	if workers <= 0 {
 		workers = par.MaxWorkers()
 	}
-	dist := sc.bands.Reset(workers, wg.N, wg.MaxW, wg.Delta)
+	delta, maxW := sc.deltas.Choose(wf, delta, g.N, g)
+	dist := sc.bands.Reset(workers, g.N, maxW, delta)
 	e := sc.exec()
-	e.wg, e.dist, e.workers = wg, dist, workers
+	e.g, e.wf, e.dist, e.workers = g, wf, dist, workers
 	sc.bands.Run(src, e)
 	return dist
 }
@@ -103,79 +83,92 @@ func (sc *Scratch) run(workers int, wg *wcsr.Graph, src edge.ID) []int64 {
 // over mutable per-phase fields, so phases hand par.ForBlock the same
 // function value every time and the steady state allocates no closures.
 type exec struct {
-	wg      *wcsr.Graph
+	g       *csr.Graph
+	wf      WeightFunc // nil: the label is the weight
 	dist    []int64
 	workers int
 	batch   []uint32
-	light   bool
 	out     *frontier.Buckets
 
-	offsets   []int64 // prefix-summed phase degrees, one entry per batch vertex
+	offsets   []int64 // prefix-summed degrees, one entry per batch vertex
 	totalWork int64   // arcs in the current phase
+	bad       atomic.Bool
 
 	body func(lo, hi int)
 }
 
-// Phase relaxes the batch's light or heavy arcs into out. The parallel
-// path partitions the phase's work by *arcs* — a prefix sum over the
-// batch's light (or heavy) degrees lets each worker claim an equal slice
-// of arcs, exactly as the traversal engine partitions a frontier — so
-// one hub vertex in a batch cannot serialize the phase. Small phases (and
-// single-worker runs) take the serial path: no goroutine fan-out, no
-// atomics.
-func (e *exec) Phase(batch []uint32, light bool, out *frontier.Buckets) {
-	e.batch, e.light, e.out = batch, light, out
-	if e.workers == 1 {
+// Phase relaxes every arc of the batch into out. The parallel path
+// partitions the phase's work by *arcs* — a prefix sum over the batch's
+// degrees lets each worker claim an equal slice of arcs, exactly as the
+// traversal engine partitions a frontier — so one hub vertex in a batch
+// cannot serialize the phase. Small phases (and single-worker runs)
+// take the serial path: no goroutine fan-out, no atomics. A weight out
+// of range panics here, after the workers have joined.
+func (e *exec) Phase(batch []uint32, out *frontier.Buckets) {
+	e.batch, e.out = batch, out
+	if e.workers > 1 && e.fanOut() {
+		par.ForBlock(e.workers, int(e.totalWork), e.body)
+	} else {
 		e.serialPhase()
-		return
 	}
+	if e.bad.Load() {
+		e.bad.Store(false)
+		BadWeight(e.wf, e.g)
+	}
+}
+
+// fanOut prefix-sums the batch's degrees into e.offsets and reports
+// whether the phase has enough arcs to be worth the fan-out.
+func (e *exec) fanOut() bool {
+	offs := e.g.Offsets
 	offsets := e.offsets[:0]
-	for _, u := range batch {
-		lo, hi := e.wg.Span(u, light)
-		offsets = append(offsets, hi-lo)
+	for _, u := range e.batch {
+		offsets = append(offsets, offs[u+1]-offs[u])
 	}
 	offsets = append(offsets, 0)
 	e.offsets = offsets
 	e.totalWork = psort.ExclusiveScan(e.workers, offsets)
-	if e.totalWork == 0 {
-		return
-	}
 	// par.BlockIndex inverts ForBlock's partitioning only when ForBlock
 	// doesn't clamp the worker count, hence the totalWork >= workers
 	// requirement on the parallel path.
-	if e.totalWork < serialArcs || e.totalWork < int64(e.workers) {
-		e.serialPhase()
-		return
-	}
-	par.ForBlock(e.workers, int(e.totalWork), e.body)
+	return e.totalWork >= serialArcs && e.totalWork >= int64(e.workers)
 }
 
 // serialPhase is the single-owner relaxation loop: plain loads and
 // stores, improvements appended to worker 0's bucket.
 func (e *exec) serialPhase() {
-	wg, dist := e.wg, e.dist
+	g, dist, wf := e.g, e.dist, e.wf
 	local := e.out.Take(0)
+	var bad uint64
 	for _, u := range e.batch {
 		du := dist[u]
-		lo, hi := wg.Span(u, e.light)
-		for p := lo; p < hi; p++ {
-			v := wg.Adj[p]
-			if nd := du + int64(wg.W[p]); nd < dist[v] {
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		adj, ts := g.Adj[lo:hi], g.TS[lo:hi]
+		ts = ts[:len(adj)]
+		for i, v := range adj {
+			w := int64(ts[i])
+			if wf != nil {
+				w = wf(ts[i])
+				bad |= uint64(w) >> 32
+			}
+			if nd := du + w; nd < dist[v] {
 				dist[v] = nd
 				local = append(local, v)
 			}
 		}
 	}
 	e.out.Put(0, local)
+	if bad != 0 {
+		e.bad.Store(true)
+	}
 }
 
 // parallelPhase is one worker's share of a parallel phase: lock-free CAS
 // relaxation over its arc slice [lo, hi) of the batch's concatenated
-// light prefixes (or heavy suffixes). A vertex whose span straddles a
-// block boundary is relaxed by both neighbors, each over its own arc
-// sub-range.
+// adjacencies. A vertex whose span straddles a block boundary is
+// relaxed by both neighbors, each over its own arc sub-range.
 func (e *exec) parallelPhase(lo, hi int) {
-	wg, dist, offsets, batch := e.wg, e.dist, e.offsets, e.batch
+	g, dist, offsets, batch := e.g, e.dist, e.offsets, e.batch
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.out.Take(w)
 	vi := psort.SearchOffsets(offsets, int64(lo))
@@ -184,32 +177,18 @@ func (e *exec) parallelPhase(lo, hi int) {
 			vi++
 		}
 		u := batch[vi]
-		abase, _ := wg.Span(u, e.light)
+		abase := g.Offsets[u]
 		base := abase + (pos - offsets[vi])
 		end := abase + (offsets[vi+1] - offsets[vi])
 		if stop := abase + (int64(hi) - offsets[vi]); stop < end {
 			end = stop
 		}
-		du := atomic.LoadInt64(&dist[u])
-		for p := base; p < end; p++ {
-			local = Relax(dist, wg.Adj[p], du+int64(wg.W[p]), local)
+		var bad bool
+		local, bad = RelaxSpan(g, e.wf, base, end, atomic.LoadInt64(&dist[u]), dist, local)
+		if bad {
+			e.bad.Store(true)
 		}
 		pos = end - abase + offsets[vi]
 	}
 	e.out.Put(w, local)
-}
-
-// Relax attempts dist[v] = min(dist[v], nd) with a CAS loop; the winning
-// worker records the improvement in its local bucket. It is the one
-// concurrent relaxation every Relaxer's parallel phases share.
-func Relax(dist []int64, v uint32, nd int64, local []uint32) []uint32 {
-	for {
-		cur := atomic.LoadInt64(&dist[v])
-		if nd >= cur {
-			return local
-		}
-		if atomic.CompareAndSwapInt64(&dist[v], cur, nd) {
-			return append(local, v)
-		}
-	}
 }

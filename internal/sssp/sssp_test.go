@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,8 +209,8 @@ func TestDeltaSteppingExtremes(t *testing.T) {
 	// exact. Unit weights put the mean at 1, so the degree term floors.
 	sc := NewScratch()
 	got := Run(g, 3, Options{Workers: 2, Weights: UnitWeights, Scratch: sc})
-	if sc.prep.Delta != 1 {
-		t.Fatalf("unit weights: default delta %d, want 1", sc.prep.Delta)
+	if d := sc.deltas.Delta(); d != 1 {
+		t.Fatalf("unit weights: default delta %d, want 1", d)
 	}
 	for v, want := range Dijkstra(g, 3, UnitWeights) {
 		if got[v] != want {
@@ -238,8 +239,8 @@ func TestDeltaSteppingExtremes(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			got := Run(tc.g, 1, Options{Workers: workers, Scratch: sc})
-			if sc.prep.Delta != tc.delta {
-				t.Fatalf("%s: default delta %d, want %d", tc.name, sc.prep.Delta, tc.delta)
+			if d := sc.deltas.Delta(); d != tc.delta {
+				t.Fatalf("%s: default delta %d, want %d", tc.name, d, tc.delta)
 			}
 			assertMatchesDijkstra(t, tc.g, 1, got, tc.name+" default delta")
 		}
@@ -354,15 +355,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 	sc := NewScratch()
 	opt := Options{Workers: 1, Scratch: sc}
 	srcs := []edge.ID{0, 17, 999, 4000}
-	Run(g, srcs[0], opt) // warm the weighted view and every buffer
+	Run(g, srcs[0], opt) // warm every buffer
 	i := 0
 	allocs := testing.AllocsPerRun(10, func() {
 		Run(g, srcs[i%len(srcs)], opt)
 		i++
 	})
 	// The warm steady state must not allocate: the Scratch holds the
-	// distance array, the cached weighted view, the bucket ring, the
-	// dedup bitmaps, the per-worker outputs, and the executor closures.
+	// distance array, the cached delta, the bucket ring, the dedup
+	// bitmap, the per-worker outputs, and the executor closures.
 	// The acceptance bound allows 2 objects/run of slack (mirroring the
 	// Brandes guard); today the measured value is 0.
 	if allocs > 2 {
@@ -407,7 +408,7 @@ func BenchmarkDijkstra(b *testing.B) {
 }
 
 // BenchmarkDeltaStepping is the cold path: a fresh Scratch per run pays
-// the weighted-view build and every buffer allocation.
+// the delta sample and every buffer allocation.
 func BenchmarkDeltaStepping(b *testing.B) {
 	p := rmat.PaperParams(14, 8*(1<<14), 100, 5)
 	edgesL, _ := rmat.Generate(0, p)
@@ -420,7 +421,7 @@ func BenchmarkDeltaStepping(b *testing.B) {
 }
 
 // BenchmarkDeltaSteppingWarm is the steady state: a warm Scratch reuses
-// the weighted view and kernel buffers, allocating nothing per run.
+// the chosen delta and kernel buffers, allocating nothing per run.
 func BenchmarkDeltaSteppingWarm(b *testing.B) {
 	p := rmat.PaperParams(14, 8*(1<<14), 100, 5)
 	edgesL, _ := rmat.Generate(0, p)
@@ -456,16 +457,237 @@ func TestScratchRecoversFromBadWeightFunc(t *testing.T) {
 	}
 }
 
-func TestViewKey(t *testing.T) {
+func TestLabelWeightsDirect(t *testing.T) {
 	// LabelWeights — passed by name or reached through the nil default —
-	// builds with a nil function (wcsr's direct label read); anything
-	// else builds with itself under its own key.
-	lk, lf := ViewKey(LabelWeights)
-	if lf != nil {
-		t.Fatal("LabelWeights not recognized: the view build would call out per arc")
+	// reads the label straight from the snapshot, with no call per arc;
+	// any other function is called per relaxed arc.
+	if Custom(LabelWeights) != nil || Custom(nil) != nil {
+		t.Fatal("LabelWeights not recognized: the relaxers would call out per arc")
 	}
-	uk, uf := ViewKey(UnitWeights)
-	if uf == nil || uf(7) != 1 || uk == lk {
-		t.Fatalf("UnitWeights: key %#x (label key %#x), nil func %v", uk, lk, uf == nil)
+	if wf := Custom(UnitWeights); wf == nil || wf(7) != 1 {
+		t.Fatal("UnitWeights must be called per arc")
+	}
+	// The direct path really is taken: a warm run by either spelling
+	// calls no weight function and allocates nothing.
+	g := weightedGraph(4, true, [3]uint32{0, 1, 2}, [3]uint32{1, 2, 3}, [3]uint32{2, 3, 4})
+	sc := NewScratch()
+	for _, opt := range []Options{
+		{Workers: 1, Scratch: sc},
+		{Workers: 1, Scratch: sc, Weights: LabelWeights},
+	} {
+		Run(g, 0, opt)
+		if allocs := testing.AllocsPerRun(5, func() { Run(g, 0, opt) }); allocs != 0 {
+			t.Fatalf("label-weight run allocates %g objects", allocs)
+		}
+		assertMatchesDijkstra(t, g, 0, Run(g, 0, opt), "label weights")
 	}
 }
+
+// TestCustomWeightOutOfRange: a custom weight below 0 or above
+// MaxUint32 on a relaxed arc panics, naming the weight and its label.
+func TestCustomWeightOutOfRange(t *testing.T) {
+	g := csr.FromEdges(1, 2, []edge.Edge{{U: 0, V: 1, T: 5}}, false)
+	for _, wf := range []WeightFunc{
+		func(uint32) int64 { return -1 },
+		func(uint32) int64 { return 1 << 40 },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "label 5") {
+					t.Fatalf("recovered %v, want an out-of-range panic for label 5", r)
+				}
+			}()
+			DeltaStepping(1, g, 0, wf, 0)
+		}()
+	}
+}
+
+// TestCustomWeightPanicsOnCaller: the out-of-range panic surfaces on
+// the caller's goroutine even when the bad arc is relaxed inside a par
+// worker (a hub's arc-partitioned phase at 4 workers), so the caller
+// can recover it and reuse the scratch.
+func TestCustomWeightPanicsOnCaller(t *testing.T) {
+	const n = 5000
+	var es []edge.Edge
+	for v := 1; v < n; v++ {
+		es = append(es, edge.Edge{U: 0, V: uint32(v), T: uint32(1 + v%40)})
+	}
+	g := csr.FromEdges(0, n, es, true)
+	sc := NewScratch()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic for a negative weight at workers=4")
+			}
+		}()
+		Run(g, 0, Options{Workers: 4, Scratch: sc, Weights: func(ts uint32) int64 {
+			if ts == 33 {
+				return -1
+			}
+			return int64(ts)
+		}})
+	}()
+	assertMatchesDijkstra(t, g, 0, Run(g, 0, Options{Workers: 4, Scratch: sc}), "after recovered panic")
+}
+
+// labelGraph is a CSR over n vertices whose arcs (all out of vertex 0)
+// carry the given labels: the HeuristicDelta fixtures.
+func labelGraph(n int, labels []uint32) *csr.Graph {
+	es := make([]edge.Edge, len(labels))
+	for i, ts := range labels {
+		es[i] = edge.Edge{U: 0, V: 1, T: ts}
+	}
+	return csr.FromEdges(1, n, es, false)
+}
+
+func TestHeuristicDelta(t *testing.T) {
+	label := func(ts uint32) int64 { return int64(ts) }
+	if d := HeuristicDelta(label, 4); d != 1 {
+		t.Fatalf("no graphs: %d, want 1", d)
+	}
+	if d := HeuristicDelta(label, 4, csr.FromEdges(1, 4, nil, false)); d != 1 {
+		t.Fatalf("empty: %d, want 1", d)
+	}
+	if d := HeuristicDelta(label, 4, labelGraph(4, []uint32{0, 0, 0})); d != 1 {
+		t.Fatalf("all-zero: %d, want 1 (floor)", d)
+	}
+	// Mean degree <= 1 leaves the degree term at 1: mean weight / 2.
+	if d := HeuristicDelta(label, 3, labelGraph(3, []uint32{10, 20, 30})); d != 10 {
+		t.Fatalf("sparse: %d, want 10", d)
+	}
+	// Mean degree 16 divides by 2*sqrt(16) = 8.
+	many := make([]uint32, 64)
+	for i := range many {
+		many[i] = 80
+	}
+	if d := HeuristicDelta(label, 4, labelGraph(4, many)); d != 10 {
+		t.Fatalf("degree 16: %d, want 10", d)
+	}
+	// Several graphs (a fleet's shard views) combine arc-weighted: 48
+	// arcs at 80 and 16 at 16 average 64 over 4 vertices.
+	if d := HeuristicDelta(label, 4, labelGraph(4, many[:48]), labelGraph(4, []uint32{
+		16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16})); d != 8 {
+		t.Fatalf("two graphs: %d, want 8", d)
+	}
+	// A weight function returning garbage must not push delta below 1.
+	if d := HeuristicDelta(func(uint32) int64 { return -7 }, 4, labelGraph(4, many)); d != 1 {
+		t.Fatalf("negative weights: %d, want 1", d)
+	}
+	// Deterministic, and a large arc set is sampled at exactly the fixed
+	// stride from arc 0; nil weights read the labels.
+	big := make([]uint32, 1<<18)
+	for i := range big {
+		big[i] = uint32(i % 97)
+	}
+	g := labelGraph(1<<18, big)
+	d1, d2 := HeuristicDelta(label, g.N, g), HeuristicDelta(nil, g.N, g)
+	if d1 != d2 {
+		t.Fatalf("nondeterministic: %d vs %d", d1, d2)
+	}
+	stride := len(big) / heuristicSample
+	var sum, count int64
+	for i := 0; i < len(g.TS); i += stride {
+		sum += int64(g.TS[i])
+		count++
+	}
+	if want := sum / count / 2; d1 != want {
+		t.Fatalf("stride sample: %d, want %d", d1, want)
+	}
+	// The ring bound is the sample's largest weight, clamped to uint32.
+	if _, maxW := sampleDelta(nil, g.N, []*csr.Graph{g}); maxW != 96 {
+		t.Fatalf("sampled max weight %d, want 96", maxW)
+	}
+	if _, maxW := sampleDelta(func(uint32) int64 { return 1 << 40 }, 4, []*csr.Graph{labelGraph(4, many)}); maxW != 1<<32-1 {
+		t.Fatalf("clamped max weight %d, want MaxUint32", maxW)
+	}
+}
+
+// TestDeltaCache: the chosen delta is cached per graph pointer and
+// requested delta, and a new snapshot of the same graph, a new request
+// or Invalidate re-chooses it, landing where a fresh scratch would.
+func TestDeltaCache(t *testing.T) {
+	p := rmat.PaperParams(9, 8<<9, 100, 23)
+	es, _ := rmat.Generate(0, p)
+	g := csr.FromEdges(0, p.NumVertices(), es, true)
+	g2 := *g
+	sc := NewScratch()
+	for _, tc := range []struct {
+		g     *csr.Graph
+		req   int64
+		delta int64
+	}{
+		{g, 0, HeuristicDelta(nil, g.N, g)},
+		{g, 17, 17},
+		{&g2, 17, 17},
+		{&g2, 0, HeuristicDelta(nil, g.N, g)},
+		{g, 1, 1},
+	} {
+		for _, workers := range []int{1, 4} {
+			got := Run(tc.g, 5, Options{Workers: workers, Delta: tc.req, Scratch: sc})
+			if d := sc.deltas.Delta(); d != tc.delta {
+				t.Fatalf("requested %d: delta %d, want %d", tc.req, d, tc.delta)
+			}
+			assertMatchesDijkstra(t, tc.g, 5, got, fmt.Sprintf("delta %d", tc.req))
+		}
+	}
+	sc.deltas.delta = -1 // scribble: only a re-choice overwrites it
+	Run(g, 5, Options{Workers: 1, Delta: 1, Scratch: sc})
+	if sc.deltas.Delta() != -1 {
+		t.Fatal("a warm hit re-chose the delta")
+	}
+	sc.Invalidate()
+	Run(g, 5, Options{Workers: 1, Delta: 1, Scratch: sc})
+	if sc.deltas.Delta() != 1 {
+		t.Fatalf("after Invalidate: delta %d, want 1", sc.deltas.Delta())
+	}
+
+	// A fleet's view set is one entry: moving any one pointer misses.
+	var c DeltaCache
+	gs := []*csr.Graph{g, &g2}
+	c.Choose(nil, 9, g.N, gs...)
+	c.delta = -1
+	if d, _ := c.Choose(nil, 9, g.N, gs...); d != -1 {
+		t.Fatal("a warm view set re-chose the delta")
+	}
+	g3 := g2
+	if d, _ := c.Choose(nil, 9, g.N, g, &g3); d != 9 {
+		t.Fatalf("one moved shard: delta %d, want 9 re-chosen", d)
+	}
+}
+
+// TestScratchFootprint: a pooled scratch serving alternating snapshots
+// retains O(n) bytes and no per-arc array, and a snapshot change costs
+// it no allocation. At mean degree 64 one uint32 per arc would be 256
+// B/vertex, well clear of the O(n) bound.
+func TestScratchFootprint(t *testing.T) {
+	p := rmat.PaperParams(14, 32<<14, 100, 41)
+	es, _ := rmat.Generate(0, p)
+	g := csr.FromEdges(0, p.NumVertices(), es, true)
+	snaps := [2]*csr.Graph{g, csr.FromEdges(0, p.NumVertices(), es, true)}
+	sc := NewScratch()
+	opt := Options{Workers: 1, Scratch: sc}
+	srcs := []edge.ID{0, 17, 999, 4000}
+	for i := 0; i < 8; i++ {
+		Run(snaps[i&1], srcs[i%len(srcs)], opt)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(8, func() {
+		Run(snaps[i&1], srcs[i%len(srcs)], opt)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("alternating-snapshot SSSP allocates %g objects per run", allocs)
+	}
+	n, m := int64(g.N), g.NumEdges()
+	size := sc.SizeBytes()
+	t.Logf("n=%d m=%d: scratch holds %d B (%.1f B/vertex)", n, m, size, float64(size)/float64(n))
+	if size > footprintPerVertex*n || size >= 4*m {
+		t.Fatalf("scratch holds %d B: want <= %d B/vertex and under one uint32 per arc (%d B)",
+			size, footprintPerVertex, 4*m)
+	}
+}
+
+// footprintPerVertex bounds a warm scratch's bytes per vertex: the
+// distance array (8), the levelled bucket ring (at most ringBudget
+// uint32 ids per vertex), and 16 for the dedup bitmap, overflow list,
+// batch and output buckets.
+const footprintPerVertex = 8 + 4*ringBudget + 16
