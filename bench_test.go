@@ -18,6 +18,7 @@ import (
 
 	ibench "snapdyn/internal/bench"
 	"snapdyn/internal/dyngraph"
+	"snapdyn/internal/sssp"
 	"snapdyn/internal/stream"
 	"snapdyn/internal/timing"
 )
@@ -339,9 +340,9 @@ func BenchmarkAblationLockFreeInserts(b *testing.B) {
 	})
 }
 
-// ssspBenchGraph builds the weighted SSSP benchmark instance: R-MAT
+// ssspBenchEdges generates the weighted SSSP benchmark instance: R-MAT
 // scale 16, m = 10n, time labels in [1, 100] doubling as arc weights.
-func ssspBenchGraph(b *testing.B) *Graph {
+func ssspBenchEdges(b *testing.B) (int, []Edge) {
 	b.Helper()
 	const scale = 16
 	p := PaperRMAT(scale, 10<<scale, 100, 6)
@@ -349,7 +350,15 @@ func ssspBenchGraph(b *testing.B) *Graph {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := New(p.NumVertices(), WithExpectedEdges(2*len(edges)), Undirected())
+	return p.NumVertices(), edges
+}
+
+// ssspBenchGraph loads the SSSP benchmark instance into an undirected
+// Graph.
+func ssspBenchGraph(b *testing.B) *Graph {
+	b.Helper()
+	n, edges := ssspBenchEdges(b)
+	g := New(n, WithExpectedEdges(2*len(edges)), Undirected())
 	g.InsertEdges(0, edges)
 	return g
 }
@@ -405,6 +414,29 @@ func BenchmarkSSSPColdSnapshot(b *testing.B) {
 		snaps[i&1].SSSPWith(src, opt)
 	}
 	b.ReportMetric(float64(snaps[0].NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
+}
+
+// BenchmarkShardedSSSP is BenchmarkSSSPDeltaStepping's instance on a
+// 2-shard fleet built through NewSharded: warm delta-stepping over one
+// pinned view set with a pooled fleet scratch, as a served fleet query
+// runs it. A warm query must not allocate.
+func BenchmarkShardedSSSP(b *testing.B) {
+	n, edges := ssspBenchEdges(b)
+	sg := NewSharded(n, 2, WithExpectedEdges(2*len(edges)), Undirected())
+	sg.ApplyUpdates(0, Inserts(edges))
+	v := sg.Refresh(0)
+	sc, src := v.scratch(), edges[0].U
+	query := func() { sc.SSSP(v.views, src, sssp.LabelWeights, 0) }
+	query() // size the kernel buffers and the bucket ring
+	if allocs := testing.AllocsPerRun(2, query); allocs != 0 {
+		b.Fatalf("warm fleet SSSP allocates %g objects per query, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.ReportMetric(float64(v.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
 }
 
 // BenchmarkSSSPDijkstra is the sequential typed-heap baseline over the

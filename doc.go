@@ -39,7 +39,9 @@
 //     pinned snapshot, GAP-style: each band relaxes every arc of its
 //     vertices until none re-enters it, reading the label as the
 //     weight, so there is no weighted copy of the arcs and no
-//     light/heavy pre-partition. Snapshot.SSSPWith with a warm
+//     light/heavy pre-partition. A dense band batch is walked in
+//     vertex id order, and a serial phase relaxes with plain stores
+//     and no branch per arc. Snapshot.SSSPWith with a warm
 //     SSSPScratch reuses the chosen delta, the cyclic bucket ring, the
 //     dedup bitmap, and the per-worker outputs — all O(n) — so
 //     steady-state repeated SSSP allocates nothing, on one snapshot or
@@ -154,8 +156,9 @@
 //     BFS runs level-synchronously with a cross-shard frontier exchange
 //     per level; delta-stepping SSSP and components run the single
 //     kernels' own band loop (sssp.Bands) and hook-and-compress
-//     labeling (cc.ComponentsOver) with a per-shard phase; stats fan
-//     out and reduce.
+//     labeling (cc.ComponentsOver): SSSP with one serial phase that
+//     reads each vertex's arcs from its owner shard, components with a
+//     per-shard hook phase; stats fan out and reduce.
 //     The fleet is a backend of the same qserve executor, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
 //     surface. SSSP reads each snapshot's arcs in place on both

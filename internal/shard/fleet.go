@@ -21,9 +21,9 @@
 //
 // Fleet SSSP and components are the single-snapshot kernels' own code
 // with a per-shard phase. SSSP runs sssp.Bands, the one delta-stepping
-// band loop, and supplies only its relaxation phase: the band's batch
-// scattered by owner, each shard relaxing its own snapshot's arcs in
-// place. Components run cc.ComponentsOver, whose hook phase scans the
+// band loop, and supplies only its relaxation phase: one serial pass
+// that relaxes each batch member's arcs in place from its owner shard's
+// snapshot. Components run cc.ComponentsOver, whose hook phase scans the
 // per-shard CSRs. The scatter-gather BFS and the Jacobi PageRank are
 // the fleet's own kernels.
 //

@@ -27,8 +27,10 @@ type Executor struct {
 
 var _ qserve.Engine = (*Executor)(nil)
 
-// NewExecutor returns a fleet executor. cfg.Workers is ignored: a
-// scatter-gather query's parallelism is the shard fan-out.
+// NewExecutor returns a fleet executor. cfg.Workers is ignored: BFS,
+// components and PageRank fan out across shards, SSSP runs serially,
+// and the executor's admission slots (cfg.MaxConcurrent) run queries
+// side by side.
 func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
 	cfg = cfg.WithDefaults()
 	b := &backend{

@@ -16,10 +16,11 @@ import (
 const maxRing = 1 << 12
 
 // Relaxer runs one relaxation phase of a delta-stepping band loop: it
-// relaxes every arc of every batch vertex, CAS-minimizing into the
-// distance array Bands.Reset returned, and leaves each target whose
-// distance it lowered in one of out's buckets: any of the first
-// workers, as given to Reset. A target may be left more than once.
+// relaxes every arc of every batch vertex, minimizing into the distance
+// array Bands.Reset returned, and leaves each target whose distance it
+// lowered in one of out's buckets: any of the first workers, as given
+// to Reset. A target may be left more than once. The batch holds
+// distinct vertices; a dense one comes in ascending id order.
 type Relaxer interface {
 	Phase(batch []uint32, out *frontier.Buckets)
 }
@@ -30,9 +31,14 @@ type Relaxer interface {
 // leave their winners in. The loop settles distance bands of width
 // delta in order — each band a fixpoint of phases over the band's
 // vertices, all of whose arcs are relaxed — and moves each phase's
-// winners into the ring. How a phase relaxes arcs is the Relaxer's
-// business: the single-snapshot kernel partitions the batch's arcs
-// across workers, the shard fleet scatters it by vertex owner. After
+// winners into the ring. A batch with at least one member per eight
+// bitmap words its ids span is handed over in ascending id order, read
+// off the dedup words, so its arcs are walked front to back; a thinner
+// one keeps the order its members were queued in. How a phase relaxes
+// arcs is the Relaxer's business: the single-snapshot kernel runs
+// RelaxOwned serially or partitions the batch's arcs across CAS
+// workers, and the shard fleet relaxes each member from its owner
+// shard's snapshot through RelaxOwned. After
 // warm-up a run allocates nothing of its own, and every buffer is
 // O(n): no state is kept per arc.
 type Bands struct {
@@ -144,6 +150,7 @@ func ringSize(maxW uint32, delta int64) int {
 // through r, and leaves the exact distances in the array Reset returned.
 func (b *Bands) Run(src uint32, r Relaxer) {
 	dist, delta := b.dist, b.delta
+	words := b.inBatch.Words()
 	dist[src] = 0
 	mask := len(b.ring) - 1
 	b.overflow = b.overflow[:0]
@@ -179,6 +186,7 @@ func (b *Bands) Run(src uint32, r Relaxer) {
 		for len(*slot) > 0 {
 			raw := *slot
 			batch := b.batch[:0]
+			loW, hiW := len(words), -1
 			for _, v := range raw {
 				d := dist[v]
 				if d == Inf || d/delta != cur {
@@ -186,22 +194,46 @@ func (b *Bands) Run(src uint32, r Relaxer) {
 				}
 				if b.inBatch.Set(v) {
 					batch = append(batch, v)
+					loW, hiW = min(loW, int(v>>6)), max(hiW, int(v>>6))
 				}
 			}
 			queued -= len(raw)
 			*slot = raw[:0]
-			for _, v := range batch {
-				b.inBatch.Clear(v)
-			}
 			b.batch = batch
 			if len(batch) == 0 {
 				continue
+			}
+			// A dense batch is re-read off its dedup words in id order,
+			// so the phase walks the arc arrays forward; a sparse one
+			// keeps its member order rather than scan mostly empty words.
+			if 8*len(batch) >= hiW-loW+1 {
+				batch = collect(words[loW:hiW+1], uint32(loW)<<6, batch[:0])
+			} else {
+				for _, v := range batch {
+					b.inBatch.Clear(v)
+				}
 			}
 			r.Phase(batch, b.out)
 			queued += b.drain(cur, mask)
 		}
 		cur++
 	}
+}
+
+// collect appends the ids whose bits are set in words, the first of
+// which holds ids from base, to dst in ascending order, clearing each
+// word it reads.
+func collect(words []uint64, base uint32, dst []uint32) []uint32 {
+	for i, w := range words {
+		if w == 0 {
+			continue
+		}
+		words[i] = 0
+		for id := base + uint32(i)<<6; w != 0; w &= w - 1 {
+			dst = append(dst, id+uint32(bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
 // drain moves the phase's winners out of the buckets into the ring (or

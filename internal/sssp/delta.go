@@ -18,11 +18,11 @@ const heuristicSample = 1 << 16
 // The mean weight alone (the textbook starting point) is the slowest
 // point of the sweep: bands that wide re-relax most arcs several times.
 // The Meyer–Sanders Θ(1/d) rule fixes that but over-shrinks on dense
-// graphs, where the sharded engine then pays a phase barrier per
-// near-empty band; damping the degree term with a square root sits on
-// the flat part of the measured curve for both engines at mean degrees
-// 4 to 64 (README "SSSP: what a refresh costs, and choosing delta" has
-// the sweep).
+// graphs, where a run then pays the band loop's per-band bookkeeping
+// (ring scan, dedup, drain) for thin bands whose batches are too sparse
+// to walk in id order; damping the degree term with a square root sits
+// on the flat part of the measured curve for both engines (README
+// "SSSP: what a refresh costs, and choosing delta" has the sweep).
 //
 // Each graph's weights are sampled from its time labels through wf
 // (nil: the label is the weight) at a fixed stride of max(1, m/2^16)

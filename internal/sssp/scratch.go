@@ -102,7 +102,8 @@ type exec struct {
 // degrees lets each worker claim an equal slice of arcs, exactly as the
 // traversal engine partitions a frontier — so one hub vertex in a batch
 // cannot serialize the phase. Small phases (and single-worker runs)
-// take the serial path: no goroutine fan-out, no atomics. A weight out
+// take the serial path through RelaxOwned: no goroutine fan-out, no
+// atomics, no branch per arc. A weight out
 // of range panics here, after the workers have joined.
 func (e *exec) Phase(batch []uint32, out *frontier.Buckets) {
 	e.batch, e.out = batch, out
@@ -134,31 +135,19 @@ func (e *exec) fanOut() bool {
 	return e.totalWork >= serialArcs && e.totalWork >= int64(e.workers)
 }
 
-// serialPhase is the single-owner relaxation loop: plain loads and
-// stores, improvements appended to worker 0's bucket.
+// serialPhase is the single-owner relaxation loop: RelaxOwned over each
+// batch vertex's arcs, improvements appended to worker 0's bucket.
 func (e *exec) serialPhase() {
-	g, dist, wf := e.g, e.dist, e.wf
+	g, dist := e.g, e.dist
 	local := e.out.Take(0)
-	var bad uint64
+	var bad bool
 	for _, u := range e.batch {
-		du := dist[u]
-		lo, hi := g.Offsets[u], g.Offsets[u+1]
-		adj, ts := g.Adj[lo:hi], g.TS[lo:hi]
-		ts = ts[:len(adj)]
-		for i, v := range adj {
-			w := int64(ts[i])
-			if wf != nil {
-				w = wf(ts[i])
-				bad |= uint64(w) >> 32
-			}
-			if nd := du + w; nd < dist[v] {
-				dist[v] = nd
-				local = append(local, v)
-			}
-		}
+		var b bool
+		local, b = RelaxOwned(g, e.wf, g.Offsets[u], g.Offsets[u+1], dist[u], dist, local)
+		bad = bad || b
 	}
 	e.out.Put(0, local)
-	if bad != 0 {
+	if bad {
 		e.bad.Store(true)
 	}
 }

@@ -14,18 +14,23 @@
 // WeightFunc), as the GAP Benchmark Suite's delta-stepping does. There
 // is no weighted copy of the arcs and no light/heavy pre-partition, so
 // a newly published snapshot costs a warm Scratch nothing but the
-// delta heuristic's fixed-size sample. A Scratch carries every reusable
+// delta heuristic's fixed-size sample. Bands hands a dense batch to its
+// phase in vertex id order, so the arcs are read front to back. A phase
+// that owns the distance array (one worker, or a small phase) relaxes
+// through RelaxOwned: plain stores and no branch per arc; a parallel
+// phase CAS-relaxes through RelaxSpan. A Scratch carries every reusable
 // buffer — the distance array, the cyclic bucket ring, the dedup bitmap,
 // and the per-worker relaxation outputs, all O(n) — so steady-state
 // repeated SSSP allocates nothing. The band loop is exported as Bands,
 // driven through a Relaxer, so the shard fleet runs this same loop with
-// its own relaxation phase.
+// its own relaxation phase: RelaxOwned over each member's owner shard.
 package sssp
 
 import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 
 	"snapdyn/internal/csr"
@@ -63,8 +68,8 @@ func Custom(wf WeightFunc) WeightFunc {
 // du, with weights from wf (nil: the label is the weight), and appends
 // every target it improved to local. It reports whether a weight fell
 // outside [0, MaxUint32]; the caller must then call BadWeight once its
-// workers have joined. It is the arc loop every Relaxer's concurrent
-// phases share.
+// workers have joined. It is the arc loop of a phase whose workers
+// share the distance array; a phase that owns it calls RelaxOwned.
 func RelaxSpan(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, local []uint32) ([]uint32, bool) {
 	adj, ts := g.Adj, g.TS
 	if wf == nil {
@@ -80,6 +85,40 @@ func RelaxSpan(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, loca
 		local = relax(dist, adj[p], du+w, local)
 	}
 	return local, bad != 0
+}
+
+// RelaxOwned is RelaxSpan for a phase that owns dist: no other
+// goroutine reads or writes it until the phase ends. It uses plain
+// loads and stores and no data-dependent branch: every arc stores
+// min(nd, dist[v]) and writes its target into capacity reserved for
+// the span, and the write is kept only when the sign of nd-dist[v]
+// says the arc won. A target improved twice is appended twice. Bad
+// weights are reported as RelaxSpan reports them.
+func RelaxOwned(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, local []uint32) ([]uint32, bool) {
+	adj, ts := g.Adj[lo:hi], g.TS[lo:hi]
+	ts = ts[:len(adj)]
+	k := len(local)
+	local = slices.Grow(local, len(adj))
+	buf := local[:k+len(adj)]
+	if wf == nil {
+		for i, v := range adj {
+			nd, old := du+int64(ts[i]), dist[v]
+			dist[v] = min(nd, old)
+			buf[k] = v
+			k += int(uint64(nd-old) >> 63)
+		}
+		return buf[:k], false
+	}
+	var bad uint64
+	for i, v := range adj {
+		w := wf(ts[i])
+		bad |= uint64(w) >> 32
+		nd, old := du+w, dist[v]
+		dist[v] = min(nd, old)
+		buf[k] = v
+		k += int(uint64(nd-old) >> 63)
+	}
+	return buf[:k], bad != 0
 }
 
 // relax attempts dist[v] = min(dist[v], nd) with a CAS loop; the winning
