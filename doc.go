@@ -122,10 +122,10 @@
 //     triangle counts (internal/cluster, merge-intersection over
 //     dedup-sorted adjacency, float mean folded in original-id order so
 //     it is bitwise-identical across layouts and shard counts), k-hop
-//     neighborhood size (depth-truncated BFS), and PageRank on the
-//     traversal engine's Relax mode (push-residual; the fleet solves by
-//     power iteration, so PageRank is the one documented cross-engine
-//     tolerance-band exception to bit-identity). All ride the pooled
+//     neighborhood size (depth-truncated BFS), and PageRank (one
+//     serial power-iteration kernel in internal/centrality for both
+//     backends and every layout; sources are visited in original-id
+//     order, so it too is bitwise-identical everywhere). All ride the pooled
 //     scratch and cache paths at 0 allocs/op steady state, asserted.
 //     GET /v1/query/<kind> wraps replies in a typed envelope
 //     {kind, epoch, cache, data} with structured error codes; the flat

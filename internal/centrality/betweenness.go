@@ -17,6 +17,10 @@
 // The exact algorithm traverses from every vertex; the approximate
 // variant of Figure 11 traverses from a random sample of sources and
 // extrapolates the scores.
+//
+// PageRank is not a traversal: it is the serving layer's one serial
+// power-iteration kernel (pagerank.go), which both query backends run
+// over every snapshot layout.
 package centrality
 
 import (

@@ -285,14 +285,24 @@ func (g *Graph) Begin(c *Cursor, u edge.ID) {
 	c.first = true
 }
 
+// Len returns how many arcs are left to decode: right after Begin, the
+// vertex's degree, read from its block header.
+func (c *Cursor) Len() int64 { return int64(c.rem) }
+
 // Next decodes the next arc, returning ok=false when the list is
-// exhausted. Arcs arrive in increasing neighbor order.
+// exhausted. Arcs arrive in increasing neighbor order. A one-byte
+// varint (a gap or label below 128) is read inline; longer ones go
+// through binary.Uvarint.
 func (c *Cursor) Next() (v edge.ID, t uint32, ok bool) {
 	if c.rem == 0 {
 		return 0, 0, false
 	}
-	raw, k := binary.Uvarint(c.b)
-	c.b = c.b[k:]
+	b := c.b
+	raw, k := uint64(b[0]), 1
+	if raw >= 0x80 {
+		raw, k = binary.Uvarint(b)
+	}
+	b = b[k:]
 	var nv int64
 	if c.first {
 		nv = c.prev + unzigzag(raw)
@@ -301,8 +311,11 @@ func (c *Cursor) Next() (v edge.ID, t uint32, ok bool) {
 		nv = c.prev + int64(raw)
 	}
 	c.prev = nv
-	tw, k2 := binary.Uvarint(c.b)
-	c.b = c.b[k2:]
+	tw, k := uint64(b[0]), 1
+	if tw >= 0x80 {
+		tw, k = binary.Uvarint(b)
+	}
+	c.b = b[k:]
 	c.rem--
 	return uint32(nv), uint32(tw), true
 }

@@ -2,10 +2,9 @@ package qserve
 
 import (
 	"math"
-	"sync/atomic"
 
+	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
-	"snapdyn/internal/edge"
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/snapmgr"
 	"snapdyn/internal/traversal"
@@ -62,8 +61,9 @@ func (e *Executor) KHop(src, k uint32) (KHopReply, error) {
 
 // PageRankReply summarizes one PageRank query.
 type PageRankReply struct {
-	// Tol is the residual tolerance the solve ran at; Iterations the
-	// relaxation rounds it took.
+	// Tol is the tolerance the solve ran at: it stopped once the
+	// largest per-vertex rank change in a round fell below Tol.
+	// Iterations counts the power-iteration rounds it took.
 	Tol        float64 `json:"tol"`
 	Iterations int     `json:"iterations"`
 	// MaxRank and SumRank summarize the score vector (damping 0.85,
@@ -74,19 +74,13 @@ type PageRankReply struct {
 	Epoch   uint64  `json:"epoch"`
 }
 
-// PageRank solves PageRank to the given residual tolerance (tol <= 0
-// picks DefaultPageRankTol) as an iterative kernel on the traversal
-// engine's label-correcting Relax mode: every vertex starts with
-// residual 1-d, a frontier vertex pushes its harvested residual along
-// its out-arcs, and a head vertex re-enters the frontier when its
-// residual crosses tol — the push-based local iteration, converging
-// without ever sweeping settled regions.
-//
-// Unlike the integer-valued kinds, PageRank is *not* bit-identical
-// across layouts or the fleet: float accumulation order follows arc
-// order, and retained sub-tolerance residuals depend on schedule, so
-// answers agree only to within a tolerance-proportional error — the
-// documented exception to the bit-identity guarantee.
+// PageRank solves PageRank to the given tolerance (tol <= 0 picks
+// DefaultPageRankTol) by serial power iteration (centrality.PageRank):
+// each round pushes every vertex's damped rank share along its
+// out-arcs, sources visited in original-id order, until no rank moves
+// by tol or more in a round. Because every rank receives its additions
+// in that order on every storage layout and on the shard fleet, the
+// reply is bit-identical across all of them, like every other kind.
 func (e *Executor) PageRank(tol float64) (PageRankReply, error) {
 	a := PageRankArgs(tol)
 	r, err := e.Query(SpecPageRank, a)
@@ -159,133 +153,26 @@ func (s *scratchSet) khopValue(v *snapmgr.View, a Args) qcache.Value {
 
 // PageRank solve parameters. The damping factor is fixed — it is part
 // of the kind's definition, like BFS's unit arc cost — while the
-// residual tolerance is the query parameter (and the cache key).
+// tolerance is the query parameter (and the cache key).
 const (
-	// PageRankDamping is the fixed damping factor d; the sharded
-	// fleet's power-iteration kernel shares it so both engines solve
-	// the same linear system.
+	// PageRankDamping is the fixed damping factor d; both engines
+	// pass it to the one kernel.
 	PageRankDamping = 0.85
-	// DefaultPageRankTol is the residual tolerance when the query does
-	// not name one.
+	// DefaultPageRankTol is the tolerance when the query does not
+	// name one.
 	DefaultPageRankTol = 1e-6
 	// minPageRankTol floors the tolerance so the solve always
 	// terminates in a bounded number of rounds.
 	minPageRankTol = 1e-12
-	// prMaxLevels hard-caps the relaxation rounds (residual mass
-	// contracts geometrically with damping 0.85, so real solves finish
-	// orders of magnitude below this).
-	prMaxLevels = 1000
 )
 
-// prRelaxStep builds the pooled Relax hook for the PageRank push
-// iteration. The traversal engine hands every arc of one frontier
-// vertex to a single worker contiguously and deduplicates the
-// frontier, so the first arc out of u this round can harvest u's
-// residual without atomics (the claim tag is per-round); pushes into
-// head vertices race across workers and go through the CAS-loop float
-// add. A head enters the next frontier exactly when its residual
-// crosses the tolerance from below.
-func prRelaxStep(s *scratchSet) func(u, v, t uint32) bool {
-	return func(u, v, t uint32) bool {
-		if s.prClaim[u] != s.prLevel {
-			s.prClaim[u] = s.prLevel
-			ru := math.Float64frombits(atomic.SwapUint64(&s.prResid[u], 0))
-			s.prRank[u] += ru
-			var d int64
-			if s.prView.C != nil {
-				d = s.prView.C.Degree(edge.ID(u))
-			} else {
-				d = s.prView.G.Degree(edge.ID(u))
-			}
-			s.prPush[u] = PageRankDamping * ru / float64(d)
-		}
-		p := s.prPush[u]
-		nv := atomicAddFloat(&s.prResid[v], p)
-		return nv >= s.prTol && nv-p < s.prTol
-	}
-}
-
-// pagerankValue runs the push-residual PageRank solve against the
-// pinned view. All state is pooled, the scores stay in s.prRank; at
-// Workers=1 the steady state allocates nothing per request.
+// pagerankValue runs the PageRank kernel against the pinned view: a
+// plain or reordered CSR as a one-view set, a compressed snapshot by
+// streaming decode. The scores stay in s.pr.Rank, in layout space.
 func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args) qcache.Value {
-	n := v.NumVertices()
-	s.prRank = resizeF64(s.prRank, n)
-	s.prResid = resizeU64(s.prResid, n)
-	s.prPush = resizeF64(s.prPush, n)
-	s.prClaim = resizeI32(s.prClaim, n)
-	s.prSrcs = resizeU32(s.prSrcs, n)
-	seed := math.Float64bits(1 - PageRankDamping)
-	for i := 0; i < n; i++ {
-		s.prRank[i] = 0
-		s.prResid[i] = seed
-		s.prClaim[i] = 0
-		s.prSrcs[i] = uint32(i)
-	}
-	s.prLevel = 1
-	s.prTol = PageRankTol(a)
-	s.prView = v
-	opt := traversal.Options{
-		Workers: s.cfg.Workers,
-		Hooks:   traversal.Hooks{Relax: s.prRelax, OnLevelEnd: s.prLevelEnd},
-	}
-	if v.C != nil {
-		traversal.RunStream(v.C, s.prSrcs, opt, s.trav, &s.res)
-	} else {
-		traversal.Run(v.G, s.prSrcs, opt, s.trav, &s.res)
-	}
-	s.prView = nil
-	// Fold retained sub-tolerance residual into each vertex's own rank:
-	// exact for vertices nothing points at, and a strictly better
-	// estimate elsewhere.
-	var maxRank, sum float64
-	for i := 0; i < n; i++ {
-		r := s.prRank[i] + math.Float64frombits(s.prResid[i])
-		s.prRank[i] = r
-		sum += r
-		if r > maxRank {
-			maxRank = r
-		}
-	}
-	return qcache.Value{N1: int64(s.res.Levels), F1: maxRank, F2: sum}
-}
-
-// atomicAddFloat adds x to the float64 stored as bits at p, returning
-// the new value.
-func atomicAddFloat(p *uint64, x float64) float64 {
-	for {
-		old := atomic.LoadUint64(p)
-		nf := math.Float64frombits(old) + x
-		if atomic.CompareAndSwapUint64(p, old, math.Float64bits(nf)) {
-			return nf
-		}
-	}
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
+	s.prView[0] = v.G
+	arcs := centrality.Arcs{Views: s.prView[:], Perm: v.Perm, C: v.C}
+	iters, maxRank, sum := s.pr.Run(arcs, PageRankDamping, PageRankTol(a))
+	s.prView[0] = nil
+	return qcache.Value{N1: int64(iters), F1: maxRank, F2: sum}
 }

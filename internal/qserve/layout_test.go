@@ -98,6 +98,19 @@ func TestLayoutsAnswerIdentically(t *testing.T) {
 				t.Fatalf("round %d %v: Components = %+v, want %+v", round, l, got, want)
 			}
 		}
+		wantPR, err := exs[0].PageRank(1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range layouts[1:] {
+			got, err := exs[i+1].PageRank(1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != wantPR {
+				t.Fatalf("round %d %v: PageRank = %+v, want %+v", round, l, got, wantPR)
+			}
+		}
 	}
 	check(0)
 	r := xrand.New(41)

@@ -51,7 +51,9 @@ import (
 	"time"
 
 	"snapdyn/internal/cc"
+	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
+	"snapdyn/internal/csr"
 	"snapdyn/internal/dynconn"
 	"snapdyn/internal/dyngraph"
 	"snapdyn/internal/edge"
@@ -122,9 +124,9 @@ func (c Config) strategy() traversal.Strategy {
 }
 
 // scratchSet is one pooled unit of the single store's per-query kernel
-// state: the traversal arena + result, the SSSP arena, and a persistent
-// st-connectivity early-exit hook (bound once so the steady-state
-// query path allocates no closures).
+// state: the traversal arena + result, the SSSP arena, the analytics
+// kinds' arenas, and persistent traversal hooks (bound once so the
+// steady-state query path allocates no closures).
 type scratchSet struct {
 	cfg  Config
 	trav *traversal.Scratch
@@ -163,22 +165,11 @@ type scratchSet struct {
 	clusView *snapmgr.View
 	clusMap  func(uint32) uint32
 
-	// PageRank push-residual state (see kernels.go): per-vertex rank
-	// and residual (residual as float bits for atomic CAS updates), a
-	// per-frontier-vertex push amount, a level tag that lets the owner
-	// of a frontier vertex harvest its residual exactly once per
-	// round, and the all-vertices source list. The hooks are bound
-	// once so the steady-state query path allocates no closures.
-	prRank     []float64
-	prResid    []uint64
-	prPush     []float64
-	prClaim    []int32
-	prSrcs     []uint32
-	prLevel    int32
-	prTol      float64
-	prView     *snapmgr.View
-	prRelax    func(u, v, t uint32) bool
-	prLevelEnd func(int32, int) bool
+	// pr is the PageRank kernel's state (rank and next iterate, plus
+	// the compressed layout's cursor); prView is the one-view set a
+	// CSR snapshot is handed to it as, so the query allocates no slice.
+	pr     centrality.PageRank
+	prView [1]*csr.Graph
 }
 
 func newScratchSet(cfg Config) *scratchSet {
@@ -193,11 +184,6 @@ func newScratchSet(cfg Config) *scratchSet {
 		return level < s.khopK
 	}
 	s.clusMap = func(orig uint32) uint32 { return translate(s.clusView, orig) }
-	s.prRelax = prRelaxStep(s)
-	s.prLevelEnd = func(level int32, discovered int) bool {
-		s.prLevel = level + 1
-		return level < prMaxLevels
-	}
 	return s
 }
 

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"snapdyn/internal/dyngraph"
@@ -26,17 +26,15 @@ func singleExecutor(t *testing.T, n int, ups []edge.Update) *qserve.Executor {
 
 // TestFleetAnalyticsParity extends the single-vs-fleet equivalence
 // guarantee to the analytics kinds, across every shard count:
-// clustering and k-hop must answer bit-identically (integer counts; the
-// float mean is summed in original-id order on both engines), and
-// PageRank — the documented exception — within a
-// tolerance-proportional band.
+// clustering, k-hop and PageRank must answer bit-identically (integer
+// counts; the float mean is summed, and every rank receives its
+// additions, in original-id order on both engines).
 func TestFleetAnalyticsParity(t *testing.T) {
 	n, ups := testUpdates(t, 9, 8, 21)
 	ups = stream.Mirror(ups)
 	single := singleExecutor(t, n, ups)
 
 	const tol = 1e-9
-	prBound := 10 * float64(n) * tol / (1 - qserve.PageRankDamping)
 	wantCl, err := single.Clustering()
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +76,64 @@ func TestFleetAnalyticsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(pr.SumRank-wantPR.SumRank) > prBound || math.Abs(pr.MaxRank-wantPR.MaxRank) > prBound {
-			t.Fatalf("shards=%d: PageRank = %+v, single %+v (band %v)", p, pr, wantPR, prBound)
+		pr.Epoch = wantPR.Epoch // the fleet epoch sums per-shard publications
+		if pr != wantPR {
+			t.Fatalf("shards=%d: PageRank = %+v, single %+v (bit-identical)", p, pr, wantPR)
 		}
 		if pr.Iterations <= 0 || pr.Tol != tol {
 			t.Fatalf("shards=%d: PageRank metadata %+v implausible", p, pr)
 		}
+	}
+}
+
+// TestFleetPageRankRepeatable runs cache-off PageRank many times on one
+// pinned view set and demands one answer: rank additions follow
+// original-id order, not the schedule, so a repeat cannot drift in the
+// trailing digits.
+func TestFleetPageRankRepeatable(t *testing.T) {
+	n, ups := testUpdates(t, 12, 8, 29)
+	ups = stream.Mirror(ups)
+	for _, p := range []int{2, 3} {
+		ex := NewExecutor(testFleet(n, p, ups), qserve.Config{Undirected: true})
+		first, err := ex.PageRank(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < 20; i++ {
+			got, err := ex.PageRank(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != first {
+				t.Fatalf("shards=%d: query %d = %+v, first %+v", p, i, got, first)
+			}
+		}
+	}
+}
+
+// BenchmarkFleetPageRank measures warm, uncached fleet PageRank at the
+// default tolerance at scale 14. A warm query must not allocate.
+func BenchmarkFleetPageRank(b *testing.B) {
+	n, ups := testUpdates(b, 14, 8, 5)
+	ups = stream.Mirror(ups)
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			ex := NewExecutor(testFleet(n, p, ups), qserve.Config{MaxConcurrent: 1, Undirected: true})
+			query := func() {
+				if _, err := ex.PageRank(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			query() // size the iterates
+			if a := testing.AllocsPerRun(1, query); a != 0 {
+				b.Fatalf("warm fleet PageRank allocates %g objects/op, want 0", a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+		})
 	}
 }
 

@@ -24,8 +24,9 @@
 // band loop, and supplies only its relaxation phase: one serial pass
 // that relaxes each batch member's arcs in place from its owner shard's
 // snapshot. Components run cc.ComponentsOver, whose hook phase scans the
-// per-shard CSRs. The scatter-gather BFS and the Jacobi PageRank are
-// the fleet's own kernels.
+// per-shard CSRs. PageRank is centrality.PageRank, the single store's
+// kernel, reading vertex u's arcs from views[u%P]. The scatter-gather
+// BFS is the fleet's own kernel.
 //
 // Contracts (relied on by the scatter-gather kernels in query.go):
 //

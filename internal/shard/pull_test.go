@@ -248,3 +248,25 @@ func TestFleetSSSPComponentsAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetPageRankAllocs pins warm, uncached fleet PageRank at zero
+// allocations per query at P=1, 2 and 3: the kernel runs serially
+// over the pinned views from the pooled rank and next iterates, with no
+// per-round fan-out.
+func TestFleetPageRankAllocs(t *testing.T) {
+	n, ups := testUpdates(t, 10, 8, 11)
+	ups = stream.Mirror(ups)
+	for _, p := range []int{1, 2, 3} {
+		ex := NewExecutor(testFleet(n, p, ups), qserve.Config{MaxConcurrent: 1, Undirected: true})
+		if _, err := ex.PageRank(0); err != nil { // size the iterates
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(10, func() {
+			if _, err := ex.PageRank(0); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Fatalf("shards=%d: warm uncached PageRank allocates %.1f objects/op, want 0", p, a)
+		}
+	}
+}

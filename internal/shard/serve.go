@@ -2,6 +2,7 @@ package shard
 
 import (
 	"snapdyn/internal/cc"
+	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/qcache"
@@ -27,10 +28,10 @@ type Executor struct {
 
 var _ qserve.Engine = (*Executor)(nil)
 
-// NewExecutor returns a fleet executor. cfg.Workers is ignored: BFS,
-// components and PageRank fan out across shards, SSSP runs serially,
-// and the executor's admission slots (cfg.MaxConcurrent) run queries
-// side by side.
+// NewExecutor returns a fleet executor. cfg.Workers is ignored: BFS
+// and components fan out across shards, SSSP and PageRank run
+// serially, and the executor's admission slots (cfg.MaxConcurrent) run
+// queries side by side.
 func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
 	cfg = cfg.WithDefaults()
 	b := &backend{
@@ -60,7 +61,7 @@ type backend struct {
 
 // scratchSet is one pooled unit of sharded kernel state: the
 // scatter-gather arena, the component census buffer, the
-// triangle-counting arena, and the power-iteration PageRank state.
+// triangle-counting arena, and the PageRank state.
 // Only cache misses check one out; hits answer from the generation
 // alone.
 type scratchSet struct {
@@ -71,12 +72,8 @@ type scratchSet struct {
 	// clustering query.
 	clus *cluster.Scratch
 
-	// PageRank power-iteration state (see analytics.go): the rank
-	// vector, the next iterate as float bits for cross-shard CAS
-	// accumulation, and the per-shard convergence-delta slots.
-	prRank  []float64
-	prNext  []uint64
-	prDelta []float64
+	// pr is the PageRank kernel's state.
+	pr centrality.PageRank
 }
 
 // pinSet is the per-query snapshot pin: one view per shard, plus the

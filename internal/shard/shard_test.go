@@ -17,7 +17,7 @@ import (
 )
 
 // testUpdates generates a deterministic R-MAT insert stream.
-func testUpdates(t *testing.T, scale, edgeFactor int, seed uint64) (int, []edge.Update) {
+func testUpdates(t testing.TB, scale, edgeFactor int, seed uint64) (int, []edge.Update) {
 	t.Helper()
 	n := 1 << scale
 	edges, err := rmat.Generate(2, rmat.PaperParams(scale, edgeFactor*n, 1000, seed))

@@ -56,7 +56,7 @@ func BenchmarkKHopQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkPageRankQuery measures the push-residual PageRank solve at
+// BenchmarkPageRankQuery measures the power-iteration PageRank solve at
 // the default tolerance, all state pooled. allocs/op must stay at zero.
 func BenchmarkPageRankQuery(b *testing.B) {
 	ex, _ := benchExecutor(b, 14, qserve.Config{Undirected: true, MaxConcurrent: 1})
