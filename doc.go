@@ -8,8 +8,9 @@
 //
 //   - Compact dynamic graph representations for small-world networks
 //     under parallel streams of edge insertions and deletions: resizable
-//     adjacency arrays, adjacency treaps, and the hybrid array/treap
-//     structure keyed by a degree threshold (the paper's contribution),
+//     adjacency arrays, adjacency treaps, and the hybrid structure keyed
+//     by a degree threshold (the paper's contribution; its heavy
+//     vertices here live in sorted blocks of packed 8-byte tuples),
 //     plus vertex/edge partitioning and batched (semi-sorted) update
 //     application.
 //   - One traversal substrate for every BFS-shaped kernel: a
@@ -67,7 +68,7 @@
 //     span copies). Beside the dirty bit the graph logs the touched
 //     (u,v) keys of each refresh window (bounded; a bulk load drops
 //     the log), and a dirty vertex the store keeps in keyed order — a
-//     hub's treap — is patched from the read-back state of just those
+//     hub's sorted blocks — is patched from the read-back state of just those
 //     keys instead of being walked: under R-MAT churn the dirty
 //     vertices are the hubs, 6% of the vertices owning 60% of the
 //     arcs, while under 1% of the arcs changed. A full rebuild takes

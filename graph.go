@@ -28,8 +28,10 @@ const (
 type Representation int
 
 // Available representations. RepHybrid is the paper's recommended
-// default: array storage for low-degree vertices, treaps above the
-// degree threshold.
+// default: array storage for low-degree vertices, and above the degree
+// threshold sorted blocks of packed 8-byte tuples in the treap's keyed
+// order, in place of the paper's treaps. Its name stays
+// "hybrid-arr-treap".
 const (
 	RepHybrid Representation = iota
 	RepDynArr
@@ -89,7 +91,8 @@ func WithDegreeThreshold(t int) Option {
 	return func(o *Options) { o.degreeThresh = t }
 }
 
-// WithSeed seeds treap priorities for reproducible structures.
+// WithSeed seeds the treap priorities of RepTreaps for reproducible
+// structures.
 func WithSeed(seed uint64) Option {
 	return func(o *Options) { o.seed = seed }
 }
@@ -131,7 +134,7 @@ func New(n int, opts ...Option) *Graph {
 }
 
 // store builds the selected representation over n vertices, sized for
-// expectedEdges arcs, with treap priorities drawn from seed.
+// expectedEdges arcs, with RepTreaps' priorities drawn from seed.
 func (o *Options) store(n, expectedEdges int, seed uint64) dyngraph.Store {
 	var s dyngraph.Store
 	switch o.rep {

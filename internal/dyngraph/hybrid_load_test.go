@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"testing"
+	"unsafe"
 
 	"snapdyn/internal/edge"
 	"snapdyn/internal/rmat"
@@ -94,8 +95,8 @@ func sameHybrids(t *testing.T, stage string, got, want *Hybrid) {
 	}
 	for u := 0; u < got.NumVertices(); u++ {
 		id := edge.ID(u)
-		if got.IsTreap(id) != want.IsTreap(id) {
-			t.Fatalf("%s: vertex %d treap mode %v, one at a time %v", stage, u, got.IsTreap(id), want.IsTreap(id))
+		if got.IsHeavy(id) != want.IsHeavy(id) {
+			t.Fatalf("%s: vertex %d treap mode %v, one at a time %v", stage, u, got.IsHeavy(id), want.IsHeavy(id))
 		}
 		g, w := CollectNeighbors(got, id), CollectNeighbors(want, id)
 		if len(g) != len(w) {
@@ -110,7 +111,7 @@ func sameHybrids(t *testing.T, stage string, got, want *Hybrid) {
 }
 
 // TestHybridBulkLoadMatchesInserts: a store loaded through ApplyBatch's
-// presized, direct-to-treap path holds what one fed the same updates one
+// packed, direct-to-blocks path holds what one fed the same updates one
 // Insert or DeleteTuple at a time holds, after an all-insert load and
 // after a mixed batch on top of it; and the load recycles no arena
 // entries, so no vertex got a block that was freed at once.
@@ -132,7 +133,7 @@ func TestHybridBulkLoadMatchesInserts(t *testing.T) {
 		if got := batched.arr.ar.Stats().EntriesRecycled; got != 0 {
 			t.Fatalf("thresh %d: all-insert load recycled %d arena entries, want 0", thresh, got)
 		}
-		if batched.TreapVertexCount() == 0 {
+		if batched.HeavyVertexCount() == 0 {
 			t.Fatalf("thresh %d: load put no vertex in treap mode", thresh)
 		}
 
@@ -153,18 +154,29 @@ func servedLoad(scale int) []edge.Update {
 }
 
 // TestHybridSizeBytes pins the store's bytes per arc for a scale-14 load
-// built the way snapserve builds its store. The bound is a regression
-// fence: the load holds 22.0 B/arc. Without presized treap node slices
-// it would hold 23.9, and it held 52 when the store reserved 1.25× its
-// expected edges up front, sized every first block by k·m/n alone and
-// grew in 8 MiB arena chunks.
+// built the way snapserve builds its store, and those of its heavy side
+// (the blocks in use and their index). The bounds are regression
+// fences: the load holds 19.4 B/arc, 10.2 on the heavy side, most of
+// the rest being per-vertex arrays and the unused tail of the arena's
+// last chunk. With treaps on the heavy side it held 22.0; without
+// presized treap node slices 23.9; and 52 when the store reserved 1.25×
+// its expected edges up front, sized every first block by k·m/n alone
+// and grew in 8 MiB arena chunks.
 func TestHybridSizeBytes(t *testing.T) {
-	const scale, maxBytesPerArc = 14, 23
+	const scale, maxBytesPerArc, maxHeavyBytesPerArc = 14, 20, 11
 	ups := servedLoad(scale)
 	s := NewHybrid(1<<scale, 2*len(ups), 0, 1)
 	s.ApplyBatch(2, ups)
 	if got := float64(s.SizeBytes()) / float64(s.NumEdges()); got > maxBytesPerArc {
 		t.Fatalf("store holds %.1f B/arc, want at most %d", got, maxBytesPerArc)
+	}
+	var bytes, arcs int64
+	s.eachHeavy(func(l *blockList) {
+		arcs += int64(l.deg)
+		bytes += int64(unsafe.Sizeof(*l)) + int64(cap(l.blocks))*int64(unsafe.Sizeof(hblock{})) + 8*int64(len(l.blocks)*s.bcap)
+	})
+	if got := float64(bytes) / float64(arcs); got > maxHeavyBytesPerArc {
+		t.Fatalf("heavy side holds %.1f B/arc, want at most %d", got, maxHeavyBytesPerArc)
 	}
 }
 
@@ -179,5 +191,57 @@ func BenchmarkHybridBulkLoad(b *testing.B) {
 		s = NewHybrid(1<<scale, 2*len(ups), 0, 1)
 		s.ApplyBatch(0, ups)
 	}
+	b.ReportMetric(float64(s.SizeBytes())/float64(s.NumEdges()), "B/arc")
+}
+
+// churnBatches makes the served write stream at scale: k mirrored
+// batches, each of size/2 fresh R-MAT inserts and the deletes of the
+// inserts lag batches back, as the benchmark's churn generator makes
+// them. The stream is a cycle: batch j deletes batch j-lag's inserts
+// modulo k, so after the first lag batches it can be replayed forever
+// at a steady arc count.
+func churnBatches(scale, size, k, lag int) [][]edge.Update {
+	fresh := make([][]edge.Edge, k)
+	for j := range fresh {
+		es, err := rmat.Generate(0, rmat.PaperParams(scale, size/2, 100, 0xc2b2ae3d27d4eb4f+uint64(j)*0x9e3779b97f4a7c15))
+		if err != nil {
+			panic(err)
+		}
+		fresh[j] = es
+	}
+	out := make([][]edge.Update, k)
+	for j := range out {
+		ups := stream.Inserts(fresh[j])
+		for _, e := range fresh[(j-lag+k)%k] {
+			ups = append(ups, edge.Update{Edge: e, Op: edge.Delete})
+		}
+		out[j] = stream.Mirror(ups)
+	}
+	return out
+}
+
+// BenchmarkHybridChurn times the served write path on the store: a
+// scale-14 load, then 1024-update mirrored churn batches (R-MAT inserts
+// plus the deletes of the inserts 8 batches back), one batch per op.
+// It reports ns per directed update, the bytes per arc the store holds
+// at the end, and allocations per batch.
+func BenchmarkHybridChurn(b *testing.B) {
+	const scale, size, k, lag = 14, 1024, 64, 8
+	ups := servedLoad(scale)
+	batches := churnBatches(scale, size, k, lag)
+	s := NewHybrid(1<<scale, 2*len(ups), 0, 1)
+	s.ApplyBatch(0, ups)
+	for _, batch := range batches[:lag] { // their deletes find nothing yet
+		s.ApplyBatch(0, batch)
+	}
+	updates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		batch := batches[(lag+i)%k]
+		s.ApplyBatch(0, batch)
+		updates += len(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(updates), "ns/update")
 	b.ReportMetric(float64(s.SizeBytes())/float64(s.NumEdges()), "B/arc")
 }

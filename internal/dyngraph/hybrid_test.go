@@ -16,11 +16,11 @@ func TestHybridMigration(t *testing.T) {
 	for v := uint32(0); v < 8; v++ {
 		s.Insert(0, v, v)
 	}
-	if s.IsTreap(0) {
+	if s.IsHeavy(0) {
 		t.Fatal("vertex migrated below threshold")
 	}
 	s.Insert(0, 8, 8)
-	if !s.IsTreap(0) {
+	if !s.IsHeavy(0) {
 		t.Fatal("vertex did not migrate above threshold")
 	}
 	if s.Degree(0) != 9 {
@@ -31,8 +31,8 @@ func TestHybridMigration(t *testing.T) {
 			t.Fatalf("lost edge 0->%d in migration", v)
 		}
 	}
-	if s.TreapVertexCount() != 1 {
-		t.Fatalf("treap vertices = %d, want 1", s.TreapVertexCount())
+	if s.HeavyVertexCount() != 1 {
+		t.Fatalf("treap vertices = %d, want 1", s.HeavyVertexCount())
 	}
 }
 
@@ -72,7 +72,7 @@ func TestHybridDeleteBothModes(t *testing.T) {
 	for v := uint32(0); v < 20; v++ {
 		s.Insert(2, v, 0)
 	}
-	if !s.IsTreap(2) {
+	if !s.IsHeavy(2) {
 		t.Fatal("expected treap mode")
 	}
 	if !s.Delete(2, 5) || s.Has(2, 5) || s.Degree(2) != 19 {
@@ -95,7 +95,7 @@ func TestHybridDeletesStayBelowThreshold(t *testing.T) {
 	for v := uint32(0); v < 6; v++ {
 		s.Delete(0, v)
 	}
-	if s.IsTreap(0) {
+	if s.IsHeavy(0) {
 		t.Fatal("deletes caused migration")
 	}
 	if s.Degree(0) != 0 {
@@ -119,7 +119,7 @@ func TestHybridConcurrentMigration(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if !s.IsTreap(0) {
+	if !s.IsHeavy(0) {
 		t.Fatal("hot vertex should be in treap mode")
 	}
 	if s.Degree(0) != workers*perWorker {
@@ -234,10 +234,10 @@ func TestHybridModeFollowsDegree(t *testing.T) {
 	for v := edge.ID(0); v <= thresh; v++ {
 		grown.Insert(0, v, 10+v)
 	}
-	if !grown.IsTreap(0) {
+	if !grown.IsHeavy(0) {
 		t.Fatal("vertex did not migrate above the threshold")
 	}
-	if !grown.Delete(0, thresh) || grown.IsTreap(0) {
+	if !grown.Delete(0, thresh) || grown.IsHeavy(0) {
 		t.Fatal("vertex did not return to array mode at the threshold")
 	}
 	if grown.Degree(0) != thresh || grown.NumEdges() != thresh {

@@ -1,8 +1,11 @@
 // Package dyngraph implements the paper's dynamic graph representations:
 // resizable adjacency arrays (Dyn-arr and its no-resize upper bound),
-// adjacency treaps, the hybrid array/treap structure keyed by a degree
-// threshold, vertex partitioning (Vpart), edge partitioning (Epart), and
-// batched (semi-sorted) update application.
+// adjacency treaps, the hybrid structure keyed by a degree threshold
+// (arrays below it; above it, in place of the paper's treaps, sorted
+// blocks of packed 8-byte tuples in the treap's keyed order), vertex
+// partitioning (Vpart), edge partitioning (Epart), and batched
+// (semi-sorted) update application. TreapStore stays as the paper's
+// treap representation for its figures.
 //
 // All representations share multigraph semantics matching the paper's C
 // implementation: Insert appends a tuple unconditionally (constant-time
@@ -59,10 +62,10 @@ type Store interface {
 // vertex in keyed order: ascending neighbor id, each neighbor repeated
 // by its multiplicity, one time label per neighbor — so the adjacency
 // is a pure function of per-neighbor (multiplicity, label) state. Treap
-// adjacencies are; the arc-granular snapshot refresh (csr.RefreshDelta)
-// rebuilds such a vertex from its previous span and the read-back state
-// of only the neighbors that were touched, instead of walking the
-// whole treap.
+// adjacencies and Hybrid's heavy vertices are; the arc-granular snapshot
+// refresh (csr.RefreshDelta) rebuilds such a vertex from its previous
+// span and the read-back state of only the neighbors that were touched,
+// instead of walking all it holds.
 type KeyedReader interface {
 	// ReadKeys returns u's live degree and whether u is currently
 	// enumerated in keyed order. If it is, cnt[i] and ts[i] receive the
@@ -88,7 +91,7 @@ const applyChunk = 1024
 // by representations without a specialized batch path. Across stripes
 // there is no per-vertex order, and a store's final state can depend on
 // it (array order; whether a delete lands before or after the insert
-// that migrates its vertex to a treap, which decides the label a
+// that moves its vertex to keyed form, which decides the label a
 // duplicated neighbor keeps) — the stores with a semi-sorted batch path
 // therefore use this one only for single-stripe batches.
 func applyConcurrent(s Store, workers int, batch []edge.Update) {

@@ -23,7 +23,7 @@ const keyLogCap = 1 << 16
 // (csr.Refresh) instead of re-enumerating all of them (csr.FromStore);
 // beside the bitmap it logs the touched (u,v) key in a bounded log, so
 // a vertex whose store keeps it in keyed order (KeyedReader: a hub's
-// treap) is rebuilt from the handful of keys that changed rather than
+// sorted blocks or treap) is rebuilt from the handful of keys that changed rather than
 // by walking everything it owns (csr.RefreshDelta). The log is capped
 // at keyLogCap pairs; a window that overflows it reports logged ==
 // false from FlushKeys and is refreshed vertex-granular.

@@ -3,6 +3,7 @@ package qserve
 import (
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -277,6 +278,17 @@ func TestSSSPAfterGrowingRefreshDoesNotAllocate(t *testing.T) {
 		if g := mgr.Current(); g == before || g.NumEdges() <= before.NumEdges() {
 			t.Fatalf("round %d: refresh did not publish a larger snapshot", round)
 		}
+		// Quiesce the runtime first, so the window counts only the
+		// query. Two runtime goroutines allocate on their own schedule
+		// and, with one P, run whenever the query yields: the unique-map
+		// cleanup that every GC cycle wakes (a cycle started by this
+		// round's ingest garbage put its 2 objects in the window), and
+		// the background scavenger, whose sleep timer can grow the timer
+		// heap (1 object). FreeOSMemory finishes a GC cycle, which lets
+		// the cleanup run while this goroutine waits, and returns all
+		// free memory at once, which leaves the scavenger nothing to
+		// wake for; an allocation-free query starts no other cycle.
+		debug.FreeOSMemory()
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
 		_, err := ex.SSSP(1, 0)
