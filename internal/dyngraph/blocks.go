@@ -40,9 +40,6 @@ type blockList struct {
 	blocks []hblock
 }
 
-// runKey is the packed value below every tuple of neighbor v.
-func runKey(v edge.ID) uint64 { return uint64(v) << 32 }
-
 // seek returns the block a tuple of neighbor v belongs in — the last
 // block whose first neighbor is below v, or block 0 — and the offset in
 // it of v's first tuple, or of where one would go.
@@ -67,7 +64,7 @@ func (l *blockList) seekFrom(b, i int, v edge.ID) (int, int) {
 		b, i = lo-1, 0
 	}
 	d := bl[b].data[i:bl[b].n]
-	j, _ := slices.BinarySearch(d, runKey(v))
+	j, _ := slices.BinarySearch(d, uint64(v)<<32) // pack(v, 0): below every tuple of v
 	return b, i + j
 }
 
@@ -229,13 +226,15 @@ func (l *blockList) mergeAround(ar *arena.Arena, b int) {
 	l.blocks = slices.Delete(l.blocks, hi, hi+1)
 }
 
-// newBlockList builds a list from d tuples whose neighbors ascend,
-// nbr(j) for j < d, packing the blocks evenly. Each neighbor's run takes
-// the label of its last tuple, label(j): the label one insert at a time
-// in j order would leave it.
+// newBlockList builds a list from d > 0 tuples whose neighbors ascend,
+// nbr(j) for j < d, packing the blocks evenly so they share the slack
+// of the last one. Each neighbor's run takes the label of its last
+// tuple, label(j): the label one insert at a time in j order would
+// leave it.
 func newBlockList(ar *arena.Arena, bcap, d int, nbr func(j int) edge.ID, label func(j int) uint32) *blockList {
-	l := &blockList{}
-	fill := evenFill(d, bcap)
+	nb := (d + bcap - 1) / bcap
+	fill := (d + nb - 1) / nb
+	l := &blockList{deg: uint32(d), blocks: make([]hblock, 0, nb)}
 	for lo := 0; lo < d; {
 		v := nbr(lo)
 		hi := lo + 1
@@ -244,30 +243,15 @@ func newBlockList(ar *arena.Arena, bcap, d int, nbr func(j int) edge.ID, label f
 		}
 		e := pack(v, label(hi-1))
 		for ; lo < hi; lo++ {
-			l.appendTuple(ar, bcap, fill, e)
+			if k := len(l.blocks); k == 0 || int(l.blocks[k-1].n) == fill {
+				l.blocks = append(l.blocks, hblock{first: v, data: ar.Alloc(bcap)})
+			}
+			blk := &l.blocks[len(l.blocks)-1]
+			blk.data[blk.n] = e
+			blk.n++
 		}
 	}
 	return l
-}
-
-// appendTuple adds e after every tuple already held, starting a new
-// block once the last one holds fill tuples. It builds a list from
-// tuples in ascending order.
-func (l *blockList) appendTuple(ar *arena.Arena, bcap, fill int, e uint64) {
-	if k := len(l.blocks); k == 0 || int(l.blocks[k-1].n) == fill {
-		l.blocks = append(l.blocks, hblock{first: uint32(e >> 32), data: ar.Alloc(bcap)})
-	}
-	blk := &l.blocks[len(l.blocks)-1]
-	blk.data[blk.n] = e
-	blk.n++
-	l.deg++
-}
-
-// evenFill is how many tuples each block of a list built from d tuples
-// holds, so the blocks share the slack of the last one.
-func evenFill(d, bcap int) int {
-	nb := (d + bcap - 1) / bcap
-	return (d + nb - 1) / nb
 }
 
 // walk visits the tuples in keyed order until fn returns false.
@@ -297,10 +281,9 @@ func (l *blockList) readKeys(keys []edge.ID, cnt, ts []uint32) {
 	}
 }
 
-// free returns every block to the arena.
+// free returns every block to the arena; the list is not used again.
 func (l *blockList) free(ar *arena.Arena) {
 	for _, blk := range l.blocks {
 		ar.Free(blk.data)
 	}
-	l.blocks, l.deg = nil, 0
 }

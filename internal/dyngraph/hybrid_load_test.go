@@ -156,7 +156,7 @@ func servedLoad(scale int) []edge.Update {
 // TestHybridSizeBytes pins the store's bytes per arc for a scale-14 load
 // built the way snapserve builds its store, and those of its heavy side
 // (the blocks in use and their index). The bounds are regression
-// fences: the load holds 19.4 B/arc, 10.2 on the heavy side, most of
+// fences: the load holds 19.3 B/arc, 10.0 on the heavy side, most of
 // the rest being per-vertex arrays and the unused tail of the arena's
 // last chunk. With treaps on the heavy side it held 22.0; without
 // presized treap node slices 23.9; and 52 when the store reserved 1.25×
