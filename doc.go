@@ -152,14 +152,16 @@
 //     P independent gates instead of serializing on one RWMutex. Every
 //     shard's store spans the full vertex set but holds only its owned
 //     vertices' out-arcs; the union of the per-shard CSRs is exactly
-//     the global graph. Queries scatter-gather over one pinned
-//     snapshot per shard, bit-identical to the single-snapshot kernels:
-//     BFS runs level-synchronously with a cross-shard frontier exchange
-//     per level; delta-stepping SSSP and components run the single
-//     kernels' own band loop (sssp.Bands) and hook-and-compress
-//     labeling (cc.ComponentsOver): SSSP with one serial phase that
-//     reads each vertex's arcs from its owner shard, components with a
-//     per-shard hook phase; stats fan out and reduce.
+//     the global graph. Queries run the single-snapshot kernels' own
+//     code over one pinned snapshot per shard, bit-identical to the
+//     single store: BFS, st-connectivity and k-hop run the traversal
+//     engine over the view set (traversal.RunOver, one worker per
+//     shard, each vertex's arcs read from its owner shard);
+//     delta-stepping SSSP and components run the single kernels' own
+//     band loop (sssp.Bands) and hook-and-compress labeling
+//     (cc.ComponentsOver): SSSP with one serial phase that reads each
+//     vertex's arcs from its owner shard, components with a per-shard
+//     hook phase; stats fan out and reduce.
 //     The fleet is a backend of the same qserve executor, and
 //     cmd/snapserve serves it behind -shards N with an unchanged HTTP
 //     surface. SSSP reads each snapshot's arcs in place on both

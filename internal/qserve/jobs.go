@@ -63,7 +63,7 @@ func (b *single) RunBetweenness(samples int, seed uint64, topk int, progress fun
 	bc := centrality.Betweenness(b.cfg.Workers, v.G, centrality.Options{
 		Sources:   srcs,
 		Normalize: true,
-		Strategy:  b.cfg.strategy(),
+		Strategy:  b.cfg.Strategy(),
 		Progress:  progress,
 	})
 	reply := BetweennessReply{Sources: len(srcs), Epoch: epoch}

@@ -136,19 +136,17 @@ const maxKHop = 1 << 30
 // khopValue runs the depth-limited BFS against the pinned view.
 func (s *scratchSet) khopValue(v *snapmgr.View, a Args) qcache.Value {
 	s.src[0] = translate(v, uint32(a.A))
-	s.khopK = int32(a.B)
-	s.khopReached = 1 // the source itself
 	opt := traversal.Options{
 		Workers:  s.cfg.Workers,
-		Strategy: s.cfg.strategy(),
-		Hooks:    traversal.Hooks{OnLevelEnd: s.khopHook},
+		Strategy: s.cfg.Strategy(),
+		Hooks:    s.cuts.KHop(int32(a.B)),
 	}
 	if v.C != nil {
 		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
 	} else {
 		traversal.Run(v.G, s.src[:1], opt, s.trav, &s.res)
 	}
-	return qcache.Value{N1: int64(s.khopReached)}
+	return qcache.Value{N1: int64(s.cuts.KHopReached())}
 }
 
 // PageRank solve parameters. The damping factor is fixed — it is part

@@ -115,8 +115,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// strategy picks the traversal engine for BFS-shaped queries.
-func (c Config) strategy() traversal.Strategy {
+// Strategy picks the traversal direction for BFS-shaped queries, on
+// either backend: direction-optimizing only when the snapshots are
+// symmetric, since a pull level scans a vertex's out-arcs as its
+// in-arcs.
+func (c Config) Strategy() traversal.Strategy {
 	if c.Undirected {
 		return traversal.DirectionOpt
 	}
@@ -146,15 +149,9 @@ type scratchSet struct {
 	sizes []int
 	queue []uint32
 
-	connTarget uint32
-	connHook   func(int32, int) bool
-
-	// khopK/khopReached drive the k-hop neighborhood query: a pooled
-	// level-end hook that counts discoveries through level k and stops
-	// the traversal there.
-	khopK       int32
-	khopReached int
-	khopHook    func(int32, int) bool
+	// cuts are the st-connectivity and k-hop level-end hooks, bound
+	// once per set.
+	cuts traversal.Cuts
 
 	// clus is the triangle-counting arena (lazily built on the first
 	// clustering query, then reused across epochs — it resizes itself
@@ -174,15 +171,6 @@ type scratchSet struct {
 
 func newScratchSet(cfg Config) *scratchSet {
 	s := &scratchSet{cfg: cfg, trav: traversal.NewScratch(), ssp: sssp.NewScratch()}
-	s.connHook = func(int32, int) bool {
-		return s.res.Level[s.connTarget] == traversal.NotVisited
-	}
-	s.khopHook = func(level int32, discovered int) bool {
-		if level <= s.khopK {
-			s.khopReached += discovered
-		}
-		return level < s.khopK
-	}
 	s.clusMap = func(orig uint32) uint32 { return translate(s.clusView, orig) }
 	return s
 }
@@ -477,7 +465,7 @@ func (e *Executor) BFS(src uint32) (BFSReply, error) {
 // array stays in s.res.
 func (s *scratchSet) bfsValue(v *snapmgr.View, a Args) qcache.Value {
 	s.src[0] = translate(v, uint32(a.A))
-	opt := traversal.Options{Workers: s.cfg.Workers, Strategy: s.cfg.strategy()}
+	opt := traversal.Options{Workers: s.cfg.Workers, Strategy: s.cfg.Strategy()}
 	if v.C != nil {
 		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
 	} else {
@@ -590,18 +578,18 @@ func (s *scratchSet) connValue(view *snapmgr.View, a Args) qcache.Value {
 	// The whole query runs in layout space: source, early-exit target,
 	// and the settled level read back. Hop counts are id-invariant.
 	s.src[0] = translate(view, uint32(a.A))
-	s.connTarget = translate(view, uint32(a.B))
+	target := translate(view, uint32(a.B))
 	opt := traversal.Options{
 		Workers:  s.cfg.Workers,
-		Strategy: s.cfg.strategy(),
-		Hooks:    traversal.Hooks{OnLevelEnd: s.connHook},
+		Strategy: s.cfg.Strategy(),
+		Hooks:    s.cuts.ST(&s.res, target),
 	}
 	if view.C != nil {
 		traversal.RunStream(view.C, s.src[:1], opt, s.trav, &s.res)
 	} else {
 		traversal.Run(view.G, s.src[:1], opt, s.trav, &s.res)
 	}
-	if lvl := s.res.Level[s.connTarget]; lvl != traversal.NotVisited {
+	if lvl := s.res.Level[target]; lvl != traversal.NotVisited {
 		return qcache.Value{Flag: true, N1: int64(lvl)}
 	}
 	return qcache.Value{N1: -1}

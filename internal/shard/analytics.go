@@ -26,7 +26,7 @@ func (s *scratchSet) clusteringValue(views []*csr.Graph, _ qserve.Args) qcache.V
 
 func identityID(u uint32) uint32 { return u }
 
-// khopValue runs the depth-limited scatter-gather BFS.
+// khopValue runs the depth-limited BFS over the pinned views.
 func (s *scratchSet) khopValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	return qcache.Value{N1: int64(s.sc.KHop(views, uint32(a.A), int32(a.B)))}
 }

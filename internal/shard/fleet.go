@@ -19,14 +19,14 @@
 // result cache and the live path are qserve's, shared with the single
 // store.
 //
-// Fleet SSSP and components are the single-snapshot kernels' own code
-// with a per-shard phase. SSSP runs sssp.Bands, the one delta-stepping
-// band loop, and supplies only its relaxation phase: one serial pass
-// that relaxes each batch member's arcs in place from its owner shard's
+// Every fleet kernel is the single-snapshot kernel's own code over the
+// pinned view set. SSSP runs sssp.Bands, the one delta-stepping band
+// loop, and supplies only its relaxation phase: one serial pass that
+// relaxes each batch member's arcs in place from its owner shard's
 // snapshot. Components run cc.ComponentsOver, whose hook phase scans the
-// per-shard CSRs. PageRank is centrality.PageRank, the single store's
-// kernel, reading vertex u's arcs from views[u%P]. The scatter-gather
-// BFS is the fleet's own kernel.
+// per-shard CSRs. PageRank is centrality.PageRank and BFS is
+// traversal.RunOver, the single store's kernels, reading vertex u's arcs
+// from views[u%P].
 //
 // Contracts (relied on by the scatter-gather kernels in query.go):
 //
@@ -41,12 +41,11 @@
 //     gate contract is the single-manager gate contract, per shard.
 //
 // Because the owner holds all of u's arcs, an undirected fleet's shard
-// also holds all of u's in-arcs, so the scatter-gather BFS behind bfs,
-// connected and khop is direction-optimizing there (traversal's
-// alpha/beta rule over the fleet's shape; pull levels scan each shard's
-// own unvisited vertices). At scale 16, edge factor 8, mirrored, on a
-// 2-core x86 host, that takes a fleet BFS from 2.65 ms to 1.49 ms at
-// P=1 and from 2.62 ms to 1.06 ms at P=2 (the single store: 1.27 ms).
+// also holds all of u's in-arcs, so the BFS behind bfs, connected and
+// khop (the single store's traversal engine over the pinned view set,
+// traversal.RunOver) is direction-optimizing there, by the single
+// store's rule: its pull levels scan each vertex's span in its owner
+// shard.
 package shard
 
 import (

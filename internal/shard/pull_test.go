@@ -10,7 +10,7 @@ import (
 
 // pullScratch returns a scratch whose traversals may run pull levels,
 // as an undirected executor's pooled scratch does.
-func pullScratch() *Scratch { return &Scratch{pull: true} }
+func pullScratch() *Scratch { return &Scratch{strategy: traversal.DirectionOpt} }
 
 // checkLevels compares a scatter-gather level array with the single
 // engine's, vertex by vertex.
@@ -46,7 +46,7 @@ func TestScatterGatherBFSPullEquivalence(t *testing.T) {
 						scale, p, src, reached, levels, res.Reached, res.Levels)
 				}
 				checkLevels(t, "bfs", level, res.Level)
-				pulled += ssc.pullLevels
+				pulled += ssc.res.PullLevels
 			}
 			if scale >= 12 && pulled == 0 {
 				t.Fatalf("scale=%d shards=%d: no pull level ran", scale, p)
@@ -104,8 +104,8 @@ func TestScatterGatherKHopSTConnPullEquivalence(t *testing.T) {
 				if got := ssc.KHop(views, src, k); got != res.Reached {
 					t.Fatalf("shards=%d src=%d k=%d: KHop = %d, want %d", p, src, k, got, res.Reached)
 				}
-				checkLevels(t, "khop", ssc.level, res.Level)
-				pulled += ssc.pullLevels
+				checkLevels(t, "khop", ssc.res.Level, res.Level)
+				pulled += ssc.res.PullLevels
 			}
 			for _, tgt := range levelTargets(full[src], fullLevels[src]) {
 				ok, hops := traversal.STConnected(2, ref, src, tgt)
@@ -113,7 +113,7 @@ func TestScatterGatherKHopSTConnPullEquivalence(t *testing.T) {
 				if gotOK != ok || (ok && gotHops != hops) {
 					t.Fatalf("shards=%d %d->%d: (%d,%v), want (%d,%v)", p, src, tgt, gotHops, gotOK, hops, ok)
 				}
-				pulled += ssc.pullLevels
+				pulled += ssc.res.PullLevels
 			}
 		}
 		if pulled == 0 {
@@ -163,8 +163,8 @@ func TestExecutorPullFollowsUndirected(t *testing.T) {
 						t.Fatalf("shards=%d src=%d: (reached,levels) = (%d,%d), want (%d,%d)",
 							p, src, r.Reached, r.Levels, res.Reached, res.Levels)
 					}
-					checkLevels(t, "executor bfs", sc.level, res.Level)
-					pulled += sc.pullLevels
+					checkLevels(t, "executor bfs", sc.res.Level, res.Level)
+					pulled += sc.res.PullLevels
 				}
 				if tc.undirected != (pulled > 0) {
 					t.Fatalf("shards=%d undirected=%v: %d pull levels", p, tc.undirected, pulled)
@@ -175,9 +175,11 @@ func TestExecutorPullFollowsUndirected(t *testing.T) {
 }
 
 // TestFleetBFSAllocs pins the allocations of a warm, uncached fleet BFS
-// with pull levels: the per-level fan-out's closure and goroutines, the
-// same count a push-only traversal of the same levels costs. The warm
-// threshold cache means no per-query degree scan runs.
+// with pull levels. The fleet runs the traversal engine one worker per
+// shard: at P=1 that is the engine's serial path, which allocates
+// nothing, and at P=2 the count is the engine's 2-worker per-level
+// fan-out (closures and goroutines). The warm threshold cache means no
+// per-query degree scan runs.
 func TestFleetBFSAllocs(t *testing.T) {
 	n, ups := testUpdates(t, 12, 8, 11)
 	ups = stream.Mirror(ups)
@@ -185,12 +187,12 @@ func TestFleetBFSAllocs(t *testing.T) {
 		p   int
 		max float64
 	}{
-		{1, 7},
-		{2, 42},
+		{1, 0},
+		{2, 32},
 	} {
 		f := testFleet(n, tc.p, ups)
 		ex := NewExecutor(f, qserve.Config{MaxConcurrent: 1, Undirected: true})
-		if _, sc := executorScratch(t, ex, 3); sc.pullLevels == 0 {
+		if _, sc := executorScratch(t, ex, 3); sc.res.PullLevels == 0 {
 			t.Fatalf("shards=%d: the pinned instance ran no pull level", tc.p)
 		}
 		a := testing.AllocsPerRun(30, func() {

@@ -8,6 +8,7 @@ import (
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/qserve"
 	"snapdyn/internal/sssp"
+	"snapdyn/internal/traversal"
 )
 
 // Executor is the qserve executor over a Fleet: the one query flow
@@ -28,19 +29,18 @@ type Executor struct {
 
 var _ qserve.Engine = (*Executor)(nil)
 
-// NewExecutor returns a fleet executor. cfg.Workers is ignored: BFS
-// and components fan out across shards, SSSP and PageRank run
-// serially, and the executor's admission slots (cfg.MaxConcurrent) run
-// queries side by side.
+// NewExecutor returns a fleet executor. cfg.Workers is ignored: BFS,
+// st-connectivity, k-hop and components run one worker per shard, SSSP
+// and PageRank run serially, and the executor's admission slots
+// (cfg.MaxConcurrent) run queries side by side. The traversals take
+// their direction from cfg.Strategy(), as the single store's do.
 func NewExecutor(f *Fleet, cfg qserve.Config) *Executor {
 	cfg = cfg.WithDefaults()
 	b := &backend{
-		Fleet: f,
-		// An undirected fleet's views are symmetric, which is what lets
-		// its traversals run pull levels.
-		pull: cfg.Undirected,
-		free: make(chan *scratchSet, cfg.MaxConcurrent),
-		pins: make(chan *pinSet, cfg.MaxConcurrent),
+		Fleet:    f,
+		strategy: cfg.Strategy(),
+		free:     make(chan *scratchSet, cfg.MaxConcurrent),
+		pins:     make(chan *pinSet, cfg.MaxConcurrent),
 	}
 	return &Executor{Executor: qserve.NewExecutor(b, cfg), b: b}
 }
@@ -54,9 +54,9 @@ func (e *Executor) Fleet() *Fleet { return e.b.Fleet }
 // per executor and slot-capacity sized.
 type backend struct {
 	*Fleet
-	pull bool
-	free chan *scratchSet
-	pins chan *pinSet
+	strategy traversal.Strategy
+	free     chan *scratchSet
+	pins     chan *pinSet
 }
 
 // scratchSet is one pooled unit of sharded kernel state: the
@@ -118,7 +118,7 @@ func (b *backend) Run(sp *qserve.Spec, pin any, a qserve.Args) qcache.Value {
 	select {
 	case s = <-b.free:
 	default:
-		s = &scratchSet{sc: &Scratch{pull: b.pull}}
+		s = &scratchSet{sc: &Scratch{strategy: b.strategy}}
 	}
 	defer func() { b.free <- s }()
 	return fleetKernels[sp.ID()](s, pin.(*pinSet).views, a)
@@ -148,7 +148,7 @@ func init() {
 	}
 }
 
-// bfsValue runs a scatter-gather breadth-first search from a.A.
+// bfsValue runs a breadth-first search from a.A over the pinned views.
 func (s *scratchSet) bfsValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	_, reached, depth := s.sc.BFS(views, uint32(a.A))
 	return qcache.Value{N1: int64(reached), N2: int64(depth)}
@@ -171,8 +171,8 @@ func (s *scratchSet) ssspValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	return val
 }
 
-// connValue answers st-connectivity with an early-exiting
-// scatter-gather traversal from a.A.
+// connValue answers st-connectivity with an early-exiting traversal
+// from a.A over the pinned views.
 func (s *scratchSet) connValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 	if hops, ok := s.sc.STConnected(views, uint32(a.A), uint32(a.B)); ok {
 		return qcache.Value{Flag: true, N1: int64(hops)}

@@ -53,6 +53,8 @@ type Result struct {
 	Reached int
 	// Levels counts frontier expansions (the BFS tree height + 1).
 	Levels int
+	// PullLevels counts the expansions that ran bottom-up.
+	PullLevels int
 }
 
 // EdgeFilter restricts traversal to arcs it accepts. A nil filter
@@ -94,18 +96,62 @@ func STConnected(workers int, g *csr.Graph, s, t edge.ID) (bool, int32) {
 	if s == t {
 		return true, 0
 	}
-	res := &Result{}
-	Run(g, []uint32{s}, Options{
-		Workers: workers,
-		Hooks: Hooks{OnLevelEnd: func(int32, int) bool {
-			return res.Level[t] == NotVisited
-		}},
-	}, nil, res)
+	var res Result
+	var cuts Cuts
+	Run(g, []uint32{s}, Options{Workers: workers, Hooks: cuts.ST(&res, t)}, nil, &res)
 	if res.Level[t] == NotVisited {
 		return false, -1
 	}
 	return true, res.Level[t]
 }
+
+// Cuts are the level-end hooks with which the BFS-shaped queries stop
+// early: st-connectivity after the level that settles its target, and
+// the k-hop neighbourhood after level k, so arcs past the cut are never
+// expanded. Each hook is bound once per Cuts, so a pooled query arena
+// hands the engine the same function value on every query and
+// allocates no closure. The zero value is ready to use.
+type Cuts struct {
+	res     *Result
+	target  uint32
+	k       int32
+	reached int
+	st      func(int32, int) bool
+	khop    func(int32, int) bool
+}
+
+// ST returns the hooks of an st-connectivity traversal writing res: it
+// stops after the first level that settles target.
+func (c *Cuts) ST(res *Result, target uint32) Hooks {
+	if c.st == nil {
+		c.st = c.stEnd
+	}
+	c.res, c.target = res, target
+	return Hooks{OnLevelEnd: c.st}
+}
+
+func (c *Cuts) stEnd(int32, int) bool { return c.res.Level[c.target] == NotVisited }
+
+// KHop returns the hooks of a single-source k-hop traversal: it stops
+// after level k, counting the vertices within k hops (KHopReached).
+func (c *Cuts) KHop(k int32) Hooks {
+	if c.khop == nil {
+		c.khop = c.khopEnd
+	}
+	c.k, c.reached = k, 1 // the source itself
+	return Hooks{OnLevelEnd: c.khop}
+}
+
+func (c *Cuts) khopEnd(level int32, discovered int) bool {
+	if level <= c.k {
+		c.reached += discovered
+	}
+	return level < c.k
+}
+
+// KHopReached returns the number of vertices within k hops of the last
+// KHop traversal's source, the source included.
+func (c *Cuts) KHopReached() int { return c.reached }
 
 // STConnectedBidirectional answers st-connectivity by expanding
 // alternating frontiers from both endpoints (the strategy of the

@@ -67,15 +67,15 @@ func DeriveThresholds(g *csr.Graph) (alpha, beta int64) {
 	if g.N == 0 || g.NumEdges() == 0 {
 		return DefaultAlpha, DefaultBeta
 	}
-	return DeriveThresholdsShape(g.N, g.NumEdges(), g.MaxDegree())
+	return deriveThresholdsShape(g.N, g.NumEdges(), g.MaxDegree())
 }
 
-// DeriveThresholdsShape is DeriveThresholds on the bare shape numbers,
-// shared by the plain and compressed adjacency providers (compress
-// caches m and max degree at build time, so neither path pays a decode
-// scan here) and by the shard fleet, whose shape is a reduction over
-// its per-shard views (m summed, max degree maxed).
-func DeriveThresholdsShape(n int, m, maxDeg int64) (alpha, beta int64) {
+// deriveThresholdsShape is DeriveThresholds on the bare shape numbers,
+// shared by the view-set and compressed adjacency providers (compress
+// caches m and max degree at build time, so it pays no decode scan
+// here; a view set's shape is a reduction over its views, m summed and
+// max degree maxed).
+func deriveThresholdsShape(n int, m, maxDeg int64) (alpha, beta int64) {
 	alpha, beta = DefaultAlpha, DefaultBeta
 	if n == 0 || m == 0 {
 		return alpha, beta
@@ -196,6 +196,13 @@ type Scratch struct {
 	thrN              int
 	thrM              int64
 	thrAlpha, thrBeta int64
+
+	// one is the one-view set Run hands the engine its graph as, held
+	// here so a Run allocates no slice.
+	one [1]*csr.Graph
+	// held[r] marks the bits b of a 64-vertex Visited word with
+	// b%P == r, for the pull step over a P-view set (see foreign).
+	held []uint64
 }
 
 // NewScratch returns an empty arena; buffers are sized on first use.
@@ -206,10 +213,23 @@ func NewScratch() *Scratch { return &Scratch{} }
 // call.
 func (s *Scratch) thresholds(n int, m, maxDeg int64) (int64, int64) {
 	if s.thrAlpha == 0 || s.thrN != n || s.thrM != m {
-		s.thrAlpha, s.thrBeta = DeriveThresholdsShape(n, m, maxDeg)
+		s.thrAlpha, s.thrBeta = deriveThresholdsShape(n, m, maxDeg)
 		s.thrN, s.thrM = n, m
 	}
 	return s.thrAlpha, s.thrBeta
+}
+
+// ensureHeld sizes the held masks for a p-view set.
+func (s *Scratch) ensureHeld(p int) {
+	if p == 1 || len(s.held) == p {
+		return
+	}
+	s.held = make([]uint64, p)
+	for r := range s.held {
+		for b := r; b < 64; b += p {
+			s.held[r] |= 1 << b
+		}
+	}
 }
 
 func (s *Scratch) ensure(n, workers int) {
@@ -278,13 +298,54 @@ func (r *Result) Reset(workers, n int) {
 	}
 	r.Reached = 0
 	r.Levels = 0
+	r.PullLevels = 0
 }
 
 // Run executes a multi-source traversal under opt, writing into res
 // (allocated when nil) and drawing buffers from scratch (a temporary
-// arena when nil). Sources must be distinct. It returns res.
+// arena when nil). Sources must be distinct. It returns res. Run is
+// RunOver on the one-view set {g}.
 func Run(g *csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
-	return runEngine(g, nil, sources, opt, scratch, res)
+	if scratch == nil {
+		scratch = NewScratch()
+	}
+	scratch.one[0] = g
+	res = runEngine(scratch.one[:], nil, sources, opt, scratch, res)
+	scratch.one[0] = nil
+	return res
+}
+
+// RunOver is Run over a view set whose union is the graph: every view
+// spans the same vertex ids, and vertex u's arcs are its span in
+// views[u%len(views)] (a shard fleet's per-shard CSRs; one CSR is the
+// one-view set). The view is chosen once per expanded or scanned
+// vertex, never per arc, so the level loop, the edge-partitioned push,
+// the pull step, the hooks and the thresholds are Run's, and the
+// result is identical to Run on the union. Pull levels scan u's span
+// as its in-arcs, so DirectionOpt still requires a symmetric union.
+func RunOver(views []*csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
+	return runEngine(views, nil, sources, opt, scratch, res)
+}
+
+// viewOf returns the view that holds u's arcs, without the division on
+// a one-view set.
+func viewOf(views []*csr.Graph, u uint32) *csr.Graph {
+	if len(views) == 1 {
+		return views[0]
+	}
+	return views[u%uint32(len(views))]
+}
+
+// degreeSum totals the out-degrees of vs over a view set.
+func degreeSum(workers int, views []*csr.Graph, vs []uint32) int64 {
+	if len(views) == 1 {
+		return views[0].DegreeSum(workers, vs)
+	}
+	var sum int64
+	for _, v := range vs {
+		sum += viewOf(views, v).Degree(v)
+	}
+	return sum
 }
 
 // RunStream executes the same traversal directly over a gap-compressed
@@ -301,9 +362,10 @@ func RunStream(cg *compress.Graph, sources []uint32, opt Options, scratch *Scrat
 	return runEngine(nil, cg, sources, opt, scratch, res)
 }
 
-// runEngine is the shared level loop behind Run (g set) and RunStream
-// (cg set): exactly one of the two adjacency providers is non-nil.
-func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
+// runEngine is the shared level loop behind RunOver (views set) and
+// RunStream (cg set): exactly one of the two adjacency providers is
+// non-nil.
+func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = par.MaxWorkers()
@@ -313,7 +375,10 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 	if cg != nil {
 		n, numEdges, maxDeg = cg.N, cg.NumEdges(), cg.MaxDegree()
 	} else {
-		n, numEdges, maxDeg = g.N, g.NumEdges(), 0 // maxDeg lazy below
+		n = views[0].N // maxDeg lazy below
+		for _, g := range views {
+			numEdges += g.NumEdges()
+		}
 	}
 	if res == nil {
 		res = &Result{}
@@ -331,7 +396,12 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 	alpha, beta := opt.Alpha, opt.Beta
 	if (alpha <= 0 || beta <= 0) && opt.Strategy == DirectionOpt && opt.Hooks.Relax == nil {
 		if cg == nil && (scratch.thrAlpha == 0 || scratch.thrN != n || scratch.thrM != numEdges) {
-			maxDeg = g.MaxDegree() // only pay the degree scan on a shape change
+			// Only pay the degree scan on a shape change. Vertices a
+			// view does not hold have empty spans there, so the views'
+			// maxima cover the union.
+			for _, g := range views {
+				maxDeg = max(maxDeg, g.MaxDegree())
+			}
 		}
 		da, db := scratch.thresholds(n, numEdges, maxDeg)
 		if alpha <= 0 {
@@ -349,7 +419,7 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 	}
 
 	e := scratch.exec()
-	e.g, e.cg, e.res = g, cg, res
+	e.views, e.cg, e.res = views, cg, res
 	e.filter, e.arc = opt.Filter, opt.Arc
 	e.onArc, e.relax = opt.Hooks.OnArc, opt.Hooks.Relax
 	e.workers = workers
@@ -376,7 +446,7 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 		if cg != nil {
 			curEdges = cg.DegreeSum(workers, sources)
 		} else {
-			curEdges = g.DegreeSum(workers, sources)
+			curEdges = degreeSum(workers, views, sources)
 		}
 		unexplored = numEdges - curEdges
 	}
@@ -401,6 +471,7 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 		case relaxing:
 			found = e.runRelax()
 		case pull:
+			res.PullLevels++
 			found, foundEdges = e.runBottomUp()
 		default:
 			found, foundEdges = e.runTopDown()
@@ -423,7 +494,7 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 	res.Levels = int(level)
 	// Drop the per-run references so a long-lived Scratch does not pin
 	// the graph, result, or kernel closures between traversals.
-	e.g, e.cg, e.res = nil, nil, nil
+	e.views, e.cg, e.res = nil, nil, nil
 	e.filter, e.arc, e.onArc, e.relax = nil, nil, nil, nil
 	e.cur, e.next, e.curBits, e.nextBits, e.verts, e.offsets = nil, nil, nil, nil, nil, nil
 	return res
@@ -434,10 +505,10 @@ func runEngine(g *csr.Graph, cg *compress.Graph, sources []uint32, opt Options, 
 // every Run hands the par primitives the same function values and the
 // steady state allocates no closures at all.
 type exec struct {
-	sc  *Scratch
-	g   *csr.Graph      // plain adjacency provider (Run)
-	cg  *compress.Graph // streaming adjacency provider (RunStream)
-	res *Result
+	sc    *Scratch
+	views []*csr.Graph    // view-set adjacency provider (Run, RunOver)
+	cg    *compress.Graph // streaming adjacency provider (RunStream)
+	res   *Result
 
 	filter EdgeFilter
 	arc    ArcFilter
@@ -483,10 +554,10 @@ func (e *exec) runTopDown() (int, int64) {
 	if e.cg != nil {
 		return e.runTopDownStream()
 	}
-	verts := e.cur.Vertices()
+	verts, views := e.cur.Vertices(), e.views
 	offsets := e.sc.offsets[:0]
 	for _, u := range verts {
-		offsets = append(offsets, e.g.Degree(u))
+		offsets = append(offsets, viewOf(views, u).Degree(u))
 	}
 	offsets = append(offsets, 0)
 	e.sc.offsets = offsets
@@ -507,7 +578,7 @@ func (e *exec) runTopDown() (int, int64) {
 // topDownFastBody is the hook-free push inner loop: the original BFS
 // fast path plus the Visited shadow-bitmap publication.
 func (e *exec) topDownFastBody(lo, hi int) {
-	g, res, offsets, verts := e.g, e.res, e.offsets, e.verts
+	views, res, offsets, verts := e.views, e.res, e.offsets, e.verts
 	level, filter, needMass := e.level, e.filter, e.needMass
 	visited := res.Visited
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
@@ -521,6 +592,7 @@ func (e *exec) topDownFastBody(lo, hi int) {
 			vi++
 		}
 		u := verts[vi]
+		g := viewOf(views, u)
 		base := g.Offsets[u] + (pos - offsets[vi])
 		end := g.Offsets[u] + (offsets[vi+1] - offsets[vi])
 		stop := g.Offsets[u] + (int64(hi) - offsets[vi])
@@ -540,7 +612,7 @@ func (e *exec) topDownFastBody(lo, hi int) {
 				visited.TrySet(v)
 				local = append(local, v)
 				if needMass {
-					edges += g.Degree(v)
+					edges += viewOf(views, v).Degree(v)
 				}
 			}
 		}
@@ -558,7 +630,7 @@ func (e *exec) topDownFastBody(lo, hi int) {
 // callback for every arc that settles at the expanding level (claimed
 // discoveries and same-level DAG ties alike).
 func (e *exec) topDownVisitBody(lo, hi int) {
-	g, res, offsets, verts := e.g, e.res, e.offsets, e.verts
+	views, res, offsets, verts := e.views, e.res, e.offsets, e.verts
 	level, filter, arcF, onArc, needMass := e.level, e.filter, e.arc, e.onArc, e.needMass
 	visited := res.Visited
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
@@ -570,6 +642,7 @@ func (e *exec) topDownVisitBody(lo, hi int) {
 			vi++
 		}
 		u := verts[vi]
+		g := viewOf(views, u)
 		base := g.Offsets[u] + (pos - offsets[vi])
 		end := g.Offsets[u] + (offsets[vi+1] - offsets[vi])
 		stop := g.Offsets[u] + (int64(hi) - offsets[vi])
@@ -592,7 +665,7 @@ func (e *exec) topDownVisitBody(lo, hi int) {
 					visited.TrySet(v)
 					local = append(local, v)
 					if needMass {
-						edges += g.Degree(v)
+						edges += viewOf(views, v).Degree(v)
 					}
 					if onArc != nil {
 						onArc(u, v, t, true)
@@ -644,7 +717,8 @@ func (e *exec) runBottomUp() (int, int64) {
 			body = e.streamBotVisit
 		}
 	} else {
-		n = e.g.N
+		n = e.views[0].N
+		e.sc.ensureHeld(len(e.views))
 		body = e.bottomUpFast
 		if e.onArc != nil || e.arc != nil {
 			body = e.bottomUpVisit
@@ -655,19 +729,46 @@ func (e *exec) runBottomUp() (int, int64) {
 	return int(e.found), e.foundEdges
 }
 
+// foreign returns the bits of visited word wi whose vertices view vs
+// does not hold: vertex v is held by view v%P, so of the word's vertices
+// 64*wi + b it holds those with b%P == (vs - 64*wi) mod P. A one-view
+// set holds every vertex.
+func (e *exec) foreign(vs, wi int) uint64 {
+	p := len(e.views)
+	if p == 1 {
+		return 0
+	}
+	r := vs - (wi<<6)%p
+	if r < 0 {
+		r += p
+	}
+	return ^e.sc.held[r]
+}
+
 // bottomUpFastBody is the hook-free pull inner loop: first-hit claim
 // with word-granular skipping of finished vertices. [lo, hi) is always
 // chunk-aligned (bottomUpChunk is a multiple of 64), so this worker owns
 // the visited words it reads and writes; only the final word of the
-// final chunk can be partial, guarded by the v >= hi break.
+// final chunk can be partial, guarded by the v >= hi break. The chunk
+// is scanned once per view, each pass over the vertices that view holds
+// (the others masked as finished), so the view is fixed inside the
+// loops and a one-view set scans once with nothing masked.
 func (e *exec) bottomUpFastBody(lo, hi int) {
-	g, res := e.g, e.res
+	for vs, g := range e.views {
+		e.bottomUpFastScan(g, vs, lo, hi)
+	}
+}
+
+// bottomUpFastScan is bottomUpFastBody's pass over the vertices of
+// [lo, hi) that view vs, g, holds.
+func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
+	res := e.res
 	level, filter := e.level, e.filter
 	curBits, nextBits := e.curBits, e.nextBits
 	words := res.Visited.Words()
 	var cnt, edges int64
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := words[wi]
+		w := words[wi] | e.foreign(vs, wi)
 		if w == ^uint64(0) {
 			continue // 64 finished vertices: skip the whole word
 		}
@@ -706,15 +807,24 @@ func (e *exec) bottomUpFastBody(lo, hi int) {
 // is present the scan cannot stop at the first frontier parent: it keeps
 // scanning the full adjacency so every predecessor arc of the claimed
 // vertex is reported (as its mirror arc), exactly matching the arcs the
-// push direction would observe on a symmetric graph.
+// push direction would observe on a symmetric graph. Like the fast body
+// it scans the chunk once per view.
 func (e *exec) bottomUpVisitBody(lo, hi int) {
-	g, res := e.g, e.res
+	for vs, g := range e.views {
+		e.bottomUpVisitScan(g, vs, lo, hi)
+	}
+}
+
+// bottomUpVisitScan is bottomUpVisitBody's pass over the vertices of
+// [lo, hi) that view vs, g, holds.
+func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
+	res := e.res
 	level, filter, arcF, onArc := e.level, e.filter, e.arc, e.onArc
 	curBits, nextBits := e.curBits, e.nextBits
 	words := res.Visited.Words()
 	var cnt, edges int64
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := words[wi]
+		w := words[wi] | e.foreign(vs, wi)
 		if w == ^uint64(0) {
 			continue
 		}
@@ -782,11 +892,12 @@ func (e *exec) runRelax() int {
 }
 
 func (e *exec) relaxStepBody(lo, hi int) {
-	g, res := e.g, e.res
+	views, res := e.views, e.res
 	filter, arcF, relax := e.filter, e.arc, e.relax
 	level, nextBits := e.level, e.nextBits
 	var enq, newly int64
 	for _, u := range e.verts[lo:hi] {
+		g := viewOf(views, u)
 		alo, ahi := g.Offsets[u], g.Offsets[u+1]
 		for p := alo; p < ahi; p++ {
 			v := g.Adj[p]

@@ -118,7 +118,7 @@ func (g *ShardedGraph) Refresh(workers int) *ShardedView {
 // them as one immutable scatter-gather view: P atomic loads, never
 // blocking. The view stays valid while newer snapshots are published.
 func (g *ShardedGraph) Current() *ShardedView {
-	return &ShardedView{views: g.f.View(nil), undirected: g.undirected}
+	return &ShardedView{views: g.f.View(nil)}
 }
 
 // Epoch returns the sum of the per-shard epochs: monotone, and advanced
@@ -150,9 +150,8 @@ type ShardedStats = shard.Stats
 // are safe for concurrent use (each call checks out pooled scratch) and
 // return freshly allocated results.
 type ShardedView struct {
-	views      []*csr.Graph
-	undirected bool
-	pool       sync.Pool // *shard.Scratch
+	views []*csr.Graph
+	pool  sync.Pool // *shard.Scratch
 }
 
 func (v *ShardedView) scratch() *shard.Scratch {
@@ -177,9 +176,10 @@ func (v *ShardedView) NumEdges() int64 {
 // Shards returns the number of pinned per-shard snapshots.
 func (v *ShardedView) Shards() int { return len(v.views) }
 
-// BFS runs a scatter-gather breadth-first search from src, returning
-// the hop distance per vertex (NotVisited when unreached), the reached
-// count, and the number of levels.
+// BFS runs the single store's breadth-first search from src over the
+// pinned snapshots, one worker per shard, returning the hop distance
+// per vertex (NotVisited when unreached), the reached count, and the
+// number of levels.
 func (v *ShardedView) BFS(src VertexID) (level []int32, reached, levels int) {
 	sc := v.scratch()
 	l, r, d := sc.BFS(v.views, src)
@@ -189,8 +189,8 @@ func (v *ShardedView) BFS(src VertexID) (level []int32, reached, levels int) {
 }
 
 // STConnected answers an st-connectivity query by early-exiting
-// scatter-gather traversal, returning reachability and hop distance
-// (-1 if unreachable).
+// traversal over the pinned snapshots, returning reachability and hop
+// distance (-1 if unreachable).
 func (v *ShardedView) STConnected(u, w VertexID) (bool, int32) {
 	if u == w {
 		return true, 0
