@@ -173,13 +173,16 @@
 //     (Graph.ManagerWithLayout): the manager can publish plain CSR,
 //     degree-/BFS-/RCM-reordered CSR (internal/reorder), or
 //     gap-compressed adjacency (internal/compress, zigzag/varint delta
-//     blocks the traversal engine streams through a zero-allocation
-//     cursor — traversal.RunStream, 0 allocs/op serial steady state).
+//     blocks). Every kernel reads a vertex's arcs as []uint32 spans
+//     wherever they live (compress.Arcs): a CSR span in place, or the
+//     vertex's compressed block decoded RunLen arcs at a time into a
+//     stack buffer by one bulk decoder (compress.Run) — one body per
+//     kernel for every layout, 0 allocs/op serial steady state.
 //     The layout contract: queries accept and report original vertex
 //     ids on every layout and return results identical to the plain
 //     layout — reordered snapshots carry their permutation and inverse
-//     and translate at the query boundary, compressed ones stream
-//     their blocks through the same engine. Reordered layouts splice
+//     and translate at the query boundary, compressed ones run the
+//     same kernels over decoded runs. Reordered layouts splice
 //     incremental refresh deltas through the held permutation; once
 //     cumulative churn since the permutation was computed passes ~30%
 //     of the vertex set (or the vertex set grows), the ordering is

@@ -59,9 +59,9 @@ func (c *CompressedSnapshot) Decompress(workers int) *Snapshot {
 	return &Snapshot{g: c.g.ToCSR(workers)}
 }
 
-// BFS traverses the compressed graph directly, streaming each adjacency
-// block through the full traversal engine (zero-alloc cursor decode, no
-// CSR materialization); see traversal.RunStream.
+// BFS traverses the compressed graph directly: the traversal engine
+// decodes each adjacency block a run at a time, with no CSR
+// materialization; see traversal.RunArcs.
 func (c *CompressedSnapshot) BFS(workers int, src VertexID) (level []int32, reached int) {
 	res := traversal.RunStream(c.g, []uint32{src}, traversal.Options{Workers: workers}, nil, nil)
 	return res.Level, res.Reached
@@ -185,21 +185,21 @@ type SSSPOptions struct {
 // arcs. The result matches Dijkstra exactly;
 // unreachable vertices hold InfDistance.
 //
-// Storage layouts are invisible here like everywhere else: compressed
-// snapshots run the streaming Bellman-Ford kernel (Delta and Scratch
-// are ignored — the stream kernel has no buckets), reordered ones
-// delta-step in layout space and translate the distances back, and the
-// returned slice is always indexed by original vertex id.
+// Storage layouts are invisible here like everywhere else: every layout
+// runs the same kernel with the same Delta and Scratch — compressed
+// snapshots decode their blocks a run at a time, reordered ones
+// delta-step in layout space and translate the distances back — and
+// the returned slice is always indexed by original vertex id.
 func (s *Snapshot) SSSPWith(src VertexID, opt SSSPOptions) []int64 {
+	return s.sssp(src, sssp.Options{Workers: opt.Workers, Delta: opt.Delta, Scratch: opt.Scratch})
+}
+
+// sssp runs the delta-stepping kernel over the layout's arcs.
+func (s *Snapshot) sssp(src VertexID, opt sssp.Options) []int64 {
 	if s.cg != nil {
-		return sssp.RunStream(s.cg, src, opt.Workers, sssp.LabelWeights, nil)
+		return sssp.RunArcs(compress.Arcs{C: s.cg}, src, opt)
 	}
-	dist := sssp.Run(s.g, s.toLayout(src), sssp.Options{
-		Workers: opt.Workers,
-		Delta:   opt.Delta,
-		Scratch: opt.Scratch,
-	})
-	return s.translateDistances(dist)
+	return s.translateDistances(sssp.Run(s.g, s.toLayout(src), opt))
 }
 
 // translateDistances maps a layout-space distance array back to
@@ -235,15 +235,7 @@ func (s *Snapshot) ShortestPathsDijkstra(src VertexID) []int64 {
 // HopDistances computes unweighted (hop count) distances via the same
 // machinery, for validation against BFS levels.
 func (s *Snapshot) HopDistances(workers int, src VertexID) []int64 {
-	if s.cg != nil {
-		return sssp.RunStream(s.cg, src, workers, sssp.UnitWeights, nil)
-	}
-	dist := sssp.Run(s.g, s.toLayout(src), sssp.Options{
-		Workers: workers,
-		Delta:   1,
-		Weights: sssp.UnitWeights,
-	})
-	return s.translateDistances(dist)
+	return s.sssp(src, sssp.Options{Workers: workers, Delta: 1, Weights: sssp.UnitWeights})
 }
 
 // --- Small-world diagnostics -------------------------------------------------

@@ -1,5 +1,6 @@
-// Package cc implements parallel connected components over CSR snapshots
-// using the Shiloach-Vishkin style hook-and-compress iteration the SNAP
+// Package cc implements parallel connected components over any snapshot
+// layout (compress.Arcs: a CSR, a fleet's view set, or a compressed
+// graph) using the Shiloach-Vishkin style hook-and-compress iteration the SNAP
 // framework uses: repeatedly hook higher-labeled roots onto lower-labeled
 // neighbors, then pointer-jump until the label forest flattens. On
 // low-diameter small-world graphs the iteration count is small.
@@ -11,6 +12,7 @@ package cc
 import (
 	"sync/atomic"
 
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/par"
@@ -29,31 +31,39 @@ func Components(workers int, g *csr.Graph) []uint32 {
 // keeps repeated component queries at zero allocations.
 func ComponentsInto(workers int, g *csr.Graph, comp []uint32) []uint32 {
 	if workers != 1 {
-		return ComponentsOver(workers, []*csr.Graph{g}, comp)
+		return ComponentsArcs(workers, compress.Arcs{Views: []*csr.Graph{g}}, comp)
 	}
-	// A one-view set on the stack: handed to ComponentsOver, whose
+	// A one-view set on the stack: handed to ComponentsArcs, whose
 	// parallel closures capture the set, it would move to the heap on
 	// every call (escape analysis is not flow-sensitive).
 	one := [1]*csr.Graph{g}
-	return componentsSerial(one[:], resetLabels(g.N, comp))
+	return componentsSerial(compress.Arcs{Views: one[:]}, resetLabels(g.N, comp))
 }
 
 // ComponentsOver is ComponentsInto over a view set whose union is the
-// graph: every view spans the same vertex ids, and each arc lives in
-// exactly one of them (a shard fleet's per-shard CSRs, or one whole
-// snapshot). The hook phase scans every vertex's spans in all views, so
-// the labels are the component minima of the union, identical to
+// graph: every view spans the same vertex ids, and vertex u's arcs are
+// its span in views[u%len(views)] (a shard fleet's per-shard CSRs). The
+// labels are the component minima of the union, identical to
 // ComponentsInto on the merged graph.
 func ComponentsOver(workers int, views []*csr.Graph, comp []uint32) []uint32 {
-	comp = resetLabels(views[0].N, comp)
+	return ComponentsArcs(workers, compress.Arcs{Views: views}, comp)
+}
+
+// ComponentsArcs is ComponentsInto over the arcs wherever they live: a
+// view set or a compressed graph, whose blocks every hook pass decodes
+// a run at a time. Arcs are treated as undirected edges on every
+// layout, so a directed graph's labels are its weakly-connected
+// components everywhere.
+func ComponentsArcs(workers int, a compress.Arcs, comp []uint32) []uint32 {
+	comp = resetLabels(a.N(), comp)
 	// Dedicated serial path at workers == 1: the parallel fan-out lives
 	// in its own function because its closures capture comp, which would
 	// otherwise move the local to the heap on every call — the pooled
 	// serving path must stay at zero allocations per query.
 	if workers == 1 {
-		return componentsSerial(views, comp)
+		return componentsSerial(a, comp)
 	}
-	componentsParallel(workers, views, comp)
+	componentsParallel(workers, a, comp)
 	return comp
 }
 
@@ -73,17 +83,23 @@ func resetLabels(n int, comp []uint32) []uint32 {
 
 // componentsParallel is the hook-and-compress iteration with parallel
 // fan-out per phase.
-func componentsParallel(workers int, views []*csr.Graph, comp []uint32) {
+func componentsParallel(workers int, a compress.Arcs, comp []uint32) {
 	n := len(comp)
 	for {
 		var changed atomic.Bool
 		// Hook: for every arc (u,v), point the root of the larger label
 		// at the smaller label.
 		par.ForDynamic(workers, n, 256, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				for _, g := range views {
-					adj, _ := g.Neighbors(edge.ID(u))
-					cu := atomic.LoadUint32(&comp[u])
+			var run compress.Run
+			for u := uint32(lo); u < uint32(hi); u++ {
+				var adj []uint32
+				if a.C == nil {
+					adj, _ = a.View(u).Neighbors(u)
+				} else {
+					adj, _ = a.C.Span(&run, u, false)
+				}
+				cu := atomic.LoadUint32(&comp[u])
+				for {
 					for _, v := range adj {
 						cv := atomic.LoadUint32(&comp[v])
 						if cu == cv {
@@ -100,6 +116,10 @@ func componentsParallel(workers int, views []*csr.Graph, comp []uint32) {
 						}
 						cu = atomic.LoadUint32(&comp[u])
 					}
+					if run.Left() == 0 {
+						break
+					}
+					adj, _ = run.Next(false)
 				}
 			}
 		})
@@ -126,13 +146,19 @@ func componentsParallel(workers int, views []*csr.Graph, comp []uint32) {
 // componentsSerial is the closure-free hook-and-compress iteration; it
 // converges to the same canonical labels (the component minimum) as the
 // parallel path.
-func componentsSerial(views []*csr.Graph, comp []uint32) []uint32 {
+func componentsSerial(a compress.Arcs, comp []uint32) []uint32 {
+	var run compress.Run
 	for {
 		changed := false
-		for _, g := range views {
-			for u := range comp {
-				adj, _ := g.Neighbors(edge.ID(u))
-				cu := comp[u]
+		for u := range uint32(len(comp)) {
+			var adj []uint32
+			if a.C == nil {
+				adj, _ = a.View(u).Neighbors(u)
+			} else {
+				adj, _ = a.C.Span(&run, u, false)
+			}
+			cu := comp[u]
+			for {
 				for _, v := range adj {
 					cv := comp[v]
 					if cu == cv {
@@ -148,6 +174,10 @@ func componentsSerial(views []*csr.Graph, comp []uint32) []uint32 {
 					}
 					cu = comp[u]
 				}
+				if run.Left() == 0 {
+					break
+				}
+				adj, _ = run.Next(false)
 			}
 		}
 		for u := range comp {

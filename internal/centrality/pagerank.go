@@ -4,27 +4,12 @@ import (
 	"math"
 
 	"snapdyn/internal/compress"
-	"snapdyn/internal/csr"
-	"snapdyn/internal/edge"
 )
 
 // maxPageRankRounds hard-caps the power iteration (the error contracts
 // geometrically with damping 0.85, so real solves finish orders of
 // magnitude below this).
 const maxPageRankRounds = 1000
-
-// Arcs names where PageRank reads each vertex's out-arcs. Exactly one
-// of Views and C is set.
-type Arcs struct {
-	// Views holds vertex u's arcs as its span in Views[u % len(Views)]:
-	// a shard fleet's per-shard views, or one CSR as a one-view set.
-	Views []*csr.Graph
-	// Perm maps an original id to its id in a reordered CSR (nil: the
-	// identity). Ranks and adjacency stay in layout space.
-	Perm []uint32
-	// C is a compressed snapshot, decoded arc by arc every round.
-	C *compress.Graph
-}
 
 // PageRank is the PageRank kernel's pooled state: after a Run, Rank
 // holds the score vector in layout space. A zero PageRank is ready to
@@ -33,23 +18,25 @@ type Arcs struct {
 type PageRank struct {
 	Rank []float64
 	next []float64
-	cur  compress.Cursor
 }
 
-// Run solves r = (1-d)·1 + d·AᵀD⁻¹r by serial power iteration, parallel
+// Run solves r = (1-d)·1 + d·AᵀD⁻¹r over the arcs a by serial power
+// iteration, parallel
 // arcs counted and dangling mass dropped, so every rank is at least
 // 1-d. It starts from r = 1-d; each round pushes d·r[u]/deg(u) along
 // every out-arc of every vertex u, visiting sources in original-id
 // order, and it stops once no rank moved by tol or more in a round (or
-// after 1000 rounds). It returns the rounds taken and the largest and
-// summed rank, both taken in original-id order.
+// after 1000 rounds). perm maps an original id to its id in a
+// reordered CSR (nil: the identity); ranks and adjacency stay in layout
+// space. It returns the rounds taken and the largest and summed rank,
+// both taken in original-id order.
 //
 // Every next[v] receives its additions in source order, and that order
 // is original-id order on every layout and every shard count, so the
 // answer is bit-identical across them; the order of arcs inside a
 // vertex does not change the sequence.
-func (s *PageRank) Run(a Arcs, d, tol float64) (rounds int, maxRank, sumRank float64) {
-	n := a.n()
+func (s *PageRank) Run(a compress.Arcs, perm []uint32, d, tol float64) (rounds int, maxRank, sumRank float64) {
+	n := a.N()
 	if cap(s.Rank) < n {
 		s.Rank = make([]float64, n)
 		s.next = make([]float64, n)
@@ -59,7 +46,7 @@ func (s *PageRank) Run(a Arcs, d, tol float64) (rounds int, maxRank, sumRank flo
 	for i := range s.Rank {
 		s.Rank[i] = teleport
 	}
-	views, perm, c := a.Views, a.Perm, a.C
+	views := a.Views
 	for rounds < maxPageRankRounds {
 		rounds++
 		rank, next := s.Rank, s.next
@@ -72,16 +59,12 @@ func (s *PageRank) Run(a Arcs, d, tol float64) (rounds int, maxRank, sumRank flo
 			if perm != nil {
 				u = int(perm[o])
 			}
-			if c != nil {
-				c.Begin(&s.cur, edge.ID(u))
-				if deg := s.cur.Len(); deg > 0 {
-					push := d * rank[u] / float64(deg)
-					for v, _, ok := s.cur.Next(); ok; v, _, ok = s.cur.Next() {
-						next[v] += push
-					}
-				}
+			if a.C != nil {
+				pushRuns(a.C, uint32(u), d*rank[u], next)
 				continue
 			}
+			// u's view is views[o % P]: a reordered CSR is a one-view
+			// set, and a fleet's views are unpermuted.
 			g := views[sh]
 			if sh++; sh == len(views) {
 				sh = 0
@@ -115,9 +98,24 @@ func (s *PageRank) Run(a Arcs, d, tol float64) (rounds int, maxRank, sumRank flo
 	return rounds, maxRank, sumRank
 }
 
-func (a Arcs) n() int {
-	if a.C != nil {
-		return a.C.N
+// pushRuns is Run's push of share from u over u's compressed block,
+// decoded a run at a time. The push stays out of line because a decoder
+// call inside Run's loop makes the compiler spill the loop's registers
+// on the view-set path too, a tenth of a CSR solve.
+func pushRuns(c *compress.Graph, u uint32, share float64, next []float64) {
+	var run compress.Run
+	adj, _ := c.Span(&run, u, false)
+	if run.Degree() == 0 {
+		return
 	}
-	return a.Views[0].N
+	push := share / float64(run.Degree())
+	for {
+		for _, v := range adj {
+			next[v] += push
+		}
+		if run.Left() == 0 {
+			return
+		}
+		adj, _ = run.Next(false)
+	}
 }

@@ -135,7 +135,7 @@ func TestComputeVariantsMatchCSR(t *testing.T) {
 	cg := compress.FromCSR(2, g)
 	for _, w := range []int{1, 4} {
 		s := NewScratch()
-		s.ComputeStream(w, cg)
+		s.ComputeArcs(w, compress.Arcs{C: cg})
 		check("stream", s)
 	}
 

@@ -12,9 +12,10 @@
 //
 // The arena (Scratch) is pooled: a serving layer keeps one per query
 // slot and recounts each snapshot with zero steady-state allocations.
-// It counts from a plain CSR, a gap-compressed snapshot, or a sharded
-// fleet's vertex-partitioned views — all three produce identical
-// per-vertex triangle counts on the same graph.
+// It counts from arcs wherever they live (compress.Arcs): a plain CSR, a
+// sharded fleet's vertex-partitioned views, or a gap-compressed
+// snapshot — all produce identical per-vertex triangle counts on the
+// same graph.
 package cluster
 
 import (
@@ -23,7 +24,6 @@ import (
 
 	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
-	"snapdyn/internal/edge"
 	"snapdyn/internal/par"
 )
 
@@ -35,6 +35,9 @@ type Scratch struct {
 	adj  []uint32 // sorted, deduplicated, loop-free; valid prefix deg[u] per slot
 	deg  []int32  // simple (deduplicated, loop-free) degree
 	tri  []int64  // triangles through each vertex
+	// one is the one-view set ComputeCSR hands its graph over as, held
+	// here so a count allocates no slice.
+	one [1]*csr.Graph
 }
 
 // NewScratch returns an empty arena.
@@ -75,118 +78,76 @@ func (s *Scratch) Aggregate(toLayout func(uint32) uint32, n int) (triangles, cou
 
 // ComputeCSR counts triangles over a symmetric CSR snapshot (both arcs
 // of every undirected edge present). Self loops and parallel edges are
-// ignored. The workers == 1 path is closure-free: par closure literals
-// escape into the fan-out goroutines regardless of the branch taken
-// (escape analysis is not flow-sensitive), and the serving layer's
-// steady-state query path must not allocate.
+// ignored. It is ComputeArcs over the one-view set.
 func (s *Scratch) ComputeCSR(workers int, g *csr.Graph) {
-	n := g.N
-	s.resize(n, int64(len(g.Adj)))
-	copy(s.offs, g.Offsets)
-	if workers == 1 {
-		for u := 0; u < n; u++ {
-			raw, _ := g.Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
-		s.countSerial(n)
-		return
-	}
-	s.dedupCSRParallel(workers, g)
-	s.count(workers, n)
-}
-
-func (s *Scratch) dedupCSRParallel(workers int, g *csr.Graph) {
-	par.ForDynamic(workers, g.N, 128, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			raw, _ := g.Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
-	})
-}
-
-// ComputeStream counts triangles over a gap-compressed snapshot,
-// decoding each adjacency once into the arena.
-func (s *Scratch) ComputeStream(workers int, cg *compress.Graph) {
-	n := cg.N
-	s.resize(n, cg.NumEdges())
-	var off int64
-	for u := 0; u < n; u++ {
-		s.offs[u] = off
-		off += cg.Degree(edge.ID(u))
-	}
-	s.offs[n] = off
-	if workers == 1 {
-		s.dedupStreamRange(cg, 0, n)
-		s.countSerial(n)
-		return
-	}
-	s.dedupStreamParallel(workers, cg)
-	s.count(workers, n)
-}
-
-func (s *Scratch) dedupStreamParallel(workers int, cg *compress.Graph) {
-	par.ForDynamic(workers, cg.N, 128, func(lo, hi int) {
-		s.dedupStreamRange(cg, lo, hi)
-	})
-}
-
-// dedupStreamRange decodes and dedups the adjacencies of [lo, hi).
-// Decoded arcs arrive in increasing neighbor order, so each slot is
-// already sorted: write then dedup in place.
-func (s *Scratch) dedupStreamRange(cg *compress.Graph, lo, hi int) {
-	var cur compress.Cursor
-	for u := lo; u < hi; u++ {
-		p := s.offs[u]
-		cg.Begin(&cur, edge.ID(u))
-		for {
-			v, _, ok := cur.Next()
-			if !ok {
-				break
-			}
-			s.adj[p] = uint32(v)
-			p++
-		}
-		s.dedupSorted(uint32(u))
-	}
+	s.one[0] = g
+	s.ComputeArcs(workers, compress.Arcs{Views: s.one[:]})
+	s.one[0] = nil
 }
 
 // ComputeViews counts triangles over a vertex-partitioned fleet: all
 // arcs out of u live in views[u % len(views)] (the fleet's owner
-// mapping), each view a full-width CSR.
+// mapping), each view a full-width CSR. It is ComputeArcs over the view
+// set.
 func (s *Scratch) ComputeViews(workers int, views []*csr.Graph) {
-	p := len(views)
-	n := views[0].N
-	var m int64
-	for _, g := range views {
-		m += int64(len(g.Adj))
-	}
-	s.resize(n, m)
+	s.ComputeArcs(workers, compress.Arcs{Views: views})
+}
+
+// ComputeArcs counts triangles over a symmetric graph's arcs wherever
+// they live, copying each adjacency once into the arena — a CSR span
+// as it is, a compressed block a decoded run at a time — then sorting
+// and deduplicating it. The workers == 1 path is closure-free: par
+// closure literals escape into the fan-out goroutines regardless of
+// the branch taken (escape analysis is not flow-sensitive), and the
+// serving layer's steady-state query path must not allocate.
+func (s *Scratch) ComputeArcs(workers int, a compress.Arcs) {
+	n := a.N()
+	s.resize(n, a.NumEdges())
 	var off int64
 	for u := 0; u < n; u++ {
 		s.offs[u] = off
-		off += views[u%p].Degree(edge.ID(u))
+		off += a.Degree(uint32(u))
 	}
 	s.offs[n] = off
 	if workers == 1 {
-		for u := 0; u < n; u++ {
-			raw, _ := views[u%p].Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
+		s.dedupRange(a, 0, n)
 		s.countSerial(n)
 		return
 	}
-	s.dedupViewsParallel(workers, views)
+	s.dedupParallel(workers, a)
 	s.count(workers, n)
 }
 
-func (s *Scratch) dedupViewsParallel(workers int, views []*csr.Graph) {
-	p := len(views)
-	par.ForDynamic(workers, views[0].N, 128, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			raw, _ := views[u%p].Neighbors(edge.ID(u))
-			s.dedupInto(uint32(u), raw)
-		}
+func (s *Scratch) dedupParallel(workers int, a compress.Arcs) {
+	par.ForDynamic(workers, a.N(), 128, func(lo, hi int) {
+		s.dedupRange(a, lo, hi)
 	})
+}
+
+// dedupRange copies the adjacencies of [lo, hi) into their slots, then
+// sorts and deduplicates each. A compressed block decodes in increasing
+// neighbor order, so its slot is sorted already.
+func (s *Scratch) dedupRange(a compress.Arcs, lo, hi int) {
+	var run compress.Run
+	for u := uint32(lo); u < uint32(hi); u++ {
+		var adj []uint32
+		if a.C == nil {
+			adj, _ = a.View(u).Neighbors(u)
+		} else {
+			adj, _ = a.C.Span(&run, u, false)
+		}
+		for p := s.offs[u]; ; {
+			p += int64(copy(s.adj[p:], adj))
+			if run.Left() == 0 {
+				break
+			}
+			adj, _ = run.Next(false)
+		}
+		if a.C == nil {
+			slices.Sort(s.adj[s.offs[u]:s.offs[u+1]])
+		}
+		s.dedupSorted(u)
+	}
 }
 
 // resize shapes the arena for n vertices and m raw arcs.
@@ -205,16 +166,6 @@ func (s *Scratch) resize(n int, m int64) {
 	}
 	s.deg = s.deg[:n]
 	s.tri = s.tri[:n]
-}
-
-// dedupInto copies u's raw adjacency into its slot, sorts it, and
-// deduplicates in place.
-func (s *Scratch) dedupInto(u uint32, raw []uint32) {
-	lo := s.offs[u]
-	nb := s.adj[lo : lo+int64(len(raw))]
-	copy(nb, raw)
-	slices.Sort(nb)
-	s.dedupSorted(u)
 }
 
 // dedupSorted compacts u's already-sorted slot, dropping self loops and

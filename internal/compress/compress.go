@@ -5,11 +5,17 @@
 // and gap-encoded with variable-length integers, exploiting the locality
 // and skew of small-world graphs.
 //
-// The representation is immutable and traversal-oriented: Cursor streams
-// a vertex's arcs with zero allocations, so the shared traversal engine
-// (internal/traversal RunStream) runs BFS and hook kernels directly on
-// the compressed bytes without materializing adjacency. Per-vertex blocks
-// are self-contained, which is what makes Refresh a byte-splice: clean
+// The representation is immutable and kernel-oriented: Arcs says where
+// a graph's arcs live — a CSR view set or a compressed graph — and every
+// kernel (traversal, sssp, cc, cluster, centrality) reads vertex u's
+// arcs as []uint32 spans: the CSR slice itself, or u's block decoded by
+// Run, the one bulk decoder, RunLen arcs at a time into a buffer on the
+// kernel's stack, labels only when the kernel reads them. So the
+// kernels run on the compressed bytes with one body for every layout
+// and without materializing adjacency (the Ligra+ design: one edge-map
+// body that decodes where the uncompressed graph reads arrays). Cursor
+// is the arc-at-a-time reference decoder. Per-vertex blocks are
+// self-contained, which is what makes Refresh a byte-splice: clean
 // vertices are copied as raw byte runs, only dirty vertices re-encode.
 // A round trip through ToCSR restores the uncompressed snapshot
 // (neighbor order within a vertex becomes sorted).
@@ -285,10 +291,6 @@ func (g *Graph) Begin(c *Cursor, u edge.ID) {
 	c.first = true
 }
 
-// Len returns how many arcs are left to decode: right after Begin, the
-// vertex's degree, read from its block header.
-func (c *Cursor) Len() int64 { return int64(c.rem) }
-
 // Next decodes the next arc, returning ok=false when the list is
 // exhausted. Arcs arrive in increasing neighbor order. A one-byte
 // varint (a gap or label below 128) is read inline; longer ones go
@@ -390,18 +392,13 @@ func (g *Graph) ToCSR(workers int) *csr.Graph {
 		TS:      make([]uint32, total),
 	}
 	par.ForDynamic(workers, g.N, 256, func(lo, hi int) {
-		var c Cursor
+		var r Run
 		for u := lo; u < hi; u++ {
 			p := out.Offsets[u]
-			g.Begin(&c, edge.ID(u))
-			for {
-				v, t, ok := c.Next()
-				if !ok {
-					break
-				}
-				out.Adj[p] = v
-				out.TS[p] = t
-				p++
+			for adj, ts := g.Span(&r, uint32(u), true); len(adj) > 0; adj, ts = r.Next(true) {
+				copy(out.Adj[p:], adj)
+				copy(out.TS[p:], ts)
+				p += int64(len(adj))
 			}
 		}
 	})

@@ -60,9 +60,10 @@ func fuzzCSR(data []byte) *csr.Graph {
 
 // FuzzCursorRoundTrip checks the varint block format at its edges:
 // FromCSR then Begin/Next must yield exactly each vertex's span as a
-// multiset, the cursor must stop at the block's end, and ToCSR must
-// return the source with each span stably sorted by neighbor id (the
-// documented round-trip order), labels and parallel arcs included.
+// multiset, the cursor must stop at the block's end, the run decoder
+// must yield exactly the cursor's sequence (see checkRuns), and ToCSR
+// must return the source with each span stably sorted by neighbor id
+// (the documented round-trip order), labels and parallel arcs included.
 func FuzzCursorRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 0, 0, 1, 0, 7, 2, 0, 0, 0, 9})
@@ -104,6 +105,7 @@ func FuzzCursorRoundTrip(f *testing.F) {
 			if _, _, ok := c.Next(); ok {
 				t.Fatalf("vertex %d: cursor resumed after reporting its end", u)
 			}
+			checkRuns(t, cg, uint32(u), got)
 			if cg.Degree(edge.ID(u)) != int64(len(want)) {
 				t.Fatalf("vertex %d: Degree %d, want %d", u, cg.Degree(edge.ID(u)), len(want))
 			}
@@ -133,4 +135,72 @@ func FuzzCursorRoundTrip(f *testing.F) {
 			t.Fatalf("ToCSR = %+v, want %+v", back, want)
 		}
 	})
+}
+
+// checkRuns holds the run decoder to the cursor's sequence seq of u's
+// arcs: every window of u's arcs of length 1, RunLen-1, RunLen,
+// RunLen+1 and the full degree — starting at the first arc, in the
+// middle and ending at the last — decodes through SpanRange and Next to
+// exactly that slice of seq, heads in order with their labels when
+// labels are decoded and the heads alone when they are skipped, and
+// Span reads the whole block the same way.
+func checkRuns(t *testing.T, cg *compress.Graph, u uint32, seq []fuzzArc) {
+	t.Helper()
+	deg := int64(len(seq))
+	decode := func(first func(r *compress.Run, labels bool) ([]uint32, []uint32), labels bool) []fuzzArc {
+		var r compress.Run
+		var out []fuzzArc
+		for adj, ts := first(&r, labels); ; adj, ts = r.Next(labels) {
+			if len(adj) > compress.RunLen || len(ts) != len(adj) {
+				t.Fatalf("vertex %d: run of %d heads, %d labels", u, len(adj), len(ts))
+			}
+			for i, v := range adj {
+				a := fuzzArc{v: v}
+				if labels {
+					a.t = ts[i]
+				}
+				out = append(out, a)
+			}
+			if r.Left() == 0 {
+				if adj, _ := r.Next(labels); len(adj) != 0 {
+					t.Fatalf("vertex %d: run decoder resumed after its end", u)
+				}
+				return out
+			}
+			if len(adj) == 0 {
+				t.Fatalf("vertex %d: empty run with %d arcs left", u, r.Left())
+			}
+		}
+	}
+	want := func(lo, hi int64, labels bool) []fuzzArc {
+		w := slices.Clone(seq[lo:hi])
+		for i := range w {
+			if !labels {
+				w[i].t = 0
+			}
+		}
+		return w
+	}
+	for _, labels := range []bool{true, false} {
+		got := decode(func(r *compress.Run, labels bool) ([]uint32, []uint32) { return cg.Span(r, u, labels) }, labels)
+		if w := want(0, deg, labels); !slices.Equal(got, w) {
+			t.Fatalf("vertex %d labels=%v: Span runs %v, want %v", u, labels, got, w)
+		}
+		for _, n := range []int64{1, compress.RunLen - 1, compress.RunLen, compress.RunLen + 1, deg} {
+			n = min(n, deg)
+			for _, lo := range []int64{0, (deg - n) / 2, deg - n} {
+				got := decode(func(r *compress.Run, labels bool) ([]uint32, []uint32) {
+					return cg.SpanRange(r, u, lo, lo+n, labels)
+				}, labels)
+				if w := want(lo, lo+n, labels); !slices.Equal(got, w) {
+					t.Fatalf("vertex %d labels=%v: SpanRange [%d,%d) runs %v, want %v", u, labels, lo, lo+n, got, w)
+				}
+			}
+		}
+	}
+	var r compress.Run
+	cg.Span(&r, u, false)
+	if r.Degree() != deg {
+		t.Fatalf("vertex %d: run degree %d, want %d", u, r.Degree(), deg)
+	}
 }

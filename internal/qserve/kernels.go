@@ -3,7 +3,6 @@ package qserve
 import (
 	"math"
 
-	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/snapmgr"
@@ -48,8 +47,8 @@ type KHopReply struct {
 
 // KHop counts the vertices within k hops of src: a BFS whose pooled
 // level-end hook stops the traversal after level k, so arcs beyond the
-// horizon are never expanded. Hop counts are id-invariant; every
-// layout answers bit-identically.
+// horizon are never expanded; k = 0 answers 1 without a traversal. Hop
+// counts are id-invariant; every layout answers bit-identically.
 func (e *Executor) KHop(src, k uint32) (KHopReply, error) {
 	a := Args{A: uint64(src), B: uint64(k)}
 	r, err := e.Query(SpecKHop, a)
@@ -117,11 +116,7 @@ func (s *scratchSet) clusteringValue(v *snapmgr.View, _ Args) qcache.Value {
 	if s.clus == nil {
 		s.clus = cluster.NewScratch()
 	}
-	if v.C != nil {
-		s.clus.ComputeStream(s.cfg.Workers, v.C)
-	} else {
-		s.clus.ComputeCSR(s.cfg.Workers, v.G)
-	}
+	s.clus.ComputeArcs(s.cfg.Workers, s.arcs(v))
 	s.clusView = v
 	total, counted, avg := s.clus.Aggregate(s.clusMap, v.NumVertices())
 	s.clusView = nil
@@ -141,11 +136,7 @@ func (s *scratchSet) khopValue(v *snapmgr.View, a Args) qcache.Value {
 		Strategy: s.cfg.Strategy(),
 		Hooks:    s.cuts.KHop(int32(a.B)),
 	}
-	if v.C != nil {
-		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
-	} else {
-		traversal.Run(v.G, s.src[:1], opt, s.trav, &s.res)
-	}
+	traversal.RunArcs(s.arcs(v), s.src[:1], opt, s.trav, &s.res)
 	return qcache.Value{N1: int64(s.cuts.KHopReached())}
 }
 
@@ -164,13 +155,9 @@ const (
 	minPageRankTol = 1e-12
 )
 
-// pagerankValue runs the PageRank kernel against the pinned view: a
-// plain or reordered CSR as a one-view set, a compressed snapshot by
-// streaming decode. The scores stay in s.pr.Rank, in layout space.
+// pagerankValue runs the PageRank kernel against the pinned view. The
+// scores stay in s.pr.Rank, in layout space.
 func (s *scratchSet) pagerankValue(v *snapmgr.View, a Args) qcache.Value {
-	s.prView[0] = v.G
-	arcs := centrality.Arcs{Views: s.prView[:], Perm: v.Perm, C: v.C}
-	iters, maxRank, sum := s.pr.Run(arcs, PageRankDamping, PageRankTol(a))
-	s.prView[0] = nil
+	iters, maxRank, sum := s.pr.Run(s.arcs(v), v.Perm, PageRankDamping, PageRankTol(a))
 	return qcache.Value{N1: int64(iters), F1: maxRank, F2: sum}
 }

@@ -53,6 +53,7 @@ import (
 	"snapdyn/internal/cc"
 	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/dynconn"
 	"snapdyn/internal/dyngraph"
@@ -135,19 +136,14 @@ type scratchSet struct {
 	trav *traversal.Scratch
 	res  traversal.Result
 	ssp  *sssp.Scratch
-	// sspStream is the compressed-layout SSSP arena; nil until the first
-	// SSSP against a LayoutCompressed snapshot. dist is the last SSSP's
-	// distance array, owned by whichever of the two arenas ran it.
-	sspStream *sssp.StreamScratch
-	dist      []int64
-	src       [1]uint32
+	// dist is the last SSSP's distance array, owned by ssp.
+	dist []int64
+	src  [1]uint32
 
 	// comp and sizes are the component query's label array and census,
-	// pool-owned so Components allocates nothing per request. queue is
-	// the compressed-layout component labeler's BFS queue.
+	// pool-owned so Components allocates nothing per request.
 	comp  []uint32
 	sizes []int
-	queue []uint32
 
 	// cuts are the st-connectivity and k-hop level-end hooks, bound
 	// once per set.
@@ -162,11 +158,22 @@ type scratchSet struct {
 	clusView *snapmgr.View
 	clusMap  func(uint32) uint32
 
-	// pr is the PageRank kernel's state (rank and next iterate, plus
-	// the compressed layout's cursor); prView is the one-view set a
-	// CSR snapshot is handed to it as, so the query allocates no slice.
-	pr     centrality.PageRank
-	prView [1]*csr.Graph
+	// pr is the PageRank kernel's state (rank and next iterate).
+	pr centrality.PageRank
+	// one is the one-view set a CSR snapshot is handed to the kernels
+	// as (see arcs), so a query allocates no slice.
+	one [1]*csr.Graph
+}
+
+// arcs returns where the pinned view's arcs live: the compressed graph,
+// or the CSR as the set's one-view set. Run drops the CSR again when
+// the set goes back to the pool.
+func (s *scratchSet) arcs(v *snapmgr.View) compress.Arcs {
+	if v.C != nil {
+		return compress.Arcs{C: v.C}
+	}
+	s.one[0] = v.G
+	return compress.Arcs{Views: s.one[:]}
 }
 
 func newScratchSet(cfg Config) *scratchSet {
@@ -395,7 +402,10 @@ func (b *single) Run(sp *Spec, pin any, a Args) qcache.Value {
 	default:
 		s = newScratchSet(b.cfg)
 	}
-	defer func() { b.free <- s }()
+	defer func() {
+		s.one[0] = nil // pin no retired snapshot from the pool
+		b.free <- s
+	}()
 	return singleKernels[sp.id](s, pin.(*snapmgr.View), a)
 }
 
@@ -446,8 +456,8 @@ type BFSReply struct {
 
 // BFS runs a breadth-first search from src over the current snapshot,
 // whatever its storage layout: reordered views translate src through
-// the held permutation, compressed views traverse by streaming decode
-// (traversal.RunStream). The reply's aggregates are id-invariant, so
+// the held permutation, compressed views decode their blocks a run at
+// a time (traversal.RunArcs). The reply's aggregates are id-invariant, so
 // every layout answers bit-identically. With caching on, a repeat src
 // against the same published snapshot is served from the generation
 // without touching the scratch pool, and concurrent identical misses
@@ -466,11 +476,7 @@ func (e *Executor) BFS(src uint32) (BFSReply, error) {
 func (s *scratchSet) bfsValue(v *snapmgr.View, a Args) qcache.Value {
 	s.src[0] = translate(v, uint32(a.A))
 	opt := traversal.Options{Workers: s.cfg.Workers, Strategy: s.cfg.Strategy()}
-	if v.C != nil {
-		traversal.RunStream(v.C, s.src[:1], opt, s.trav, &s.res)
-	} else {
-		traversal.Run(v.G, s.src[:1], opt, s.trav, &s.res)
-	}
+	traversal.RunArcs(s.arcs(v), s.src[:1], opt, s.trav, &s.res)
 	return qcache.Value{N1: int64(s.res.Reached), N2: int64(s.res.Levels)}
 }
 
@@ -494,10 +500,9 @@ type SSSPReply struct {
 // differs from the cached one, re-chooses the width from a fixed-size
 // sample of 2^16 labels, with no allocation. Per-request delta tuning
 // is therefore free, but the default width already sits on the flat
-// part of the curve.
-// Under LayoutCompressed the query runs the streaming Bellman-Ford
-// kernel (sssp.RunStream) instead of delta-stepping — distances are
-// identical; delta is ignored there (the stream kernel has no buckets).
+// part of the curve. Every layout runs the same kernel; a compressed
+// snapshot decodes its blocks a run at a time, and its heuristic width
+// is sampled from the leading runs of a fixed stride of vertices.
 func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
 	a := Args{A: uint64(src), B: uint64(delta)}
 	r, err := e.Query(SpecSSSP, a)
@@ -512,14 +517,7 @@ func (e *Executor) SSSP(src uint32, delta int64) (SSSPReply, error) {
 // SSSP scratch.
 func (s *scratchSet) ssspValue(v *snapmgr.View, a Args) qcache.Value {
 	src := edge.ID(translate(v, uint32(a.A)))
-	if v.C != nil {
-		if s.sspStream == nil {
-			s.sspStream = sssp.NewStreamScratch()
-		}
-		s.dist = sssp.RunStream(v.C, src, s.cfg.Workers, sssp.LabelWeights, s.sspStream)
-	} else {
-		s.dist = sssp.Run(v.G, src, sssp.Options{Workers: s.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
-	}
+	s.dist = sssp.RunArcs(s.arcs(v), src, sssp.Options{Workers: s.cfg.Workers, Delta: int64(a.B), Scratch: s.ssp})
 	var val qcache.Value
 	for _, d := range s.dist {
 		if d != sssp.Inf {
@@ -584,11 +582,7 @@ func (s *scratchSet) connValue(view *snapmgr.View, a Args) qcache.Value {
 		Strategy: s.cfg.Strategy(),
 		Hooks:    s.cuts.ST(&s.res, target),
 	}
-	if view.C != nil {
-		traversal.RunStream(view.C, s.src[:1], opt, s.trav, &s.res)
-	} else {
-		traversal.Run(view.G, s.src[:1], opt, s.trav, &s.res)
-	}
+	traversal.RunArcs(s.arcs(view), s.src[:1], opt, s.trav, &s.res)
 	if lvl := s.res.Level[target]; lvl != traversal.NotVisited {
 		return qcache.Value{Flag: true, N1: int64(lvl)}
 	}
@@ -604,7 +598,7 @@ type ComponentsReply struct {
 
 // Components labels weakly-connected components over the current
 // snapshot. The label array and its census live in the pooled scratch
-// (cc.ComponentsInto / cc.CensusInto), so the steady state allocates
+// (cc.ComponentsArcs / cc.CensusInto), so the steady state allocates
 // nothing per request at the serving config (Workers = 1; the parallel
 // census path still builds per-worker partial counts).
 func (e *Executor) Components() (ComponentsReply, error) {
@@ -618,13 +612,9 @@ func (e *Executor) Components() (ComponentsReply, error) {
 // componentsValue executes the component labeling against the pinned view;
 // the label array stays in s.comp.
 func (s *scratchSet) componentsValue(v *snapmgr.View, _ Args) qcache.Value {
-	if v.C != nil {
-		s.comp, s.queue = traversal.StreamComponentsInto(v.C, s.comp, s.queue)
-	} else {
-		// Reordered views label in permuted space; component count and
-		// sizes are invariant under relabeling, so the reply is identical.
-		s.comp = cc.ComponentsInto(s.cfg.Workers, v.G, s.comp)
-	}
+	// Reordered views label in permuted space; component count and
+	// sizes are invariant under relabeling, so the reply is identical.
+	s.comp = cc.ComponentsArcs(s.cfg.Workers, s.arcs(v), s.comp)
 	s.sizes = cc.CensusInto(s.cfg.Workers, s.comp, s.sizes)
 	_, size := cc.LargestOf(s.cfg.Workers, s.sizes)
 	return qcache.Value{N1: int64(cc.Count(s.comp)), N2: int64(size)}

@@ -232,6 +232,10 @@ var (
 
 	SpecKHop = &Spec{
 		name: "khop", kind: qcache.KindKHop, vertexA: true,
+		quick: func(a Args) (qcache.Value, bool) {
+			// Within 0 hops lies the source alone, on every engine.
+			return qcache.Value{N1: 1}, a.B == 0
+		},
 		key: func(a Args) (qcache.Key, bool) {
 			return qcache.Key{Kind: qcache.KindKHop, A: a.A, B: a.B}, true
 		},

@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"snapdyn/internal/centrality"
 	"snapdyn/internal/cluster"
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/qcache"
 	"snapdyn/internal/qserve"
@@ -37,6 +37,6 @@ func (s *scratchSet) khopValue(views []*csr.Graph, a qserve.Args) qcache.Value {
 // every shard count. Like SSSP it runs serially; a served fleet's
 // parallelism comes from its admission slots.
 func (s *scratchSet) pagerankValue(views []*csr.Graph, a qserve.Args) qcache.Value {
-	iters, maxRank, sum := s.pr.Run(centrality.Arcs{Views: views}, qserve.PageRankDamping, qserve.PageRankTol(a))
+	iters, maxRank, sum := s.pr.Run(compress.Arcs{Views: views}, nil, qserve.PageRankDamping, qserve.PageRankTol(a))
 	return qcache.Value{N1: int64(iters), F1: maxRank, F2: sum}
 }

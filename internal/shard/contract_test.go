@@ -224,3 +224,28 @@ func TestCachedMissAllocParity(t *testing.T) {
 		})
 	}
 }
+
+// TestKHopZeroIsQuick: a k-hop query with k = 0 answers 1 (the source)
+// as a quick answer, without a traversal or a cache round trip, on the
+// single store and the fleets; a bad source is still refused first.
+func TestKHopZeroIsQuick(t *testing.T) {
+	n, ups := testUpdates(t, 8, 4, 61)
+	ups = stream.Mirror(ups)
+	for _, tc := range contractEngines(n, ups) {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, _ := tc.build(qserve.Config{Undirected: true, MaxConcurrent: 1, CacheBytes: 8 << 20})
+			for i := 0; i < 2; i++ {
+				r, err := ex.Query(qserve.SpecKHop, qserve.Args{A: 3, B: 0})
+				if err != nil || r.Val.N1 != 1 || r.Cache != qserve.CacheBypass {
+					t.Fatalf("k=0: %+v, %v; want reached 1, quick (bypass) disposition", r, err)
+				}
+			}
+			if st := ex.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
+				t.Fatalf("k=0 touched the cache: %d hits, %d misses", st.CacheHits, st.CacheMisses)
+			}
+			if _, err := ex.Query(qserve.SpecKHop, qserve.Args{A: uint64(n), B: 0}); !errors.Is(err, qserve.ErrBadVertex) {
+				t.Fatalf("k=0 from a bad vertex: err = %v, want ErrBadVertex", err)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/frontier"
 	"snapdyn/internal/sssp"
@@ -50,11 +51,12 @@ func (sp *ssspState) Phase(batch []uint32, out *frontier.Buckets) {
 	for _, u := range batch {
 		g := views[u%p]
 		var b bool
-		local, b = sssp.RelaxOwned(g, sp.wf, g.Offsets[u], g.Offsets[u+1], dist[u], dist, local)
+		adj, ts := g.Neighbors(u)
+		local, b = sssp.RelaxOwned(adj, ts, sp.wf, dist[u], dist, local)
 		bad = bad || b
 	}
 	out.Put(0, local)
 	if bad {
-		sssp.BadWeight(sp.wf, views...)
+		sssp.BadWeight(sp.wf, compress.Arcs{Views: views})
 	}
 }

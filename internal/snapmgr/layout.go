@@ -13,8 +13,9 @@ import (
 // The reordered layouts publish a CSR whose vertex ids are permuted for
 // locality (the permutation and its inverse ride on the View, and every
 // facade query translates ids at the boundary so callers only ever see
-// original ids). Compressed publishes gap-coded adjacency bytes that the
-// traversal engine decodes on the fly (traversal.RunStream).
+// original ids). Compressed publishes gap-coded adjacency bytes that
+// every kernel decodes on the fly, a run of arcs at a time, in the same
+// body it runs on a CSR (compress.Arcs).
 type Layout int
 
 const (

@@ -218,6 +218,9 @@ func (b *Bands) Run(src uint32, r Relaxer) {
 		}
 		cur++
 	}
+	// Level now rather than at the next Reset, so the allocations of a
+	// run whose bands outgrew the ring's fall in that run.
+	levelRing(b.ring, len(dist))
 }
 
 // collect appends the ids whose bits are set in words, the first of

@@ -142,8 +142,8 @@ func TestRelaxOwnedMatchesRelaxSpan(t *testing.T) {
 		prefix := []uint32{uint32(r.Uint32n(uint32(n)))}
 		for _, wf := range []WeightFunc{nil, func(ts uint32) int64 { return 3 * int64(ts) }, func(ts uint32) int64 { return int64(ts) - 2 }} {
 			dCAS, dOwned := slices.Clone(dist), slices.Clone(dist)
-			wCAS, badCAS := RelaxSpan(g, wf, lo, hi, du, dCAS, slices.Clone(prefix))
-			wOwned, badOwned := RelaxOwned(g, wf, lo, hi, du, dOwned, slices.Clone(prefix))
+			wCAS, badCAS := RelaxSpan(g.Adj[lo:hi], g.TS[lo:hi], wf, du, dCAS, slices.Clone(prefix))
+			wOwned, badOwned := RelaxOwned(g.Adj[lo:hi], g.TS[lo:hi], wf, du, dOwned, slices.Clone(prefix))
 			slices.Sort(wCAS)
 			slices.Sort(wOwned)
 			// A run that met a bad weight panics after the phase, so only
@@ -166,10 +166,10 @@ func TestRelaxOwnedMatchesRelaxSpan(t *testing.T) {
 func TestRelaxOwnedFlagsBadWeight(t *testing.T) {
 	g := weightedGraph(3, false, [3]uint32{0, 1, 4}, [3]uint32{0, 2, 5})
 	dist := []int64{0, Inf, Inf}
-	if _, bad := RelaxOwned(g, func(ts uint32) int64 { return int64(ts) - 5 }, 0, 2, 0, dist, nil); !bad {
+	if _, bad := RelaxOwned(g.Adj[0:2], g.TS[0:2], func(ts uint32) int64 { return int64(ts) - 5 }, 0, dist, nil); !bad {
 		t.Fatal("weight -1 not flagged")
 	}
-	if _, bad := RelaxOwned(g, nil, 0, 2, 0, []int64{0, Inf, Inf}, nil); bad {
+	if _, bad := RelaxOwned(g.Adj[0:2], g.TS[0:2], nil, 0, []int64{0, Inf, Inf}, nil); bad {
 		t.Fatal("label weights flagged bad")
 	}
 }

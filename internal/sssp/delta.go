@@ -3,6 +3,7 @@ package sssp
 import (
 	"math"
 
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 )
 
@@ -29,7 +30,11 @@ const heuristicSample = 1 << 16
 // starting at arc 0 and combined arc-weighted, so repeated runs over
 // one snapshot (or one view set) pick the same delta. All index
 // arithmetic is additive, so it cannot overflow regardless of the arc
-// count.
+// count. A compressed graph has no arc array to stride through: its
+// sample is the leading run (up to compress.RunLen arcs) of every
+// vertex at a fixed stride of max(1, n·RunLen/2^16), again at most 2^16
+// labels, so the rule is the same but the delta need not equal the
+// uncompressed snapshot's.
 func HeuristicDelta(wf WeightFunc, n int, gs ...*csr.Graph) int64 {
 	d, _ := sampleDelta(wf, n, gs)
 	return d
@@ -64,6 +69,36 @@ func sampleDelta(wf WeightFunc, n int, gs []*csr.Graph) (int64, uint32) {
 		wsum += float64(sum) / float64(count) * float64(len(ts))
 		m += int64(len(ts))
 	}
+	return deltaOf(wsum, m, maxW, n)
+}
+
+// sampleCompressed is sampleDelta over a compressed graph.
+func sampleCompressed(wf WeightFunc, c *compress.Graph) (int64, uint32) {
+	stride := max(1, c.N/(heuristicSample/compress.RunLen))
+	var sum, count, maxW int64
+	var r compress.Run
+	for u := 0; u < c.N; u += stride {
+		_, ts := c.Span(&r, uint32(u), true)
+		for _, t := range ts {
+			w := int64(t)
+			if wf != nil {
+				w = wf(t)
+			}
+			sum += w
+			maxW = max(maxW, w)
+			count++
+		}
+	}
+	if count == 0 {
+		return deltaOf(0, 0, maxW, c.N)
+	}
+	m := c.NumEdges()
+	return deltaOf(float64(sum)/float64(count)*float64(m), m, maxW, c.N)
+}
+
+// deltaOf applies the heuristic to a sample: wsum is the arc-weighted
+// weight total it stands for over m arcs, maxW the largest weight seen.
+func deltaOf(wsum float64, m, maxW int64, n int) (int64, uint32) {
 	maxW = min(maxW, math.MaxUint32)
 	if m == 0 {
 		return 1, uint32(maxW)
@@ -83,8 +118,9 @@ func sampleDelta(wf WeightFunc, n int, gs []*csr.Graph) (int64, uint32) {
 // the key: a cached width chosen under other weights leaves distances
 // exact (any delta >= 1 does) and only moves the band count.
 type DeltaCache struct {
-	gs    []*csr.Graph // the graphs the entry was chosen for; empty = none
-	req   int64        // the requested delta (<= 0: heuristic)
+	gs    []*csr.Graph    // the views the entry was chosen for
+	c     *compress.Graph // or the compressed graph; neither = none
+	req   int64           // the requested delta (<= 0: heuristic)
 	delta int64
 	maxW  uint32
 }
@@ -93,7 +129,7 @@ type DeltaCache struct {
 // HeuristicDelta when req <= 0) and the largest sampled weight,
 // sampling only when gs or req differ from the cached entry.
 func (c *DeltaCache) Choose(wf WeightFunc, req int64, n int, gs ...*csr.Graph) (int64, uint32) {
-	hit := len(c.gs) == len(gs) && c.req == req
+	hit := c.c == nil && len(c.gs) == len(gs) && c.req == req
 	for i := 0; hit && i < len(gs); i++ {
 		hit = c.gs[i] == gs[i]
 	}
@@ -102,7 +138,22 @@ func (c *DeltaCache) Choose(wf WeightFunc, req int64, n int, gs ...*csr.Graph) (
 		if req > 0 {
 			c.delta = req
 		}
-		c.gs, c.req = append(c.gs[:0], gs...), req
+		c.gs, c.c, c.req = append(c.gs[:0], gs...), nil, req
+	}
+	return c.delta, c.maxW
+}
+
+// ChooseArcs is Choose over arcs wherever they live.
+func (c *DeltaCache) ChooseArcs(wf WeightFunc, req int64, a compress.Arcs) (int64, uint32) {
+	if a.C == nil {
+		return c.Choose(wf, req, a.N(), a.Views...)
+	}
+	if c.c != a.C || c.req != req {
+		c.delta, c.maxW = sampleCompressed(wf, a.C)
+		if req > 0 {
+			c.delta = req
+		}
+		c.gs, c.c, c.req = c.gs[:0], a.C, req
 	}
 	return c.delta, c.maxW
 }
@@ -111,4 +162,4 @@ func (c *DeltaCache) Choose(wf WeightFunc, req int64, n int, gs ...*csr.Graph) (
 func (c *DeltaCache) Delta() int64 { return c.delta }
 
 // Invalidate drops the cached entry, so the next Choose samples again.
-func (c *DeltaCache) Invalidate() { c.gs = c.gs[:0] }
+func (c *DeltaCache) Invalidate() { c.gs, c.c = c.gs[:0], nil }

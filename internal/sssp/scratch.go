@@ -3,6 +3,7 @@ package sssp
 import (
 	"sync/atomic"
 
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/frontier"
@@ -30,6 +31,9 @@ type Scratch struct {
 	deltas DeltaCache
 	bands  Bands
 	ex     *exec
+	// one is the one-view set Run hands its graph over as, held here so
+	// a run allocates no slice.
+	one [1]*csr.Graph
 }
 
 // NewScratch returns an empty arena; buffers are sized on first use.
@@ -64,26 +68,27 @@ func (sc *Scratch) exec() *exec {
 	return sc.ex
 }
 
-// run executes delta-stepping from src over g with weights from wf
+// run executes delta-stepping from src over a with weights from wf
 // (nil: the label), writing into (and returning) the scratch-owned
 // distance array.
-func (sc *Scratch) run(workers int, g *csr.Graph, wf WeightFunc, delta int64, src edge.ID) []int64 {
+func (sc *Scratch) run(workers int, a compress.Arcs, wf WeightFunc, delta int64, src edge.ID) []int64 {
 	if workers <= 0 {
 		workers = par.MaxWorkers()
 	}
-	delta, maxW := sc.deltas.Choose(wf, delta, g.N, g)
-	dist := sc.bands.Reset(workers, g.N, maxW, delta)
+	delta, maxW := sc.deltas.ChooseArcs(wf, delta, a)
+	dist := sc.bands.Reset(workers, a.N(), maxW, delta)
 	e := sc.exec()
-	e.g, e.wf, e.dist, e.workers = g, wf, dist, workers
+	e.arcs, e.wf, e.dist, e.workers = a, wf, dist, workers
 	sc.bands.Run(src, e)
+	e.arcs = compress.Arcs{}
 	return dist
 }
 
-// exec is the single-snapshot kernel's Relaxer: a persistent phase body
-// over mutable per-phase fields, so phases hand par.ForBlock the same
-// function value every time and the steady state allocates no closures.
+// exec is the kernel's Relaxer: a persistent phase body over mutable
+// per-phase fields, so phases hand par.ForBlock the same function value
+// every time and the steady state allocates no closures.
 type exec struct {
-	g       *csr.Graph
+	arcs    compress.Arcs
 	wf      WeightFunc // nil: the label is the weight
 	dist    []int64
 	workers int
@@ -114,17 +119,21 @@ func (e *exec) Phase(batch []uint32, out *frontier.Buckets) {
 	}
 	if e.bad.Load() {
 		e.bad.Store(false)
-		BadWeight(e.wf, e.g)
+		BadWeight(e.wf, e.arcs)
 	}
 }
 
 // fanOut prefix-sums the batch's degrees into e.offsets and reports
 // whether the phase has enough arcs to be worth the fan-out.
 func (e *exec) fanOut() bool {
-	offs := e.g.Offsets
+	arcs := e.arcs
 	offsets := e.offsets[:0]
 	for _, u := range e.batch {
-		offsets = append(offsets, offs[u+1]-offs[u])
+		if arcs.C != nil {
+			offsets = append(offsets, arcs.C.Degree(u))
+		} else {
+			offsets = append(offsets, arcs.View(u).Degree(u))
+		}
 	}
 	offsets = append(offsets, 0)
 	e.offsets = offsets
@@ -136,14 +145,19 @@ func (e *exec) fanOut() bool {
 }
 
 // serialPhase is the single-owner relaxation loop: RelaxOwned over each
-// batch vertex's arcs, improvements appended to worker 0's bucket.
+// batch vertex's arc spans, improvements appended to worker 0's bucket.
 func (e *exec) serialPhase() {
-	g, dist := e.g, e.dist
+	arcs, dist := e.arcs, e.dist
 	local := e.out.Take(0)
 	var bad bool
 	for _, u := range e.batch {
 		var b bool
-		local, b = RelaxOwned(g, e.wf, g.Offsets[u], g.Offsets[u+1], dist[u], dist, local)
+		if arcs.C != nil {
+			local, b = e.relaxRuns(u, local)
+		} else {
+			adj, ts := arcs.View(u).Neighbors(u)
+			local, b = RelaxOwned(adj, ts, e.wf, dist[u], dist, local)
+		}
 		bad = bad || b
 	}
 	e.out.Put(0, local)
@@ -152,32 +166,59 @@ func (e *exec) serialPhase() {
 	}
 }
 
+// relaxRuns is serialPhase's RelaxOwned over u's compressed block,
+// decoded a run at a time.
+func (e *exec) relaxRuns(u uint32, local []uint32) ([]uint32, bool) {
+	var run compress.Run
+	du, bad := e.dist[u], false
+	for adj, ts := e.arcs.C.Span(&run, u, true); ; adj, ts = run.Next(true) {
+		var b bool
+		local, b = RelaxOwned(adj, ts, e.wf, du, e.dist, local)
+		bad = bad || b
+		if run.Left() == 0 {
+			return local, bad
+		}
+	}
+}
+
 // parallelPhase is one worker's share of a parallel phase: lock-free CAS
 // relaxation over its arc slice [lo, hi) of the batch's concatenated
 // adjacencies. A vertex whose span straddles a block boundary is
 // relaxed by both neighbors, each over its own arc sub-range.
 func (e *exec) parallelPhase(lo, hi int) {
-	g, dist, offsets, batch := e.g, e.dist, e.offsets, e.batch
+	arcs, dist, offsets, batch := e.arcs, e.dist, e.offsets, e.batch
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.out.Take(w)
+	var run compress.Run
 	vi := psort.SearchOffsets(offsets, int64(lo))
 	for pos := int64(lo); pos < int64(hi); {
 		for offsets[vi+1] <= pos {
 			vi++
 		}
 		u := batch[vi]
-		abase := g.Offsets[u]
-		base := abase + (pos - offsets[vi])
-		end := abase + (offsets[vi+1] - offsets[vi])
-		if stop := abase + (int64(hi) - offsets[vi]); stop < end {
-			end = stop
+		// This block owns u's arcs from up to to.
+		from, to := pos-offsets[vi], min(offsets[vi+1], int64(hi))-offsets[vi]
+		var adj, ts []uint32
+		if arcs.C == nil {
+			g := arcs.View(u)
+			base := g.Offsets[u]
+			adj, ts = g.Adj[base+from:base+to], g.TS[base+from:base+to]
+		} else {
+			adj, ts = arcs.C.SpanRange(&run, u, from, to, true)
 		}
-		var bad bool
-		local, bad = RelaxSpan(g, e.wf, base, end, atomic.LoadInt64(&dist[u]), dist, local)
-		if bad {
-			e.bad.Store(true)
+		du := atomic.LoadInt64(&dist[u])
+		for {
+			var bad bool
+			local, bad = RelaxSpan(adj, ts, e.wf, du, dist, local)
+			if bad {
+				e.bad.Store(true)
+			}
+			if run.Left() == 0 {
+				break
+			}
+			adj, ts = run.Next(true)
 		}
-		pos = end - abase + offsets[vi]
+		pos = offsets[vi] + to
 	}
 	e.out.Put(w, local)
 }

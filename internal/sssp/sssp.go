@@ -33,6 +33,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
 )
@@ -64,25 +65,26 @@ func Custom(wf WeightFunc) WeightFunc {
 	return wf
 }
 
-// RelaxSpan CAS-relaxes arcs [lo, hi) of g out of a vertex at distance
+// RelaxSpan CAS-relaxes the arcs of one span — heads adj, labels ts,
+// a CSR span or a decoded compressed run — out of a vertex at distance
 // du, with weights from wf (nil: the label is the weight), and appends
 // every target it improved to local. It reports whether a weight fell
 // outside [0, MaxUint32]; the caller must then call BadWeight once its
 // workers have joined. It is the arc loop of a phase whose workers
 // share the distance array; a phase that owns it calls RelaxOwned.
-func RelaxSpan(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, local []uint32) ([]uint32, bool) {
-	adj, ts := g.Adj, g.TS
+func RelaxSpan(adj, ts []uint32, wf WeightFunc, du int64, dist []int64, local []uint32) ([]uint32, bool) {
+	ts = ts[:len(adj)]
 	if wf == nil {
-		for p := lo; p < hi; p++ {
-			local = relax(dist, adj[p], du+int64(ts[p]), local)
+		for i, v := range adj {
+			local = relax(dist, v, du+int64(ts[i]), local)
 		}
 		return local, false
 	}
 	var bad uint64
-	for p := lo; p < hi; p++ {
-		w := wf(ts[p])
+	for i, v := range adj {
+		w := wf(ts[i])
 		bad |= uint64(w) >> 32
-		local = relax(dist, adj[p], du+w, local)
+		local = relax(dist, v, du+w, local)
 	}
 	return local, bad != 0
 }
@@ -94,8 +96,7 @@ func RelaxSpan(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, loca
 // the span, and the write is kept only when the sign of nd-dist[v]
 // says the arc won. A target improved twice is appended twice. Bad
 // weights are reported as RelaxSpan reports them.
-func RelaxOwned(g *csr.Graph, wf WeightFunc, lo, hi, du int64, dist []int64, local []uint32) ([]uint32, bool) {
-	adj, ts := g.Adj[lo:hi], g.TS[lo:hi]
+func RelaxOwned(adj, ts []uint32, wf WeightFunc, du int64, dist []int64, local []uint32) ([]uint32, bool) {
 	ts = ts[:len(adj)]
 	k := len(local)
 	local = slices.Grow(local, len(adj))
@@ -135,15 +136,26 @@ func relax(dist []int64, v uint32, nd int64, local []uint32) []uint32 {
 	}
 }
 
-// BadWeight panics with the first arc of gs whose weight under wf lies
+// BadWeight panics with the first arc of a whose weight under wf lies
 // outside [0, MaxUint32]. Relaxers call it on the run's own goroutine
 // after a phase reported a bad weight, never inside a worker, so the
 // caller can recover.
-func BadWeight(wf WeightFunc, gs ...*csr.Graph) {
-	for _, g := range gs {
-		for _, ts := range g.TS {
+func BadWeight(wf WeightFunc, a compress.Arcs) {
+	check := func(labels []uint32) {
+		for _, ts := range labels {
 			if w := wf(ts); uint64(w)>>32 != 0 {
 				panic(fmt.Sprintf("sssp: weight %d for label %d outside [0, MaxUint32]", w, ts))
+			}
+		}
+	}
+	for _, g := range a.Views {
+		check(g.TS)
+	}
+	if c := a.C; c != nil {
+		var r compress.Run
+		for u := 0; u < c.N; u++ {
+			for _, ts := c.Span(&r, uint32(u), true); len(ts) > 0; _, ts = r.Next(true) {
+				check(ts)
 			}
 		}
 	}
@@ -173,7 +185,32 @@ func Run(g *csr.Graph, src edge.ID, opt Options) []int64 {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	return sc.run(opt.Workers, g, Custom(opt.Weights), opt.Delta, src)
+	sc.one[0] = g
+	dist := sc.run(opt.Workers, compress.Arcs{Views: sc.one[:]}, Custom(opt.Weights), opt.Delta, src)
+	sc.one[0] = nil
+	return dist
+}
+
+// RunArcs is Run over the arcs wherever they live: a view set or a
+// compressed graph, whose vertices' blocks every phase decodes a run at
+// a time. The band loop, the delta heuristic and the relaxers are Run's,
+// so delta means the same on every layout; on a compressed graph the
+// heuristic samples the labels of the leading run of a fixed stride of
+// vertices (see HeuristicDelta).
+func RunArcs(a compress.Arcs, src edge.ID, opt Options) []int64 {
+	sc := opt.Scratch
+	if sc == nil {
+		sc = NewScratch()
+	}
+	return sc.run(opt.Workers, a, Custom(opt.Weights), opt.Delta, src)
+}
+
+// NewStreamScratch is NewScratch, for RunStream's callers.
+func NewStreamScratch() *Scratch { return NewScratch() }
+
+// RunStream is RunArcs over a compressed graph with the heuristic delta.
+func RunStream(cg *compress.Graph, src edge.ID, workers int, wf WeightFunc, sc *Scratch) []int64 {
+	return RunArcs(compress.Arcs{C: cg}, src, Options{Workers: workers, Weights: wf, Scratch: sc})
 }
 
 // DeltaStepping computes shortest path distances from src in parallel

@@ -61,3 +61,32 @@ func TestRunStreamSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("serial steady-state RunStream allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// TestRunArcsCompressedDelta: a compressed graph runs the band loop at
+// the requested delta, and delta <= 0 applies the heuristic to a sample
+// of the compressed labels; every width gives Dijkstra's distances.
+func TestRunArcsCompressedDelta(t *testing.T) {
+	p := rmat.PaperParams(10, 8*(1<<10), 1000, 13)
+	edgesL, _ := rmat.Generate(0, p)
+	g := csr.FromEdges(0, 1<<10, edgesL, true)
+	cg := compress.FromCSR(0, g)
+	a := compress.Arcs{C: cg}
+	sc := NewScratch()
+	auto, _ := sampleCompressed(nil, cg)
+	if auto < 1 || auto > 1000 {
+		t.Fatalf("heuristic delta %d outside [1, max label]", auto)
+	}
+	for _, delta := range []int64{1, 0, 1 << 20} {
+		for _, workers := range []int{1, 4} {
+			dist := RunArcs(a, 17, Options{Workers: workers, Delta: delta, Scratch: sc})
+			assertMatchesDijkstra(t, g, 17, dist, "compressed delta")
+			want := delta
+			if delta <= 0 {
+				want = auto
+			}
+			if got := sc.deltas.Delta(); got != want {
+				t.Fatalf("delta %d: ran at %d, want %d", delta, got, want)
+			}
+		}
+	}
+}

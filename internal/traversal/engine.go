@@ -257,11 +257,6 @@ func (s *Scratch) exec() *exec {
 		e.bottomUpFast = e.bottomUpFastBody
 		e.bottomUpVisit = e.bottomUpVisitBody
 		e.relaxBody = e.relaxStepBody
-		e.streamTopFast = e.streamTopFastBody
-		e.streamTopVisit = e.streamTopVisitBody
-		e.streamBotFast = e.streamBotFastBody
-		e.streamBotVisit = e.streamBotVisitBody
-		e.streamRelax = e.streamRelaxBody
 		s.ex = e
 	}
 	return s.ex
@@ -304,13 +299,13 @@ func (r *Result) Reset(workers, n int) {
 // Run executes a multi-source traversal under opt, writing into res
 // (allocated when nil) and drawing buffers from scratch (a temporary
 // arena when nil). Sources must be distinct. It returns res. Run is
-// RunOver on the one-view set {g}.
+// RunArcs over the one-view set {g}.
 func Run(g *csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
 	if scratch == nil {
 		scratch = NewScratch()
 	}
 	scratch.one[0] = g
-	res = runEngine(scratch.one[:], nil, sources, opt, scratch, res)
+	res = RunArcs(compress.Arcs{Views: scratch.one[:]}, sources, opt, scratch, res)
 	scratch.one[0] = nil
 	return res
 }
@@ -318,68 +313,32 @@ func Run(g *csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Res
 // RunOver is Run over a view set whose union is the graph: every view
 // spans the same vertex ids, and vertex u's arcs are its span in
 // views[u%len(views)] (a shard fleet's per-shard CSRs; one CSR is the
-// one-view set). The view is chosen once per expanded or scanned
-// vertex, never per arc, so the level loop, the edge-partitioned push,
-// the pull step, the hooks and the thresholds are Run's, and the
-// result is identical to Run on the union. Pull levels scan u's span
-// as its in-arcs, so DirectionOpt still requires a symmetric union.
+// one-view set). It is RunArcs over the view set.
 func RunOver(views []*csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
-	return runEngine(views, nil, sources, opt, scratch, res)
+	return RunArcs(compress.Arcs{Views: views}, sources, opt, scratch, res)
 }
 
-// viewOf returns the view that holds u's arcs, without the division on
-// a one-view set.
-func viewOf(views []*csr.Graph, u uint32) *csr.Graph {
-	if len(views) == 1 {
-		return views[0]
-	}
-	return views[u%uint32(len(views))]
-}
-
-// degreeSum totals the out-degrees of vs over a view set.
-func degreeSum(workers int, views []*csr.Graph, vs []uint32) int64 {
-	if len(views) == 1 {
-		return views[0].DegreeSum(workers, vs)
-	}
-	var sum int64
-	for _, v := range vs {
-		sum += viewOf(views, v).Degree(v)
-	}
-	return sum
-}
-
-// RunStream executes the same traversal directly over a gap-compressed
-// adjacency: every engine mode (top-down, direction-optimizing pull,
-// relaxation) decodes arcs through a zero-alloc compress.Cursor instead
-// of indexing CSR spans. The streamed top-down step partitions by
-// frontier *vertices* (dynamic chunks) rather than by edges — a
-// compressed block has no random access into the middle of an arc list —
-// so a single mega-hub level is serialized onto one worker; the
-// direction heuristic's pull switch covers exactly that regime.
-// Semantics, hooks, thresholds, and results are otherwise identical to
-// Run on the equivalent CSR.
+// RunStream is RunArcs over a gap-compressed graph.
 func RunStream(cg *compress.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
-	return runEngine(nil, cg, sources, opt, scratch, res)
+	return RunArcs(compress.Arcs{C: cg}, sources, opt, scratch, res)
 }
 
-// runEngine is the shared level loop behind RunOver (views set) and
-// RunStream (cg set): exactly one of the two adjacency providers is
-// non-nil.
-func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
+// RunArcs is Run over the arcs wherever they live: a view set or a
+// compressed graph. Every level body reads vertex u's arcs as []uint32
+// spans, u's CSR span in its view or its compressed block decoded a run
+// at a time, so the level loop, the edge-partitioned push, the pull
+// step, the hooks and the thresholds are one code path for every
+// layout, and the result is Run's on the equivalent CSR. On a view set
+// the view is chosen once per expanded or scanned vertex, never per
+// arc. Pull levels scan u's arcs as its in-arcs, so DirectionOpt still
+// requires a symmetric graph. A push level that hands a worker the
+// middle of a compressed block decodes the gaps before its share.
+func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = par.MaxWorkers()
 	}
-	var n int
-	var numEdges, maxDeg int64
-	if cg != nil {
-		n, numEdges, maxDeg = cg.N, cg.NumEdges(), cg.MaxDegree()
-	} else {
-		n = views[0].N // maxDeg lazy below
-		for _, g := range views {
-			numEdges += g.NumEdges()
-		}
-	}
+	n, numEdges := arcs.N(), arcs.NumEdges()
 	if res == nil {
 		res = &Result{}
 	}
@@ -395,13 +354,9 @@ func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Opt
 	// heuristic is live.
 	alpha, beta := opt.Alpha, opt.Beta
 	if (alpha <= 0 || beta <= 0) && opt.Strategy == DirectionOpt && opt.Hooks.Relax == nil {
-		if cg == nil && (scratch.thrAlpha == 0 || scratch.thrN != n || scratch.thrM != numEdges) {
-			// Only pay the degree scan on a shape change. Vertices a
-			// view does not hold have empty spans there, so the views'
-			// maxima cover the union.
-			for _, g := range views {
-				maxDeg = max(maxDeg, g.MaxDegree())
-			}
+		var maxDeg int64
+		if scratch.thrAlpha == 0 || scratch.thrN != n || scratch.thrM != numEdges {
+			maxDeg = arcs.MaxDegree() // a degree scan on a view set: only on a shape change
 		}
 		da, db := scratch.thresholds(n, numEdges, maxDeg)
 		if alpha <= 0 {
@@ -419,7 +374,7 @@ func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Opt
 	}
 
 	e := scratch.exec()
-	e.views, e.cg, e.res = views, cg, res
+	e.arcs, e.res = arcs, res
 	e.filter, e.arc = opt.Filter, opt.Arc
 	e.onArc, e.relax = opt.Hooks.OnArc, opt.Hooks.Relax
 	e.workers = workers
@@ -443,11 +398,7 @@ func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Opt
 	e.needMass = needMass
 	var curEdges, unexplored int64
 	if needMass {
-		if cg != nil {
-			curEdges = cg.DegreeSum(workers, sources)
-		} else {
-			curEdges = degreeSum(workers, views, sources)
-		}
+		curEdges = arcs.DegreeSum(workers, sources)
 		unexplored = numEdges - curEdges
 	}
 	pull := false
@@ -494,7 +445,7 @@ func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Opt
 	res.Levels = int(level)
 	// Drop the per-run references so a long-lived Scratch does not pin
 	// the graph, result, or kernel closures between traversals.
-	e.views, e.cg, e.res = nil, nil, nil
+	e.arcs, e.res = compress.Arcs{}, nil
 	e.filter, e.arc, e.onArc, e.relax = nil, nil, nil, nil
 	e.cur, e.next, e.curBits, e.nextBits, e.verts, e.offsets = nil, nil, nil, nil, nil, nil
 	return res
@@ -505,10 +456,9 @@ func runEngine(views []*csr.Graph, cg *compress.Graph, sources []uint32, opt Opt
 // every Run hands the par primitives the same function values and the
 // steady state allocates no closures at all.
 type exec struct {
-	sc    *Scratch
-	views []*csr.Graph    // view-set adjacency provider (Run, RunOver)
-	cg    *compress.Graph // streaming adjacency provider (RunStream)
-	res   *Result
+	sc   *Scratch
+	arcs compress.Arcs
+	res  *Result
 
 	filter EdgeFilter
 	arc    ArcFilter
@@ -534,13 +484,6 @@ type exec struct {
 	bottomUpFast  func(lo, hi int)
 	bottomUpVisit func(lo, hi int)
 	relaxBody     func(lo, hi int)
-
-	// Streaming-decode bodies (RunStream).
-	streamTopFast  func(lo, hi int)
-	streamTopVisit func(lo, hi int)
-	streamBotFast  func(lo, hi int)
-	streamBotVisit func(lo, hi int)
-	streamRelax    func(lo, hi int)
 }
 
 // runTopDown pushes from the frontier along out-arcs, partitioning the
@@ -551,13 +494,14 @@ type exec struct {
 // vertices discovered and, when needMass is set, their total out-degree
 // (the next frontier's edge mass).
 func (e *exec) runTopDown() (int, int64) {
-	if e.cg != nil {
-		return e.runTopDownStream()
-	}
-	verts, views := e.cur.Vertices(), e.views
+	verts, arcs := e.cur.Vertices(), e.arcs
 	offsets := e.sc.offsets[:0]
 	for _, u := range verts {
-		offsets = append(offsets, viewOf(views, u).Degree(u))
+		if arcs.C != nil {
+			offsets = append(offsets, arcs.C.Degree(u))
+		} else {
+			offsets = append(offsets, arcs.View(u).Degree(u))
+		}
 	}
 	offsets = append(offsets, 0)
 	e.sc.offsets = offsets
@@ -576,14 +520,18 @@ func (e *exec) runTopDown() (int, int64) {
 }
 
 // topDownFastBody is the hook-free push inner loop: the original BFS
-// fast path plus the Visited shadow-bitmap publication.
+// fast path plus the Visited shadow-bitmap publication. The block
+// [lo, hi) of the level's arcs covers a run of frontier vertices, the
+// first and last possibly in part; each vertex's share is read as
+// spans (see compress.Graph.Span).
 func (e *exec) topDownFastBody(lo, hi int) {
-	views, res, offsets, verts := e.views, e.res, e.offsets, e.verts
+	arcs, res, offsets, verts := e.arcs, e.res, e.offsets, e.verts
 	level, filter, needMass := e.level, e.filter, e.needMass
+	labels := filter != nil
 	visited := res.Visited
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.sc.buckets.Take(w)
-	var edges int64
+	var run compress.Run
 	// Locate the first frontier vertex whose arc range intersects
 	// [lo, hi).
 	vi := psort.SearchOffsets(offsets, int64(lo))
@@ -592,36 +540,42 @@ func (e *exec) topDownFastBody(lo, hi int) {
 			vi++
 		}
 		u := verts[vi]
-		g := viewOf(views, u)
-		base := g.Offsets[u] + (pos - offsets[vi])
-		end := g.Offsets[u] + (offsets[vi+1] - offsets[vi])
-		stop := g.Offsets[u] + (int64(hi) - offsets[vi])
-		if stop < end {
-			end = stop
+		// This block owns u's arcs from up to to.
+		from, to := pos-offsets[vi], min(offsets[vi+1], int64(hi))-offsets[vi]
+		var adj, ts []uint32
+		if arcs.C == nil {
+			g := arcs.View(u)
+			base := g.Offsets[u]
+			adj, ts = g.Adj[base+from:base+to], g.TS[base+from:base+to]
+		} else {
+			adj, ts = arcs.C.SpanRange(&run, u, from, to, labels)
 		}
-		for p := base; p < end; p++ {
-			v := g.Adj[p]
-			if filter != nil && !filter(g.TS[p]) {
-				continue
-			}
-			if atomic.LoadInt32(&res.Level[v]) != NotVisited {
-				continue
-			}
-			if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
-				res.Parent[v] = u
-				visited.TrySet(v)
-				local = append(local, v)
-				if needMass {
-					edges += viewOf(views, v).Degree(v)
+		for {
+			ts = ts[:len(adj)]
+			for i, v := range adj {
+				if filter != nil && !filter(ts[i]) {
+					continue
+				}
+				if atomic.LoadInt32(&res.Level[v]) != NotVisited {
+					continue
+				}
+				if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
+					res.Parent[v] = u
+					visited.TrySet(v)
+					local = append(local, v)
 				}
 			}
+			if run.Left() == 0 {
+				break
+			}
+			adj, ts = run.Next(labels)
 		}
-		pos = end - g.Offsets[u] + offsets[vi]
+		pos = offsets[vi] + to
 	}
 	e.sc.buckets.Put(w, local)
 	atomic.AddInt64(&e.found, int64(len(local)))
 	if needMass {
-		atomic.AddInt64(&e.foundEdges, edges)
+		atomic.AddInt64(&e.foundEdges, arcs.DegreeSum(1, local))
 	}
 }
 
@@ -630,61 +584,67 @@ func (e *exec) topDownFastBody(lo, hi int) {
 // callback for every arc that settles at the expanding level (claimed
 // discoveries and same-level DAG ties alike).
 func (e *exec) topDownVisitBody(lo, hi int) {
-	views, res, offsets, verts := e.views, e.res, e.offsets, e.verts
+	arcs, res, offsets, verts := e.arcs, e.res, e.offsets, e.verts
 	level, filter, arcF, onArc, needMass := e.level, e.filter, e.arc, e.onArc, e.needMass
+	labels := filter != nil || arcF != nil || onArc != nil
 	visited := res.Visited
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.sc.buckets.Take(w)
-	var edges int64
+	var run compress.Run
 	vi := psort.SearchOffsets(offsets, int64(lo))
 	for pos := int64(lo); pos < int64(hi); {
 		for offsets[vi+1] <= pos {
 			vi++
 		}
 		u := verts[vi]
-		g := viewOf(views, u)
-		base := g.Offsets[u] + (pos - offsets[vi])
-		end := g.Offsets[u] + (offsets[vi+1] - offsets[vi])
-		stop := g.Offsets[u] + (int64(hi) - offsets[vi])
-		if stop < end {
-			end = stop
+		from, to := pos-offsets[vi], min(offsets[vi+1], int64(hi))-offsets[vi]
+		var adj, ts []uint32
+		if arcs.C == nil {
+			g := arcs.View(u)
+			base := g.Offsets[u]
+			adj, ts = g.Adj[base+from:base+to], g.TS[base+from:base+to]
+		} else {
+			adj, ts = arcs.C.SpanRange(&run, u, from, to, labels)
 		}
-		for p := base; p < end; p++ {
-			v := g.Adj[p]
-			t := g.TS[p]
-			if filter != nil && !filter(t) {
-				continue
-			}
-			if arcF != nil && !arcF(u, v, t) {
-				continue
-			}
-			lv := atomic.LoadInt32(&res.Level[v])
-			if lv == NotVisited {
-				if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
-					res.Parent[v] = u
-					visited.TrySet(v)
-					local = append(local, v)
-					if needMass {
-						edges += viewOf(views, v).Degree(v)
-					}
-					if onArc != nil {
-						onArc(u, v, t, true)
-					}
+		for {
+			ts = ts[:len(adj)]
+			for i, v := range adj {
+				t := ts[i]
+				if filter != nil && !filter(t) {
 					continue
 				}
-				// Lost the claim race: v settled at some level, reload.
-				lv = atomic.LoadInt32(&res.Level[v])
+				if arcF != nil && !arcF(u, v, t) {
+					continue
+				}
+				lv := atomic.LoadInt32(&res.Level[v])
+				if lv == NotVisited {
+					if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
+						res.Parent[v] = u
+						visited.TrySet(v)
+						local = append(local, v)
+						if onArc != nil {
+							onArc(u, v, t, true)
+						}
+						continue
+					}
+					// Lost the claim race: v settled at some level, reload.
+					lv = atomic.LoadInt32(&res.Level[v])
+				}
+				if lv == level && onArc != nil {
+					onArc(u, v, t, false)
+				}
 			}
-			if lv == level && onArc != nil {
-				onArc(u, v, t, false)
+			if run.Left() == 0 {
+				break
 			}
+			adj, ts = run.Next(labels)
 		}
-		pos = end - g.Offsets[u] + offsets[vi]
+		pos = offsets[vi] + to
 	}
 	e.sc.buckets.Put(w, local)
 	atomic.AddInt64(&e.found, int64(len(local)))
 	if needMass {
-		atomic.AddInt64(&e.foundEdges, edges)
+		atomic.AddInt64(&e.foundEdges, arcs.DegreeSum(1, local))
 	}
 }
 
@@ -708,23 +668,14 @@ func (e *exec) runBottomUp() (int, int64) {
 	e.curBits = e.cur.Bits(e.workers)
 	e.nextBits = e.next.DenseWriter()
 	e.found, e.foundEdges = 0, 0
-	n := 0
-	var body func(lo, hi int)
-	if e.cg != nil {
-		n = e.cg.N
-		body = e.streamBotFast
-		if e.onArc != nil || e.arc != nil {
-			body = e.streamBotVisit
-		}
-	} else {
-		n = e.views[0].N
-		e.sc.ensureHeld(len(e.views))
-		body = e.bottomUpFast
-		if e.onArc != nil || e.arc != nil {
-			body = e.bottomUpVisit
-		}
+	if e.arcs.C == nil {
+		e.sc.ensureHeld(len(e.arcs.Views))
 	}
-	par.ForDynamic(e.workers, n, bottomUpChunk, body)
+	body := e.bottomUpFast
+	if e.onArc != nil || e.arc != nil {
+		body = e.bottomUpVisit
+	}
+	par.ForDynamic(e.workers, e.arcs.N(), bottomUpChunk, body)
 	e.next.SetCount(int(e.found))
 	return int(e.found), e.foundEdges
 }
@@ -732,10 +683,10 @@ func (e *exec) runBottomUp() (int, int64) {
 // foreign returns the bits of visited word wi whose vertices view vs
 // does not hold: vertex v is held by view v%P, so of the word's vertices
 // 64*wi + b it holds those with b%P == (vs - 64*wi) mod P. A one-view
-// set holds every vertex.
+// set, like a compressed graph, holds every vertex.
 func (e *exec) foreign(vs, wi int) uint64 {
-	p := len(e.views)
-	if p == 1 {
+	p := len(e.arcs.Views)
+	if p <= 1 {
 		return 0
 	}
 	r := vs - (wi<<6)%p
@@ -749,23 +700,36 @@ func (e *exec) foreign(vs, wi int) uint64 {
 // with word-granular skipping of finished vertices. [lo, hi) is always
 // chunk-aligned (bottomUpChunk is a multiple of 64), so this worker owns
 // the visited words it reads and writes; only the final word of the
-// final chunk can be partial, guarded by the v >= hi break. The chunk
-// is scanned once per view, each pass over the vertices that view holds
-// (the others masked as finished), so the view is fixed inside the
-// loops and a one-view set scans once with nothing masked.
+// final chunk can be partial, guarded by the v >= hi break. On a view
+// set the chunk is scanned once per view, each pass over the vertices
+// that view holds (the others masked as finished), so the view is fixed
+// inside the loops and a one-view set scans once with nothing masked; a
+// compressed graph is scanned once.
 func (e *exec) bottomUpFastBody(lo, hi int) {
-	for vs, g := range e.views {
+	if e.arcs.C != nil {
+		e.bottomUpFastScan(nil, 0, lo, hi)
+		return
+	}
+	for vs, g := range e.arcs.Views {
 		e.bottomUpFastScan(g, vs, lo, hi)
 	}
 }
 
 // bottomUpFastScan is bottomUpFastBody's pass over the vertices of
-// [lo, hi) that view vs, g, holds.
+// [lo, hi) that view vs, g, holds, or over all of them when g is nil
+// and the arcs are compressed. Each 64-vertex word with unvisited
+// vertices is scanned in two steps: find the first frontier parent of
+// each of them, claiming the vertex (Level, Parent) on the hit, then
+// publish the word's claims to Visited and the next frontier at once.
+// A view's spans are searched in place, inline; a compressed word goes
+// to pullRuns. The search is the scan's only per-vertex work, and a
+// decoder call inside the vertex loop makes the compiler spill every
+// value the loop keeps in registers, a fifth of the pull step's time on
+// a CSR; one call per word costs nothing measurable.
 func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 	res := e.res
-	level, filter := e.level, e.filter
-	curBits, nextBits := e.curBits, e.nextBits
-	words := res.Visited.Words()
+	level, filter, curBits := e.level, e.filter, e.curBits
+	words, nextWords := res.Visited.Words(), e.nextBits.Words()
 	var cnt, edges int64
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		w := words[wi] | e.foreign(vs, wi)
@@ -773,28 +737,34 @@ func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 			continue // 64 finished vertices: skip the whole word
 		}
 		base := wi << 6
-		for m := ^w; m != 0; m &= m - 1 {
-			v := base + bits.TrailingZeros64(m)
-			if v >= hi {
-				break
-			}
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			for p := alo; p < ahi; p++ {
-				u := g.Adj[p]
-				if !curBits.Get(u) {
-					continue
+		todo := ^w
+		if hi-base < 64 {
+			todo &= 1<<(hi-base) - 1
+		}
+		var found uint64
+		var mass int64
+		if g == nil {
+			found, mass = e.pullRuns(base, todo)
+		} else {
+			for m := todo; m != 0; m &= m - 1 {
+				v := base + bits.TrailingZeros64(m)
+				alo, ahi := g.Offsets[v], g.Offsets[v+1]
+				for p := alo; p < ahi; p++ {
+					if u := g.Adj[p]; curBits.Get(u) && (filter == nil || filter(g.TS[p])) {
+						res.Level[v] = level
+						res.Parent[v] = u
+						found |= 1 << (v & 63)
+						mass += ahi - alo
+						break
+					}
 				}
-				if filter != nil && !filter(g.TS[p]) {
-					continue
-				}
-				res.Level[v] = level
-				res.Parent[v] = u
-				words[wi] |= 1 << (uint(v) & 63)
-				nextBits.TrySet(uint32(v))
-				cnt++
-				edges += ahi - alo
-				break
 			}
+		}
+		if found != 0 {
+			words[wi] |= found
+			atomic.OrUint64(&nextWords[wi], found)
+			cnt += int64(bits.OnesCount64(found))
+			edges += mass
 		}
 	}
 	if cnt > 0 {
@@ -803,26 +773,64 @@ func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 	}
 }
 
+// pullRuns is bottomUpFastScan's parent search over the vertices todo
+// of the word at base, each vertex's compressed block decoded a run at
+// a time, so the search stops at its first parent. It returns the
+// claimed vertices and their total degree.
+func (e *exec) pullRuns(base int, todo uint64) (found uint64, mass int64) {
+	res, c := e.res, e.arcs.C
+	level, filter, curBits := e.level, e.filter, e.curBits
+	labels := filter != nil
+	var run compress.Run
+	for m := todo; m != 0; m &= m - 1 {
+		v := uint32(base + bits.TrailingZeros64(m))
+	runs:
+		for adj, ts := c.Span(&run, v, labels); ; adj, ts = run.Next(labels) {
+			ts = ts[:len(adj)]
+			for i, u := range adj {
+				if curBits.Get(u) && (filter == nil || filter(ts[i])) {
+					res.Level[v] = level
+					res.Parent[v] = u
+					found |= 1 << (v & 63)
+					mass += run.Degree()
+					break runs
+				}
+			}
+			if run.Left() == 0 {
+				break
+			}
+		}
+	}
+	return found, mass
+}
+
 // bottomUpVisitBody is the visitor pull inner loop. When an OnArc hook
 // is present the scan cannot stop at the first frontier parent: it keeps
 // scanning the full adjacency so every predecessor arc of the claimed
 // vertex is reported (as its mirror arc), exactly matching the arcs the
 // push direction would observe on a symmetric graph. Like the fast body
-// it scans the chunk once per view.
+// it scans the chunk once per view, or once over a compressed graph.
 func (e *exec) bottomUpVisitBody(lo, hi int) {
-	for vs, g := range e.views {
+	if e.arcs.C != nil {
+		e.bottomUpVisitScan(nil, 0, lo, hi)
+		return
+	}
+	for vs, g := range e.arcs.Views {
 		e.bottomUpVisitScan(g, vs, lo, hi)
 	}
 }
 
 // bottomUpVisitScan is bottomUpVisitBody's pass over the vertices of
-// [lo, hi) that view vs, g, holds.
+// [lo, hi) that view vs, g, holds, or over all of them when g is nil
+// and the arcs are compressed.
 func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
-	res := e.res
+	res, c := e.res, e.arcs.C
 	level, filter, arcF, onArc := e.level, e.filter, e.arc, e.onArc
+	labels := filter != nil || arcF != nil || onArc != nil
 	curBits, nextBits := e.curBits, e.nextBits
 	words := res.Visited.Words()
 	var cnt, edges int64
+	var run compress.Run
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		w := words[wi] | e.foreign(vs, wi)
 		if w == ^uint64(0) {
@@ -834,35 +842,48 @@ func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
 			if v >= hi {
 				break
 			}
+			var adj, ts []uint32
+			if g != nil {
+				adj, ts = g.Neighbors(uint32(v))
+			} else {
+				adj, ts = c.Span(&run, uint32(v), labels)
+			}
+			deg := int64(len(adj)) + run.Left()
 			claimed := false
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			for p := alo; p < ahi; p++ {
-				u := g.Adj[p]
-				if !curBits.Get(u) {
-					continue
-				}
-				t := g.TS[p]
-				if filter != nil && !filter(t) {
-					continue
-				}
-				if arcF != nil && !arcF(u, uint32(v), t) {
-					continue
-				}
-				if !claimed {
-					claimed = true
-					res.Level[v] = level
-					res.Parent[v] = u
-					words[wi] |= 1 << (uint(v) & 63)
-					nextBits.TrySet(uint32(v))
-					cnt++
-					edges += ahi - alo
-					if onArc == nil {
-						break
+		scan:
+			for {
+				ts = ts[:len(adj)]
+				for i, u := range adj {
+					if !curBits.Get(u) {
+						continue
 					}
-					onArc(u, uint32(v), t, true)
-					continue
+					t := ts[i]
+					if filter != nil && !filter(t) {
+						continue
+					}
+					if arcF != nil && !arcF(u, uint32(v), t) {
+						continue
+					}
+					if !claimed {
+						claimed = true
+						res.Level[v] = level
+						res.Parent[v] = u
+						words[wi] |= 1 << (uint(v) & 63)
+						nextBits.TrySet(uint32(v))
+						cnt++
+						edges += deg
+						if onArc == nil {
+							break scan
+						}
+						onArc(u, uint32(v), t, true)
+						continue
+					}
+					onArc(u, uint32(v), t, false)
 				}
-				onArc(u, uint32(v), t, false)
+				if run.Left() == 0 {
+					break
+				}
+				adj, ts = run.Next(labels)
 			}
 		}
 	}
@@ -882,46 +903,53 @@ func (e *exec) runRelax() int {
 	e.verts = e.cur.Vertices()
 	e.nextBits = e.next.DenseWriter()
 	e.found, e.foundEdges = 0, 0
-	body := e.relaxBody
-	if e.cg != nil {
-		body = e.streamRelax
-	}
-	par.ForDynamic(e.workers, len(e.verts), relaxChunk, body)
+	par.ForDynamic(e.workers, len(e.verts), relaxChunk, e.relaxBody)
 	e.next.SetCount(int(e.foundEdges))
 	return int(e.found)
 }
 
 func (e *exec) relaxStepBody(lo, hi int) {
-	views, res := e.views, e.res
+	arcs, res := e.arcs, e.res
 	filter, arcF, relax := e.filter, e.arc, e.relax
 	level, nextBits := e.level, e.nextBits
 	var enq, newly int64
+	var run compress.Run
 	for _, u := range e.verts[lo:hi] {
-		g := viewOf(views, u)
-		alo, ahi := g.Offsets[u], g.Offsets[u+1]
-		for p := alo; p < ahi; p++ {
-			v := g.Adj[p]
-			t := g.TS[p]
-			if filter != nil && !filter(t) {
-				continue
+		var adj, ts []uint32
+		if arcs.C == nil {
+			adj, ts = arcs.View(u).Neighbors(u)
+		} else {
+			adj, ts = arcs.C.Span(&run, u, true)
+		}
+		for {
+			ts = ts[:len(adj)]
+			for i, v := range adj {
+				t := ts[i]
+				if filter != nil && !filter(t) {
+					continue
+				}
+				if arcF != nil && !arcF(u, v, t) {
+					continue
+				}
+				if !relax(u, v, t) {
+					continue
+				}
+				// Level and Parent are last-writer-wins diagnostics in
+				// relax mode; both stores are atomic so a parallel
+				// relaxation (atomic hook, Workers > 1) stays race-free.
+				atomic.StoreInt32(&res.Level[v], level)
+				atomic.StoreUint32(&res.Parent[v], u)
+				if res.Visited.TrySet(v) {
+					newly++
+				}
+				if nextBits.TrySet(v) {
+					enq++
+				}
 			}
-			if arcF != nil && !arcF(u, v, t) {
-				continue
+			if run.Left() == 0 {
+				break
 			}
-			if !relax(u, v, t) {
-				continue
-			}
-			// Level and Parent are last-writer-wins diagnostics in relax
-			// mode; both stores are atomic so a parallel relaxation
-			// (atomic hook, Workers > 1) stays race-free.
-			atomic.StoreInt32(&res.Level[v], level)
-			atomic.StoreUint32(&res.Parent[v], u)
-			if res.Visited.TrySet(v) {
-				newly++
-			}
-			if nextBits.TrySet(v) {
-				enq++
-			}
+			adj, ts = run.Next(true)
 		}
 	}
 	if newly > 0 || enq > 0 {

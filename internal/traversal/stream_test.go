@@ -121,14 +121,14 @@ func TestRunStreamOnArcDAG(t *testing.T) {
 func TestStreamComponentsMatchCC(t *testing.T) {
 	g, cg := streamPair(t, 10, 2, 0, 61)
 	want := cc.Components(4, g)
-	comp, _ := StreamComponentsInto(cg, nil, nil)
+	comp := cc.ComponentsArcs(1, compress.Arcs{C: cg}, nil)
 	for v := range want {
 		if comp[v] != want[v] {
 			t.Fatalf("comp[%d] = %d, want %d", v, comp[v], want[v])
 		}
 	}
 	// Reuse path: same buffers, same answer.
-	comp2, _ := StreamComponentsInto(cg, comp, nil)
+	comp2 := cc.ComponentsArcs(1, compress.Arcs{C: cg}, comp)
 	for v := range want {
 		if comp2[v] != want[v] {
 			t.Fatalf("reused comp[%d] = %d, want %d", v, comp2[v], want[v])
@@ -168,12 +168,12 @@ func TestStreamSteadyStateAllocations(t *testing.T) {
 func TestStreamComponentsSteadyStateAllocations(t *testing.T) {
 	g := rmatGraph(t, 11, 2, 0, 67)
 	cg := compress.FromCSR(0, g)
-	comp, queue := StreamComponentsInto(cg, nil, nil)
+	comp := cc.ComponentsArcs(1, compress.Arcs{C: cg}, nil)
 	allocs := testing.AllocsPerRun(10, func() {
-		comp, queue = StreamComponentsInto(cg, comp, queue)
+		comp = cc.ComponentsArcs(1, compress.Arcs{C: cg}, comp)
 	})
 	if allocs > 0 {
-		t.Fatalf("warm StreamComponentsInto allocs/run = %g, want 0", allocs)
+		t.Fatalf("warm compressed ComponentsArcs allocs/run = %g, want 0", allocs)
 	}
 	_ = comp
 }

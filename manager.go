@@ -62,8 +62,9 @@ const (
 	// SnapshotRCM relabels by reverse Cuthill-McKee (bandwidth
 	// minimization).
 	SnapshotRCM = snapmgr.LayoutRCM
-	// SnapshotCompressed stores gap-coded adjacency bytes, traversed by
-	// streaming decode — the smallest footprint per edge.
+	// SnapshotCompressed stores gap-coded adjacency bytes, which the
+	// kernels decode a run of arcs at a time — the smallest footprint
+	// per edge.
 	SnapshotCompressed = snapmgr.LayoutCompressed
 )
 

@@ -27,8 +27,9 @@ import (
 // run over a lazily materialized (and cached) original-id CSR.
 type Snapshot struct {
 	g *csr.Graph // CSR arrays, in layout space for reordered views; nil for compressed
-	// cg is the gap-compressed payload under SnapshotCompressed; queries
-	// with streaming kernels (BFS, SSSP, components) decode it directly.
+	// cg is the gap-compressed payload under SnapshotCompressed; the
+	// kernels that read arcs as spans (BFS, SSSP, components) decode it
+	// directly.
 	cg *compress.Graph
 	// perm/inv translate reordered views: layoutID = perm[origID],
 	// origID = inv[layoutID]. Both nil for plain and compressed views.
@@ -85,8 +86,8 @@ func (s *Snapshot) csrView() *csr.Graph {
 	return s.baseG
 }
 
-// run dispatches a traversal to the layout's engine: streaming decode
-// for compressed views, array indexing otherwise (layout-space ids).
+// run hands a traversal the layout's arcs: the compressed graph, or the
+// CSR (layout-space ids).
 func (s *Snapshot) run(sources []uint32, opt traversal.Options, sc *traversal.Scratch, res *traversal.Result) *traversal.Result {
 	if s.cg != nil {
 		return traversal.RunStream(s.cg, sources, opt, sc, res)
@@ -351,10 +352,9 @@ func (s *Snapshot) TemporallyReachable(u, v VertexID) bool {
 func (s *Snapshot) Components(workers int) []uint32 {
 	switch {
 	case s.cg != nil:
-		// Streaming labeler over compressed adjacency; labels are already
-		// component minimums in original id space.
-		comp, _ := traversal.StreamComponentsInto(s.cg, nil, nil)
-		return comp
+		// Compressed ids are original ids, and the labels are component
+		// minimums.
+		return cc.ComponentsArcs(workers, compress.Arcs{C: s.cg}, nil)
 	case s.perm != nil:
 		// Label in layout space, then canonicalize each component to its
 		// minimum ORIGINAL id: ascending original-id scan records the
