@@ -18,16 +18,18 @@
 //     top-down edge-partitioned push and bottom-up pull by frontier edge
 //     mass (alpha/beta heuristic), skips whole 64-vertex words of
 //     finished vertices in the pull step through a visited shadow
-//     bitmap, and exposes per-arc, per-level, and label-correcting
-//     relaxation hooks that compile away to the plain BFS fast path when
-//     unused. Serial steady-state traversals over a reused
-//     Scratch/Result pair allocate nothing at all.
-//   - Dynamic graph kernels, all riding that one engine: a
+//     bitmap, and exposes per-arc and per-level hooks that compile away
+//     to the plain BFS fast path when unused. It records BFS-tree
+//     parents only for callers that ask for them. Serial steady-state
+//     traversals over a reused Scratch/Result pair allocate nothing at
+//     all.
+//   - Dynamic graph kernels, riding that one engine: a
 //     parent-pointer link-cut forest for connectivity queries
 //     (internal/dynconn; spanning forests via the multi-source engine,
 //     the same forest the live index keeps up to date), parallel
 //     level-synchronous (temporal) BFS, early-terminating
-//     st-connectivity, temporal reachability (relaxation hooks),
+//     st-connectivity, temporal reachability (its own serial
+//     earliest-arrival worklist, the one kernel off the engine),
 //     induced subgraph extraction by time interval, parallel connected
 //     components with a parallel census, and the centrality indices —
 //     (temporal) betweenness and stress assemble the Brandes

@@ -30,32 +30,39 @@ func newArrCore(n, initialCap, expectedEdges int) arrCore {
 
 // insert appends the tuple u->v.
 func (c *arrCore) insert(u, v edge.ID, t uint32) {
-	l := c.length[u]
-	d := c.data[u]
-	if int(l) == len(d) {
+	if d := c.data[u]; int(c.length[u]) == len(d) {
 		if c.noResize {
 			panic("dyngraph: Dyn-arr-nr adjacency overflow (degrees underestimated)")
 		}
-		grow := c.initialCap
-		if len(d) > 0 {
-			grow = 2 * len(d)
+		grow := 2 * len(d)
+		if grow == 0 {
+			grow = c.initialCap
 		}
-		c.reserve(u, grow)
-		d = c.data[u]
+		c.reserve(u, 1, grow)
 	}
-	d[l] = pack(v, t)
+	l := c.length[u]
+	c.data[u][l] = pack(v, t)
 	c.length[u] = l + 1
 	c.alive[u]++
 }
 
-// reserve grows u's block, if it is smaller, to hold n tuples.
-func (c *arrCore) reserve(u edge.ID, n int) {
-	d := c.data[u]
-	if n <= len(d) {
+// reserve makes room in u's block for k more tuples. A block short of
+// them that is at least half tombstones is compacted in place, so churn
+// reuses deleted slots; any other moves to a block of max(grow,
+// length+k) tuples.
+func (c *arrCore) reserve(u edge.ID, k, grow int) {
+	d, l := c.data[u], int(c.length[u])
+	if l+k <= len(d) {
 		return
 	}
-	nd := c.ar.Alloc(n)
-	copy(nd, d[:c.length[u]])
+	if l > 0 && int(c.alive[u]) <= l/2 {
+		c.compact(u)
+		if l = int(c.length[u]); l+k <= len(d) {
+			return
+		}
+	}
+	nd := c.ar.Alloc(max(grow, l+k))
+	copy(nd, d[:l])
 	c.data[u] = nd
 	if d != nil {
 		c.ar.Free(d)

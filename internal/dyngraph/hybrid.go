@@ -172,7 +172,7 @@ func (s *Hybrid) packGroup(u edge.ID, batch []edge.Update, grp []uint32) {
 // label; called with u's lock held.
 func (s *Hybrid) demote(u edge.ID) {
 	l := s.heavy[u]
-	s.arr.reserve(u, int(l.deg))
+	s.arr.reserve(u, int(l.deg), 0)
 	l.walk(func(v edge.ID, t uint32) bool {
 		s.arr.insert(u, v, t)
 		return true
@@ -318,8 +318,8 @@ func (s *Hybrid) ApplyBatch(workers int, batch []edge.Update) {
 
 // applyGroup applies u's batch group in batch order and returns the
 // change in live tuples; called with u's lock held. A group that cannot
-// take an array-mode u past the threshold grows u's block once, to
-// ClassSize(len + inserts). An all-insert group that does goes straight
+// take an array-mode u past the threshold makes room in u's block once
+// for its inserts (see arrCore.reserve). An all-insert group that does goes straight
 // to blocks: packed from the sorted group when u is empty (a bulk
 // load), after migrating u's array otherwise. A mixed group that might
 // cross is left to insert's own migration. None of this changes what
@@ -334,7 +334,7 @@ func (s *Hybrid) applyGroup(u edge.ID, batch []edge.Update, grp []uint32) int64 
 		}
 		switch {
 		case int(s.arr.alive[u])+k <= int(s.thresh):
-			s.arr.reserve(u, int(s.arr.length[u])+k)
+			s.arr.reserve(u, k, 0)
 		case k == len(grp) && s.arr.alive[u] == 0:
 			s.packGroup(u, batch, grp)
 			return int64(k)

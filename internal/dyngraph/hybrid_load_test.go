@@ -220,6 +220,29 @@ func churnBatches(scale, size, k, lag int) [][]edge.Update {
 	return out
 }
 
+// TestHybridChurnSizeBytes: the served churn stream, replayed at a
+// steady arc count, must not inflate the store. A scale-14 load takes
+// 600 batches of 1024 mirrored updates (R-MAT inserts plus the deletes
+// of the inserts 8 batches back) and must still hold no more than
+// TestHybridSizeBytes's 20 B/arc. Array-mode vertices that doubled a
+// full array of mostly tombstones instead of compacting it grew the
+// store to about 35 B/arc over such a replay.
+func TestHybridChurnSizeBytes(t *testing.T) {
+	const scale, size, k, lag, rounds, maxBytesPerArc = 14, 1024, 64, 8, 600, 20
+	ups := servedLoad(scale)
+	batches := churnBatches(scale, size, k, lag)
+	s := NewHybrid(1<<scale, 2*len(ups), 0, 1)
+	s.ApplyBatch(2, ups)
+	for i := range rounds {
+		s.ApplyBatch(2, batches[i%k])
+	}
+	got := float64(s.SizeBytes()) / float64(s.NumEdges())
+	t.Logf("after %d churn batches: %.1f B/arc", rounds, got)
+	if got > maxBytesPerArc {
+		t.Fatalf("after %d churn batches the store holds %.1f B/arc, want at most %d", rounds, got, maxBytesPerArc)
+	}
+}
+
 // BenchmarkHybridChurn times the served write path on the store: a
 // scale-14 load, then 1024-update mirrored churn batches (R-MAT inserts
 // plus the deletes of the inserts 8 batches back), one batch per op.

@@ -123,6 +123,16 @@ func (f *Frontier) DenseWriter() *Bitmap {
 // SetCount records the frontier size after direct bitmap publication.
 func (f *Frontier) SetCount(c int) { f.count = c }
 
+// SizeBytes returns the bytes the frontier retains: its vertex queue
+// and, once used, its bitmap.
+func (f *Frontier) SizeBytes() int64 {
+	b := 4 * int64(cap(f.verts))
+	if f.bits != nil {
+		b += 8 * int64(cap(f.bits.words))
+	}
+	return b
+}
+
 // Buckets is a pool of per-worker append buffers for frontier
 // production: each worker takes its bucket, appends discoveries, puts it
 // back, and Drain concatenates the buckets into a frontier. Buffer
@@ -173,4 +183,13 @@ func (b *Buckets) Drain(f *Frontier) int {
 		b.bufs[w] = buf[:0]
 	}
 	return total
+}
+
+// SizeBytes returns the bytes the buffers retain.
+func (b *Buckets) SizeBytes() int64 {
+	var n int64
+	for _, buf := range b.bufs {
+		n += 4 * int64(cap(buf))
+	}
+	return n
 }

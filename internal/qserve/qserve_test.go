@@ -388,3 +388,35 @@ func TestComponentsPooledZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state components query allocates %.1f objects/op, want 0", n)
 	}
 }
+
+// TestTraversalScratchFootprint pins the bytes per vertex one warm
+// scratch set holds for the BFS-shaped queries (bfs, connected, khop),
+// whose replies are counts and one target's level: the level array and
+// its visited bitmap, the two frontiers with their bitmaps, the
+// discovery bucket and the prefix-sum buffer. No parent array: a set
+// that also held one, 4 B per vertex written on every discovery, would
+// exceed the bound.
+func TestTraversalScratchFootprint(t *testing.T) {
+	mgr, _ := newManager(t, 14, 29)
+	v := mgr.View()
+	n := int64(v.NumVertices())
+	s := newScratchSet(Config{Undirected: true}.WithDefaults())
+	for _, src := range []uint64{0, 17, 999, 4000, 16000} {
+		s.bfsValue(v, Args{A: src})
+		s.connValue(v, Args{A: src, B: 7})
+		s.khopValue(v, Args{A: src, B: 2})
+	}
+	s.one[0] = nil
+	size := s.trav.SizeBytes() + s.res.SizeBytes()
+	t.Logf("n=%d: traversal arena and result hold %d B (%.1f B/vertex)", n, size, float64(size)/float64(n))
+	if s.res.Parent != nil || size > traversalFootprintPerVertex*n {
+		t.Fatalf("traversal arena and result hold %d B (parent %v): want no parent array and <= %d B/vertex",
+			size, s.res.Parent != nil, traversalFootprintPerVertex)
+	}
+}
+
+// traversalFootprintPerVertex bounds a warm traversal arena and result:
+// the level array (4), the two frontier queues (8) and the prefix-sum
+// buffer (8), each sized to n, plus 2 for the visited and frontier
+// bitmaps and the discovery buckets. A parent array would add 4.
+const traversalFootprintPerVertex = 4 + 8 + 8 + 2

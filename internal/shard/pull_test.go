@@ -272,3 +272,25 @@ func TestFleetPageRankAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetTraversalFootprint is qserve's TestTraversalScratchFootprint
+// on a P=2 fleet scratch: after bfs, connected and khop queries over
+// alternating pinned view sets, the traversal arena and result hold no
+// parent array and at most 22 B per vertex (the level array, two
+// frontier queues and the prefix-sum buffer at 20, plus 2 for the
+// bitmaps and the two workers' discovery buckets).
+func TestFleetTraversalFootprint(t *testing.T) {
+	n, sets := coldViewSets(t, 2, 8)
+	sc := pullScratch()
+	for i, s := range []uint32{0, 17, 999, 4000, 16000, 0, 17, 999, 4000, 16000} {
+		sc.BFS(sets[i&1], s)
+		sc.STConnected(sets[i&1], s, 7)
+		sc.KHop(sets[i&1], s, 2)
+	}
+	size := sc.trav.SizeBytes() + sc.res.SizeBytes()
+	t.Logf("n=%d: fleet traversal arena and result hold %d B (%.1f B/vertex)", n, size, float64(size)/float64(n))
+	if sc.res.Parent != nil || size > 22*int64(n) {
+		t.Fatalf("fleet traversal arena and result hold %d B (parent %v): want no parent array and <= 22 B/vertex",
+			size, sc.res.Parent != nil)
+	}
+}

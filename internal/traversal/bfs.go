@@ -20,12 +20,14 @@
 // allocation-free.
 //
 // The engine is a visitor-hook substrate (see Hooks): per-arc and
-// per-level callbacks, an endpoint-aware arc filter, and a
-// label-correcting relaxation mode let every BFS-shaped kernel in the
-// repository — Brandes (temporal) betweenness and stress, closeness,
-// spanning-forest construction for the link-cut index, st-connectivity,
-// and temporal reachability — share this one traversal loop instead of
-// hand-rolling its own frontier code.
+// per-level callbacks and an endpoint-aware arc filter let every
+// BFS-shaped kernel in the repository — Brandes (temporal) betweenness
+// and stress, closeness, spanning-forest construction for the link-cut
+// index, st-connectivity and k-hop neighbourhoods — share this one
+// level-synchronous loop instead of hand-rolling its own frontier code.
+// Temporal reachability, whose labels must strictly increase along a
+// path, is not a BFS: it is its own serial worklist (see
+// TemporalReachability).
 package traversal
 
 import (
@@ -42,7 +44,11 @@ type Result struct {
 	// Level[v] is the hop distance from the source, or NotVisited.
 	Level []int32
 	// Parent[v] is the BFS-tree parent, or the vertex itself for the
-	// source, or undefined (check Level) for unreached vertices.
+	// source, or undefined (check Level) for unreached vertices. It is
+	// recorded only on request: a Result that Run allocates records it,
+	// and a reused Result records it only if Parent is non-nil (set it
+	// to an empty slice to ask); a nil Parent stays nil, and the
+	// traversal holds and writes no parent array.
 	Parent []uint32
 	// Visited shadows Level as a bitmap: bit v is set iff Level[v] is
 	// not NotVisited. The bottom-up step uses it to skip whole 64-vertex
@@ -55,6 +61,16 @@ type Result struct {
 	Levels int
 	// PullLevels counts the expansions that ran bottom-up.
 	PullLevels int
+}
+
+// SizeBytes returns the bytes r's arrays retain: Level, Parent when it
+// is recorded, and the Visited bitmap.
+func (r *Result) SizeBytes() int64 {
+	b := 4 * int64(cap(r.Level)+cap(r.Parent))
+	if r.Visited != nil {
+		b += 8 * int64(cap(r.Visited.Words()))
+	}
+	return b
 }
 
 // EdgeFilter restricts traversal to arcs it accepts. A nil filter
@@ -81,8 +97,7 @@ func TemporalBFS(workers int, g *csr.Graph, src edge.ID, filter EdgeFilter) *Res
 
 // MultiBFS runs a parallel BFS from all sources simultaneously (each at
 // level 0), producing a spanning forest of the union of their reachable
-// sets. Used to build link-cut forests with one traversal regardless of
-// the component count.
+// sets in Parent.
 func MultiBFS(workers int, g *csr.Graph, sources []uint32) *Result {
 	return Run(g, sources, Options{Workers: workers}, nil, nil)
 }

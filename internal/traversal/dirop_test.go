@@ -3,6 +3,7 @@ package traversal
 import (
 	"testing"
 
+	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/edge"
 	"snapdyn/internal/rmat"
@@ -190,6 +191,36 @@ func TestScratchAndResultReuse(t *testing.T) {
 		levelsEqual(t, "reuse", got.Level, want.Level)
 		if got.Reached != want.Reached || got.Levels != want.Levels {
 			t.Fatalf("iteration %d: reached/levels diverged", i)
+		}
+	}
+}
+
+// TestParentOnRequest: a reused Result with a nil Parent records no
+// parents and keeps Parent nil; one with a non-nil Parent gets a valid
+// BFS forest, on every body (push and pull, fast and visitor) and on a
+// compressed graph, across graph sizes.
+func TestParentOnRequest(t *testing.T) {
+	big, small := rmatGraph(t, 11, 8, 0, 5), rmatGraph(t, 8, 4, 0, 6)
+	visit := Options{Hooks: Hooks{OnArc: func(uint32, uint32, uint32, bool) {}}}
+	pullVisit := forcePull
+	pullVisit.Hooks = visit.Hooks
+	scratch := NewScratch()
+	without, with := &Result{}, &Result{Parent: []uint32{}}
+	for _, g := range []*csr.Graph{big, small, big} {
+		cg := compress.FromCSR(0, g)
+		for _, opt := range []Options{{}, {Strategy: DirectionOpt}, forcePull, visit, pullVisit} {
+			for _, workers := range []int{1, 3} {
+				opt.Workers = workers
+				Run(g, []uint32{2}, opt, scratch, without)
+				if without.Parent != nil {
+					t.Fatalf("a nil Parent became %d entries", len(without.Parent))
+				}
+				Run(g, []uint32{2}, opt, scratch, with)
+				levelsEqual(t, "with parent", with.Level, without.Level)
+				checkParents(t, g, with)
+				RunStream(cg, []uint32{2}, opt, scratch, with)
+				checkParents(t, g, with)
+			}
 		}
 	}
 }

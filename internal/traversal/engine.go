@@ -2,6 +2,7 @@ package traversal
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"snapdyn/internal/compress"
@@ -110,18 +111,17 @@ type ArcFilter func(u, v uint32, t uint32) bool
 
 // Hooks are the visitor callbacks that turn the traversal engine into a
 // substrate for every BFS-shaped kernel (Brandes betweenness, closeness,
-// spanning forests, reachability). All hooks are optional; when a hook is
-// nil the engine runs the plain fast path for that aspect — a hook-free
-// Run is exactly the zero-overhead BFS.
+// st-connectivity, k-hop neighbourhoods). All hooks are optional; when a
+// hook is nil the engine runs the plain fast path for that aspect — a
+// hook-free Run is exactly the zero-overhead BFS.
 //
-// Concurrency: OnArc and Relax are invoked from worker goroutines and
-// run concurrently when Options.Workers > 1. Kernels that accumulate
-// into shared per-vertex state (sigma, predecessor lists, visit order)
-// should run the engine with Workers: 1 per traversal and parallelize
-// across traversals, the coarse-grained scheme of Bader & Madduri (ICPP
-// 2006); with one worker every hook is invoked serially and, for OnArc,
-// in level order. OnLevelEnd is always invoked serially from the level
-// loop.
+// Concurrency: OnArc is invoked from worker goroutines and runs
+// concurrently when Options.Workers > 1. Kernels that accumulate into
+// shared per-vertex state (sigma, predecessor lists, visit order) should
+// run the engine with Workers: 1 per traversal and parallelize across
+// traversals, the coarse-grained scheme of Bader & Madduri (ICPP 2006);
+// with one worker OnArc is invoked serially and in level order.
+// OnLevelEnd is always invoked serially from the level loop.
 type Hooks struct {
 	// OnArc observes every accepted arc (u, v, t) whose head v is
 	// settled at the level that is currently expanding: once with
@@ -139,16 +139,6 @@ type Hooks struct {
 	// discovered (possibly 0 for the final expansion). Returning false
 	// stops the traversal — the early-exit used by st-connectivity.
 	OnLevelEnd func(level int32, discovered int) bool
-	// Relax, when set, replaces BFS set-once discovery with
-	// label-correcting relaxation: it is invoked for every accepted arc
-	// out of the frontier and returns whether the head vertex should
-	// (re-)enter the next frontier, typically because a kernel-owned
-	// label improved. A vertex may re-enter the frontier on later
-	// levels, so Level and Parent record the most recent relaxation
-	// (diagnostic only) and Reached counts distinct vertices ever
-	// touched. Relaxation is push-only: DirectionOpt is demoted to
-	// TopDown, and the relaxation itself must be atomic if Workers > 1.
-	Relax func(u, v uint32, t uint32) bool
 }
 
 // Options configures a traversal run. The zero value reproduces the
@@ -219,6 +209,17 @@ func (s *Scratch) thresholds(n int, m, maxDeg int64) (int64, int64) {
 	return s.thrAlpha, s.thrBeta
 }
 
+// SizeBytes returns the bytes the arena retains between runs: the
+// frontiers, the discovery buckets, the prefix-sum buffer and the pull
+// masks.
+func (s *Scratch) SizeBytes() int64 {
+	b := 8 * int64(cap(s.offsets)+cap(s.held))
+	if s.cur != nil {
+		b += s.cur.SizeBytes() + s.next.SizeBytes() + s.buckets.SizeBytes()
+	}
+	return b
+}
+
 // ensureHeld sizes the held masks for a p-view set.
 func (s *Scratch) ensureHeld(p int) {
 	if p == 1 || len(s.held) == p {
@@ -256,21 +257,18 @@ func (s *Scratch) exec() *exec {
 		e.topDownVisit = e.topDownVisitBody
 		e.bottomUpFast = e.bottomUpFastBody
 		e.bottomUpVisit = e.bottomUpVisitBody
-		e.relaxBody = e.relaxStepBody
 		s.ex = e
 	}
 	return s.ex
 }
 
 // Reset prepares r for a traversal over n vertices, reusing its arrays
-// when they are large enough.
+// when they are large enough. Parent is sized only when it is non-nil:
+// a nil Parent stays nil, and the traversal records no parents.
 func (r *Result) Reset(workers, n int) {
-	if cap(r.Level) < n || cap(r.Parent) < n {
-		r.Level = make([]int32, n)
-		r.Parent = make([]uint32, n)
-	} else {
-		r.Level = r.Level[:n]
-		r.Parent = r.Parent[:n]
+	r.Level = slices.Grow(r.Level[:0], n)[:n]
+	if r.Parent != nil {
+		r.Parent = slices.Grow(r.Parent[:0], n)[:n]
 	}
 	lvl := r.Level
 	if workers == 1 {
@@ -297,9 +295,11 @@ func (r *Result) Reset(workers, n int) {
 }
 
 // Run executes a multi-source traversal under opt, writing into res
-// (allocated when nil) and drawing buffers from scratch (a temporary
-// arena when nil). Sources must be distinct. It returns res. Run is
-// RunArcs over the one-view set {g}.
+// and drawing buffers from scratch (a temporary arena when nil).
+// Sources must be distinct. It returns res. When res is nil Run
+// allocates one that records Parent; a caller's res records Parent only
+// if its Parent is non-nil (see Result.Parent). Run is RunArcs over the
+// one-view set {g}.
 func Run(g *csr.Graph, sources []uint32, opt Options, scratch *Scratch, res *Result) *Result {
 	if scratch == nil {
 		scratch = NewScratch()
@@ -340,7 +340,7 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 	}
 	n, numEdges := arcs.N(), arcs.NumEdges()
 	if res == nil {
-		res = &Result{}
+		res = &Result{Parent: []uint32{}}
 	}
 	res.Reset(workers, n)
 	if scratch == nil {
@@ -353,7 +353,7 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 	// costs its degree scan, cached in the Scratch) when the direction
 	// heuristic is live.
 	alpha, beta := opt.Alpha, opt.Beta
-	if (alpha <= 0 || beta <= 0) && opt.Strategy == DirectionOpt && opt.Hooks.Relax == nil {
+	if (alpha <= 0 || beta <= 0) && opt.Strategy == DirectionOpt {
 		var maxDeg int64
 		if scratch.thrAlpha == 0 || scratch.thrN != n || scratch.thrM != numEdges {
 			maxDeg = arcs.MaxDegree() // a degree scan on a view set: only on a shape change
@@ -376,13 +376,15 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 	e := scratch.exec()
 	e.arcs, e.res = arcs, res
 	e.filter, e.arc = opt.Filter, opt.Arc
-	e.onArc, e.relax = opt.Hooks.OnArc, opt.Hooks.Relax
+	e.onArc = opt.Hooks.OnArc
 	e.workers = workers
 	e.cur, e.next = scratch.cur, scratch.next
 
 	for _, s := range sources {
 		res.Level[s] = 0
-		res.Parent[s] = s
+		if res.Parent != nil {
+			res.Parent[s] = s
+		}
 		res.Visited.Set(s)
 	}
 	res.Reached = len(sources)
@@ -391,10 +393,8 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 	// Direction heuristic state: the current frontier's outgoing edge
 	// mass, and the arcs still leaving unvisited vertices. Maintained
 	// only when the heuristic can use it, so pure top-down runs pay no
-	// degree-sum bookkeeping. Relaxation is push-only: a pull step
-	// cannot re-relax already-visited vertices.
-	relaxing := e.relax != nil
-	needMass := opt.Strategy == DirectionOpt && !relaxing
+	// degree-sum bookkeeping.
+	needMass := opt.Strategy == DirectionOpt
 	e.needMass = needMass
 	var curEdges, unexplored int64
 	if needMass {
@@ -418,13 +418,10 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 		}
 		var found int
 		var foundEdges int64
-		switch {
-		case relaxing:
-			found = e.runRelax()
-		case pull:
+		if pull {
 			res.PullLevels++
 			found, foundEdges = e.runBottomUp()
-		default:
+		} else {
 			found, foundEdges = e.runTopDown()
 		}
 		res.Reached += found
@@ -446,7 +443,7 @@ func RunArcs(arcs compress.Arcs, sources []uint32, opt Options, scratch *Scratch
 	// Drop the per-run references so a long-lived Scratch does not pin
 	// the graph, result, or kernel closures between traversals.
 	e.arcs, e.res = compress.Arcs{}, nil
-	e.filter, e.arc, e.onArc, e.relax = nil, nil, nil, nil
+	e.filter, e.arc, e.onArc = nil, nil, nil
 	e.cur, e.next, e.curBits, e.nextBits, e.verts, e.offsets = nil, nil, nil, nil, nil, nil
 	return res
 }
@@ -463,27 +460,25 @@ type exec struct {
 	filter EdgeFilter
 	arc    ArcFilter
 	onArc  func(u, v uint32, t uint32, claimed bool)
-	relax  func(u, v uint32, t uint32) bool
 
 	workers  int
 	needMass bool
 	level    int32
 
 	cur, next *frontier.Frontier
-	verts     []uint32         // cur's sparse view (top-down / relax)
+	verts     []uint32         // cur's sparse view (top-down)
 	offsets   []int64          // prefix-summed frontier degrees (top-down)
 	totalWork int64            // arcs out of the frontier (top-down)
 	curBits   *frontier.Bitmap // cur as a bitmap (bottom-up)
-	nextBits  *frontier.Bitmap // next's dense writer (bottom-up / relax)
+	nextBits  *frontier.Bitmap // next's dense writer (bottom-up)
 
 	found      int64 // vertices discovered this level
-	foundEdges int64 // their total out-degree (needMass), or relax enqueues
+	foundEdges int64 // their total out-degree (needMass)
 
 	topDownFast   func(lo, hi int)
 	topDownVisit  func(lo, hi int)
 	bottomUpFast  func(lo, hi int)
 	bottomUpVisit func(lo, hi int)
-	relaxBody     func(lo, hi int)
 }
 
 // runTopDown pushes from the frontier along out-arcs, partitioning the
@@ -528,7 +523,7 @@ func (e *exec) topDownFastBody(lo, hi int) {
 	arcs, res, offsets, verts := e.arcs, e.res, e.offsets, e.verts
 	level, filter, needMass := e.level, e.filter, e.needMass
 	labels := filter != nil
-	visited := res.Visited
+	visited, parent := res.Visited, res.Parent
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.sc.buckets.Take(w)
 	var run compress.Run
@@ -560,7 +555,9 @@ func (e *exec) topDownFastBody(lo, hi int) {
 					continue
 				}
 				if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
-					res.Parent[v] = u
+					if parent != nil {
+						parent[v] = u
+					}
 					visited.TrySet(v)
 					local = append(local, v)
 				}
@@ -587,7 +584,7 @@ func (e *exec) topDownVisitBody(lo, hi int) {
 	arcs, res, offsets, verts := e.arcs, e.res, e.offsets, e.verts
 	level, filter, arcF, onArc, needMass := e.level, e.filter, e.arc, e.onArc, e.needMass
 	labels := filter != nil || arcF != nil || onArc != nil
-	visited := res.Visited
+	visited, parent := res.Visited, res.Parent
 	w := par.BlockIndex(e.workers, int(e.totalWork), lo)
 	local := e.sc.buckets.Take(w)
 	var run compress.Run
@@ -619,7 +616,9 @@ func (e *exec) topDownVisitBody(lo, hi int) {
 				lv := atomic.LoadInt32(&res.Level[v])
 				if lv == NotVisited {
 					if atomic.CompareAndSwapInt32(&res.Level[v], NotVisited, level) {
-						res.Parent[v] = u
+						if parent != nil {
+							parent[v] = u
+						}
 						visited.TrySet(v)
 						local = append(local, v)
 						if onArc != nil {
@@ -652,9 +651,6 @@ func (e *exec) topDownVisitBody(lo, hi int) {
 // must stay a multiple of 64 so every chunk owns whole words of the
 // Visited bitmap and can update them without atomics.
 const bottomUpChunk = 512
-
-// relaxChunk is the dynamic-scheduling grain for relaxation steps.
-const relaxChunk = 64
 
 // runBottomUp pulls: every unvisited vertex scans its own adjacency for
 // a parent already on the frontier and claims itself on the first hit —
@@ -729,7 +725,7 @@ func (e *exec) bottomUpFastBody(lo, hi int) {
 func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 	res := e.res
 	level, filter, curBits := e.level, e.filter, e.curBits
-	words, nextWords := res.Visited.Words(), e.nextBits.Words()
+	words, nextWords, parent := res.Visited.Words(), e.nextBits.Words(), res.Parent
 	var cnt, edges int64
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		w := words[wi] | e.foreign(vs, wi)
@@ -752,7 +748,9 @@ func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 				for p := alo; p < ahi; p++ {
 					if u := g.Adj[p]; curBits.Get(u) && (filter == nil || filter(g.TS[p])) {
 						res.Level[v] = level
-						res.Parent[v] = u
+						if parent != nil {
+							parent[v] = u
+						}
 						found |= 1 << (v & 63)
 						mass += ahi - alo
 						break
@@ -778,7 +776,7 @@ func (e *exec) bottomUpFastScan(g *csr.Graph, vs, lo, hi int) {
 // a time, so the search stops at its first parent. It returns the
 // claimed vertices and their total degree.
 func (e *exec) pullRuns(base int, todo uint64) (found uint64, mass int64) {
-	res, c := e.res, e.arcs.C
+	res, c, parent := e.res, e.arcs.C, e.res.Parent
 	level, filter, curBits := e.level, e.filter, e.curBits
 	labels := filter != nil
 	var run compress.Run
@@ -790,7 +788,9 @@ func (e *exec) pullRuns(base int, todo uint64) (found uint64, mass int64) {
 			for i, u := range adj {
 				if curBits.Get(u) && (filter == nil || filter(ts[i])) {
 					res.Level[v] = level
-					res.Parent[v] = u
+					if parent != nil {
+						parent[v] = u
+					}
 					found |= 1 << (v & 63)
 					mass += run.Degree()
 					break runs
@@ -828,7 +828,7 @@ func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
 	level, filter, arcF, onArc := e.level, e.filter, e.arc, e.onArc
 	labels := filter != nil || arcF != nil || onArc != nil
 	curBits, nextBits := e.curBits, e.nextBits
-	words := res.Visited.Words()
+	words, parent := res.Visited.Words(), res.Parent
 	var cnt, edges int64
 	var run compress.Run
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
@@ -867,7 +867,9 @@ func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
 					if !claimed {
 						claimed = true
 						res.Level[v] = level
-						res.Parent[v] = u
+						if parent != nil {
+							parent[v] = u
+						}
 						words[wi] |= 1 << (uint(v) & 63)
 						nextBits.TrySet(uint32(v))
 						cnt++
@@ -890,70 +892,5 @@ func (e *exec) bottomUpVisitScan(g *csr.Graph, vs, lo, hi int) {
 	if cnt > 0 {
 		atomic.AddInt64(&e.found, cnt)
 		atomic.AddInt64(&e.foundEdges, edges)
-	}
-}
-
-// runRelax expands one label-correcting round: every accepted arc out of
-// the frontier is offered to the Relax hook, and heads it accepts are
-// deduplicated into the next frontier through its dense writer. Returns
-// the number of vertices touched for the first time (the Reached
-// contribution); the next frontier's size is the deduplicated enqueue
-// count.
-func (e *exec) runRelax() int {
-	e.verts = e.cur.Vertices()
-	e.nextBits = e.next.DenseWriter()
-	e.found, e.foundEdges = 0, 0
-	par.ForDynamic(e.workers, len(e.verts), relaxChunk, e.relaxBody)
-	e.next.SetCount(int(e.foundEdges))
-	return int(e.found)
-}
-
-func (e *exec) relaxStepBody(lo, hi int) {
-	arcs, res := e.arcs, e.res
-	filter, arcF, relax := e.filter, e.arc, e.relax
-	level, nextBits := e.level, e.nextBits
-	var enq, newly int64
-	var run compress.Run
-	for _, u := range e.verts[lo:hi] {
-		var adj, ts []uint32
-		if arcs.C == nil {
-			adj, ts = arcs.View(u).Neighbors(u)
-		} else {
-			adj, ts = arcs.C.Span(&run, u, true)
-		}
-		for {
-			ts = ts[:len(adj)]
-			for i, v := range adj {
-				t := ts[i]
-				if filter != nil && !filter(t) {
-					continue
-				}
-				if arcF != nil && !arcF(u, v, t) {
-					continue
-				}
-				if !relax(u, v, t) {
-					continue
-				}
-				// Level and Parent are last-writer-wins diagnostics in
-				// relax mode; both stores are atomic so a parallel
-				// relaxation (atomic hook, Workers > 1) stays race-free.
-				atomic.StoreInt32(&res.Level[v], level)
-				atomic.StoreUint32(&res.Parent[v], u)
-				if res.Visited.TrySet(v) {
-					newly++
-				}
-				if nextBits.TrySet(v) {
-					enq++
-				}
-			}
-			if run.Left() == 0 {
-				break
-			}
-			adj, ts = run.Next(true)
-		}
-	}
-	if newly > 0 || enq > 0 {
-		atomic.AddInt64(&e.found, newly)
-		atomic.AddInt64(&e.foundEdges, enq)
 	}
 }

@@ -12,12 +12,13 @@ import (
 // BFS: an edge is usable only if its label exceeds the label of the edge
 // on which its tail was reached.
 //
-// It is a thin wrapper over the traversal engine's relaxation mode: the
-// Relax hook maintains, per vertex, the minimum arrival label over all
-// time-respecting paths found so far, and re-enqueues a vertex whenever
-// a path with a smaller arrival label appears, since that admits more
-// continuations. Termination: arrival labels strictly decrease per
-// vertex on re-insertion, and labels are bounded below.
+// It is a serial label-correcting worklist over the adjacency: each
+// vertex keeps the minimum arrival label over the time-respecting paths
+// found so far, and re-enters the worklist whenever a path with a
+// smaller arrival label appears, since that admits more continuations.
+// Termination: arrival labels strictly decrease per vertex on
+// re-insertion, and labels are bounded below. The fixpoint is unique,
+// so the result does not depend on the visit order.
 //
 // Returns the arrival label per vertex (0 for src, ^uint32(0) for
 // unreachable) and the reached count.
@@ -28,24 +29,33 @@ func TemporalReachability(g *csr.Graph, src edge.ID) (arrive []uint32, reached i
 		arrive[i] = unreached
 	}
 	arrive[src] = 0
-	res := Run(g, []uint32{src}, Options{
-		// One worker keeps the relaxation deterministic and lets the
-		// hook update arrive without atomics.
-		Workers: 1,
-		Hooks: Hooks{Relax: func(u, v uint32, t uint32) bool {
+	queued := make([]bool, g.N)
+	queue := []uint32{src}
+	queued[src] = true
+	reached = 1
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		queued[u] = false
+		adj, ts := g.Neighbors(u)
+		for i, v := range adj {
+			t := ts[i]
 			// First hop from the source is unconstrained; afterwards
 			// labels must strictly increase.
-			if u != src && t <= arrive[u] {
-				return false
+			if (u != src && t <= arrive[u]) || t >= arrive[v] {
+				continue
 			}
-			if t < arrive[v] {
-				arrive[v] = t
-				return true
+			if arrive[v] == unreached {
+				reached++
 			}
-			return false
-		}},
-	}, nil, nil)
-	return arrive, res.Reached
+			arrive[v] = t
+			if !queued[v] {
+				queued[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return arrive, reached
 }
 
 // TemporallyReachable reports whether a time-respecting path exists from

@@ -55,8 +55,8 @@ func sameResult(t *testing.T, name string, got, want *Result) {
 
 // TestRunOverMatchesRun checks RunOver on a graph split by owner into
 // P views against Run on the union: top-down, direction-optimizing,
-// forced pull, a time window in both directions, the OnArc visitor
-// bodies and relaxation.
+// forced pull, a time window in both directions, and the OnArc visitor
+// bodies.
 func TestRunOverMatchesRun(t *testing.T) {
 	g := rmatGraph(t, 11, 6, 50, 43)
 	window := TimeWindow(10, 30)
@@ -120,26 +120,5 @@ func TestRunOverMatchesRun(t *testing.T) {
 				}
 			}
 		}
-
-		// Relaxation: serial label-correcting hop distances.
-		relaxOver := func(run func(opt Options) *Result) ([]int32, *Result) {
-			dist := make([]int32, g.N)
-			for v := range dist {
-				dist[v] = NotVisited
-			}
-			dist[srcs[0][0]] = 0
-			opt := Options{Workers: 1, Filter: window, Hooks: Hooks{Relax: func(u, v uint32, _ uint32) bool {
-				if dist[v] == NotVisited || dist[u]+1 < dist[v] {
-					dist[v] = dist[u] + 1
-					return true
-				}
-				return false
-			}}}
-			return dist, run(opt)
-		}
-		wantDist, want := relaxOver(func(opt Options) *Result { return Run(g, srcs[0], opt, nil, nil) })
-		gotDist, got := relaxOver(func(opt Options) *Result { return RunOver(views, srcs[0], opt, nil, nil) })
-		sameResult(t, "relax", got, want)
-		levelsEqual(t, "relax dist", gotDist, wantDist)
 	}
 }

@@ -159,45 +159,6 @@ func TestVisitedShadowsLevel(t *testing.T) {
 	}
 }
 
-func TestRelaxModeShortestDistances(t *testing.T) {
-	// Use Relax to re-derive plain BFS distances through label
-	// correction: relax when the tentative hop distance improves. The
-	// fixpoint must match BFS levels even though vertices may re-enter
-	// the frontier.
-	g := rmatGraph(t, 10, 5, 0, 41)
-	want := BFS(1, g, 7)
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = int32(g.N)
-	}
-	dist[7] = 0
-	res := Run(g, []uint32{7}, Options{
-		Workers: 1,
-		Hooks: Hooks{Relax: func(u, v uint32, _ uint32) bool {
-			if dist[u]+1 < dist[v] {
-				dist[v] = dist[u] + 1
-				return true
-			}
-			return false
-		}},
-	}, nil, nil)
-	for v := range want.Level {
-		wl := want.Level[v]
-		if wl == NotVisited {
-			if dist[v] != int32(g.N) {
-				t.Fatalf("unreachable %d relaxed to %d", v, dist[v])
-			}
-			continue
-		}
-		if dist[v] != wl {
-			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], wl)
-		}
-	}
-	if res.Reached != want.Reached {
-		t.Fatalf("relax reached %d, want %d", res.Reached, want.Reached)
-	}
-}
-
 func TestSTConnectedEarlyStop(t *testing.T) {
 	// On a long line, STConnected to a near vertex must not traverse to
 	// the far end: verified through the public result (distance) plus

@@ -255,7 +255,10 @@ type Traverser struct {
 // directed snapshot BFSDirectionOpt falls back to top-down: the pull
 // step requires mirror arcs.
 func (s *Snapshot) Traverser(opt BFSOptions) *Traverser {
-	return &Traverser{s: s, opt: s.demote(opt), scratch: traversal.NewScratch()}
+	// The Traverser's results carry BFS-tree parents: an empty non-nil
+	// Parent asks the engine to record them.
+	return &Traverser{s: s, opt: s.demote(opt), scratch: traversal.NewScratch(),
+		res: traversal.Result{Parent: []uint32{}}}
 }
 
 // BFS traverses from src, reusing the internal scratch and result.
@@ -304,24 +307,17 @@ func (s *Snapshot) TemporalBFS(workers int, src VertexID, lo, hi uint32) *BFSRes
 // STConnected answers an st-connectivity query by traversal, returning
 // reachability and hop distance (-1 if unreachable).
 func (s *Snapshot) STConnected(workers int, u, v VertexID) (bool, int32) {
-	if s.cg == nil {
-		return traversal.STConnected(workers, s.g, s.toLayout(u), s.toLayout(v))
-	}
 	if u == v {
 		return true, 0
 	}
-	// Compressed: the same early-exiting traversal, streamed.
-	res := &traversal.Result{}
-	traversal.RunStream(s.cg, []uint32{u}, traversal.Options{
-		Workers: workers,
-		Hooks: traversal.Hooks{OnLevelEnd: func(int32, int) bool {
-			return res.Level[v] == traversal.NotVisited
-		}},
-	}, nil, res)
-	if res.Level[v] == traversal.NotVisited {
+	var res traversal.Result
+	var cuts traversal.Cuts
+	t := s.toLayout(v)
+	s.run([]uint32{s.toLayout(u)}, traversal.Options{Workers: workers, Hooks: cuts.ST(&res, t)}, nil, &res)
+	if res.Level[t] == traversal.NotVisited {
 		return false, -1
 	}
-	return true, res.Level[v]
+	return true, res.Level[t]
 }
 
 // STConnectedFast answers an st-connectivity query with bidirectional
