@@ -44,7 +44,7 @@ func BenchmarkAblationCompressedBFS(b *testing.B) {
 }
 
 // BenchmarkAblationReorderBFS measures BFS over the original labeling
-// vs degree-ordered and BFS-ordered relabelings.
+// vs the degree-ordered relabeling.
 func BenchmarkAblationReorderBFS(b *testing.B) {
 	snap := buildBenchSnapshot(b, 14)
 	src := snap.SampleSources(1, 7)[0]
@@ -55,15 +55,6 @@ func BenchmarkAblationReorderBFS(b *testing.B) {
 	})
 	b.Run("degree-ordered", func(b *testing.B) {
 		perm := snap.ReorderByDegree()
-		rg := snap.Relabel(0, perm)
-		rsrc := perm[src]
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rg.BFS(0, rsrc)
-		}
-	})
-	b.Run("bfs-ordered", func(b *testing.B) {
-		perm := snap.ReorderByBFS(0, []VertexID{src})
 		rg := snap.Relabel(0, perm)
 		rsrc := perm[src]
 		b.ResetTimer()

@@ -2,7 +2,7 @@ package snapdyn
 
 // Benchmarks for the memory-scale snapshot formats the pipeline can
 // publish: gap-compressed adjacency traversed by streaming decode, and
-// locality-reordered CSR. Both assert the engine's zero-allocation
+// degree-ordered CSR. Both assert the engine's zero-allocation
 // steady state before timing — a regression there silently destroys the
 // formats' throughput story.
 
@@ -52,12 +52,12 @@ func BenchmarkCompressedBFS(b *testing.B) {
 	b.ReportMetric(float64(snap.NumEdges())*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
 }
 
-// BenchmarkReorderedBFS times the engine over each locality-reordered
-// CSR layout in layout space (the facade translates at the boundary;
-// the kernel itself runs on permuted ids), against the plain baseline.
+// BenchmarkReorderedBFS times the engine over the degree-ordered CSR
+// layout in layout space (the facade translates at the boundary; the
+// kernel itself runs on permuted ids), against the plain baseline.
 func BenchmarkReorderedBFS(b *testing.B) {
 	for _, layout := range []SnapshotLayout{
-		SnapshotPlain, SnapshotDegree, SnapshotBFS, SnapshotRCM,
+		SnapshotPlain, SnapshotDegree,
 	} {
 		b.Run(layout.String(), func(b *testing.B) {
 			snap, src := layoutBenchSnapshot(b, layout)

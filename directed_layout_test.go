@@ -38,7 +38,7 @@ func directedLayoutGraphs(t *testing.T) map[string]func() *Graph {
 // labels are the weakly-connected components in every layout.
 func TestDirectedLayoutsComponents(t *testing.T) {
 	layouts := []SnapshotLayout{
-		SnapshotPlain, SnapshotDegree, SnapshotBFS, SnapshotRCM, SnapshotCompressed,
+		SnapshotPlain, SnapshotDegree, SnapshotCompressed,
 	}
 	for name, build := range directedLayoutGraphs(t) {
 		var want []uint32

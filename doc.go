@@ -173,18 +173,18 @@
 //     degree).
 //   - Memory-scale snapshot formats as first-class pipeline citizens
 //     (Graph.ManagerWithLayout): the manager can publish plain CSR,
-//     degree-/BFS-/RCM-reordered CSR (internal/reorder), or
-//     gap-compressed adjacency (internal/compress, zigzag/varint delta
-//     blocks). Every kernel reads a vertex's arcs as []uint32 spans
+//     degree-ordered CSR (internal/reorder), or gap-compressed
+//     adjacency (internal/compress, zigzag/varint delta blocks).
+//     Every kernel reads a vertex's arcs as []uint32 spans
 //     wherever they live (compress.Arcs): a CSR span in place, or the
 //     vertex's compressed block decoded RunLen arcs at a time into a
 //     stack buffer by one bulk decoder (compress.Run) — one body per
 //     kernel for every layout, 0 allocs/op serial steady state.
 //     The layout contract: queries accept and report original vertex
 //     ids on every layout and return results identical to the plain
-//     layout — reordered snapshots carry their permutation and inverse
-//     and translate at the query boundary, compressed ones run the
-//     same kernels over decoded runs. Reordered layouts splice
+//     layout — degree-ordered snapshots carry their permutation and
+//     inverse and translate at the query boundary, compressed ones run
+//     the same kernels over decoded runs. The degree layout splices
 //     incremental refresh deltas through the held permutation; once
 //     cumulative churn since the permutation was computed passes ~30%
 //     of the vertex set (or the vertex set grows), the ordering is
@@ -196,7 +196,11 @@
 //     and the /stats endpoint's sizeBytes/format fields) and
 //     measured by BenchmarkCompressedBFS and BenchmarkReorderedBFS
 //     (bytes per arc beside MTEPS: compressed 2.9 against plain 8.5
-//     at scale 14).
+//     at scale 14; degree order 9.0). Served from snapserve on the
+//     read-cold workload (R-MAT scale 16), degree order answered 28 %
+//     more queries than plain at 0.5 B/arc more; BFS-visit and reverse
+//     Cuthill-McKee orders gained less and cost resident memory (RCM
+//     start-up time too), and were removed.
 //   - A durable group-commit ingest path (internal/durable =
 //     internal/batcher + internal/wal), serving under snapserve
 //     -wal-dir. The durability contract: a submission is acknowledged

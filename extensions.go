@@ -2,9 +2,9 @@ package snapdyn
 
 // Extensions beyond the paper's evaluated system, implementing its
 // "future research" directions: compressed adjacency representations,
-// vertex reordering for cache performance, incremental connectivity
-// maintenance (the dynamic forest problem), and the remaining classic
-// centrality indices (closeness, stress).
+// vertex reordering for cache performance (degree order), incremental
+// connectivity maintenance (the dynamic forest problem), and the
+// remaining classic centrality indices (closeness, stress).
 
 import (
 	"snapdyn/internal/centrality"
@@ -72,19 +72,10 @@ func (c *CompressedSnapshot) BFS(workers int, src VertexID) (level []int32, reac
 // Permutation maps old vertex ids to new ones (newID = perm[oldID]).
 type Permutation = reorder.Permutation
 
-// ReorderByDegree returns the hubs-first relabeling permutation.
+// ReorderByDegree returns the hubs-first relabeling permutation, the
+// ordering the pipeline's SnapshotDegree layout maintains
+// automatically.
 func (s *Snapshot) ReorderByDegree() Permutation { return reorder.ByDegree(s.csrView()) }
-
-// ReorderByBFS returns the BFS visit-order relabeling permutation from
-// the given roots.
-func (s *Snapshot) ReorderByBFS(workers int, roots []VertexID) Permutation {
-	return reorder.ByBFS(workers, s.csrView(), roots)
-}
-
-// ReorderByRCM returns the reverse Cuthill-McKee relabeling permutation,
-// the bandwidth-minimizing ordering the pipeline's SnapshotRCM layout
-// maintains automatically.
-func (s *Snapshot) ReorderByRCM() Permutation { return reorder.ByRCM(s.csrView()) }
 
 // Relabel applies a permutation, returning the relabeled snapshot. The
 // result is a raw relabeling: its ids ARE the new ids (unlike the
@@ -187,7 +178,7 @@ type SSSPOptions struct {
 //
 // Storage layouts are invisible here like everywhere else: every layout
 // runs the same kernel with the same Delta and Scratch — compressed
-// snapshots decode their blocks a run at a time, reordered ones
+// snapshots decode their blocks a run at a time, degree-ordered ones
 // delta-step in layout space and translate the distances back — and
 // the returned slice is always indexed by original vertex id.
 func (s *Snapshot) SSSPWith(src VertexID, opt SSSPOptions) []int64 {

@@ -82,10 +82,6 @@ func TestRelabelPreservesKernels(t *testing.T) {
 	if rg.ComponentCount(0) != snap.ComponentCount(0) {
 		t.Fatal("relabel changed component structure")
 	}
-	bperm := snap.ReorderByBFS(0, []VertexID{0})
-	if !bperm.Valid() {
-		t.Fatal("invalid BFS permutation")
-	}
 }
 
 func TestDynamicConnectivityFacade(t *testing.T) {

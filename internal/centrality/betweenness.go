@@ -65,18 +65,26 @@ type Options struct {
 // degree-filtered candidate pool makes the draw deterministic for a
 // given seed and O(n) worst case.
 func SampleSources(g *csr.Graph, k int, seed uint64) []edge.ID {
+	return SampleSourcesBy(g.N, g.Degree, k, seed)
+}
+
+// SampleSourcesBy is SampleSources over n vertices whose degrees the
+// degree function reports: a snapshot stored under relabeled ids
+// samples by its original ids, so the draw depends only on the graph
+// and the seed.
+func SampleSourcesBy(n int, degree func(edge.ID) int64, k int, seed uint64) []edge.ID {
 	r := xrand.New(seed)
-	if k > g.N {
-		k = g.N
+	if k > n {
+		k = n
 	}
 	out := make([]edge.ID, 0, k)
 	if k <= 0 {
 		return out
 	}
 	// Candidate pool: non-isolated vertices, in id order.
-	pool := make([]edge.ID, 0, g.N)
-	for v := 0; v < g.N; v++ {
-		if g.Degree(edge.ID(v)) > 0 {
+	pool := make([]edge.ID, 0, n)
+	for v := 0; v < n; v++ {
+		if degree(edge.ID(v)) > 0 {
 			pool = append(pool, edge.ID(v))
 		}
 	}
@@ -85,8 +93,8 @@ func SampleSources(g *csr.Graph, k int, seed uint64) []edge.ID {
 		// remainder from the isolated ones, also uniformly.
 		out = append(out, pool...)
 		pool = pool[len(pool):]
-		for v := 0; v < g.N; v++ {
-			if g.Degree(edge.ID(v)) == 0 {
+		for v := 0; v < n; v++ {
+			if degree(edge.ID(v)) == 0 {
 				pool = append(pool, edge.ID(v))
 			}
 		}

@@ -166,8 +166,9 @@ func FromStore(workers int, s storeView) *Graph {
 // vertices' encoded blocks out of base as raw byte runs and re-encoding
 // only the dirty vertices. Output is byte-identical to FromStore. Falls
 // back to a full FromStore build when there is no usable base, the
-// vertex count changed, or the dirty fraction exceeds
-// csr.RefreshMaxDirtyFrac (same threshold as the CSR delta path).
+// vertex count changed, or the dirty-vertex fraction exceeds
+// csr.RefreshMaxDirtyFrac (the permuted CSR refresh's rule; the plain
+// CSR delta path weighs enumerated arcs instead, csr.RefreshMaxEnumFrac).
 func Refresh(workers int, base *Graph, s storeView, dirty []uint32) *Graph {
 	n := s.NumVertices()
 	if base == nil || base.N != n || n == 0 ||

@@ -74,7 +74,8 @@ func verifyCachedEntries(t *testing.T, ex *Executor, gen *qcache.Gen, limit int)
 				}
 			}
 		case qcache.KindConnected:
-			conn, hops := traversal.STConnected(1, g, uint32(k.A), uint32(k.B))
+			hops := traversal.BFS(1, g, uint32(k.A)).Level[k.B]
+			conn := hops != traversal.NotVisited
 			if conn != v.Flag || int64(hops) != v.N1 {
 				t.Errorf("cached Connected(%d,%d) = (%v,%d), uncached (%v,%d)",
 					k.A, k.B, v.Flag, v.N1, conn, hops)

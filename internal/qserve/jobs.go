@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"snapdyn/internal/centrality"
+	"snapdyn/internal/edge"
 )
 
 // Sampled betweenness is served as an offline job, not a query: a
@@ -48,18 +49,21 @@ var _ BetweennessRunner = (*single)(nil)
 
 // RunBetweenness runs one sampled-betweenness sweep against the current
 // snapshot, blocking until done (callers wrap it in a goroutine — the
-// job table in the HTTP layer does). Sources are sampled in the
-// snapshot's layout space, so the sampled set — and therefore the
-// approximate scores — can differ across layouts for the same seed;
-// the job is approximate by construction and carries no bit-identity
-// guarantee.
+// job table in the HTTP layer does). Sources are sampled by original
+// id and translated into the layout, so every CSR layout draws the same
+// sources for a seed; the scores then differ across layouts only in
+// float summation order.
 func (b *single) RunBetweenness(samples int, seed uint64, topk int, progress func(done, total int)) (BetweennessReply, error) {
 	epoch := b.mgr.Epoch()
 	v := b.mgr.View()
 	if v.C != nil {
 		return BetweennessReply{}, ErrUnsupported
 	}
-	srcs := centrality.SampleSources(v.G, samples, seed)
+	srcs := centrality.SampleSourcesBy(v.NumVertices(),
+		func(u edge.ID) int64 { return v.G.Degree(translate(v, u)) }, samples, seed)
+	for i, u := range srcs {
+		srcs[i] = translate(v, u)
+	}
 	bc := centrality.Betweenness(b.cfg.Workers, v.G, centrality.Options{
 		Sources:   srcs,
 		Normalize: true,

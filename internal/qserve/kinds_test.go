@@ -221,10 +221,7 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 // after ingest/refresh churn to exercise each layout's delta path.
 func TestNewKindsLayoutEquivalence(t *testing.T) {
 	const scale, seed = 9, 13
-	layouts := []snapmgr.Layout{
-		snapmgr.LayoutPlain, snapmgr.LayoutDegree, snapmgr.LayoutBFS,
-		snapmgr.LayoutRCM, snapmgr.LayoutCompressed,
-	}
+	layouts := []snapmgr.Layout{snapmgr.LayoutPlain, snapmgr.LayoutDegree, snapmgr.LayoutCompressed}
 	exs := make([]*Executor, len(layouts))
 	for i, l := range layouts {
 		exs[i] = New(newLayoutManager(t, scale, seed, l), Config{Undirected: true})

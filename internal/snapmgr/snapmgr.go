@@ -34,8 +34,8 @@ type Manager struct {
 	view   atomic.Pointer[View]
 	epoch  atomic.Uint64
 
-	// churn accumulates dirty-vertex counts since the reordered layouts
-	// last computed their permutation; written only under the exclusive
+	// churn accumulates dirty-vertex counts since the degree layout
+	// last computed its permutation; written only under the exclusive
 	// gate.
 	churn int
 
@@ -75,7 +75,7 @@ func (m *Manager) Store() *dyngraph.Tracked { return m.store }
 
 // Current returns the latest published snapshot as a CSR graph: one
 // atomic load, never blocking, safe during concurrent Refresh. The
-// returned graph is immutable. For the reordered layouts the graph is
+// returned graph is immutable. For the degree layout the graph is
 // in permuted id space (use View for the translation tables); under
 // LayoutCompressed there is no CSR and Current returns nil — layout-
 // aware readers should use View.

@@ -102,24 +102,6 @@ func MultiBFS(workers int, g *csr.Graph, sources []uint32) *Result {
 	return Run(g, sources, Options{Workers: workers}, nil, nil)
 }
 
-// STConnected answers an st-connectivity query by BFS from s, stopping
-// early once t is reached: the engine's level-end hook cuts the
-// traversal at the first level that settles t, so the remaining levels'
-// edges are never inspected. It returns reachability and the hop
-// distance (-1 when unreachable).
-func STConnected(workers int, g *csr.Graph, s, t edge.ID) (bool, int32) {
-	if s == t {
-		return true, 0
-	}
-	var res Result
-	var cuts Cuts
-	Run(g, []uint32{s}, Options{Workers: workers, Hooks: cuts.ST(&res, t)}, nil, &res)
-	if res.Level[t] == NotVisited {
-		return false, -1
-	}
-	return true, res.Level[t]
-}
-
 // Cuts are the level-end hooks with which the BFS-shaped queries stop
 // early: st-connectivity after the level that settles its target, and
 // the k-hop neighbourhood after level k, so arcs past the cut are never

@@ -149,19 +149,36 @@ func TestTemporalBFSWindow(t *testing.T) {
 	}
 }
 
+// stConnected is the early-exiting st-connectivity traversal the
+// serving layers run: Run from s under Cuts.ST(t), which stops after
+// the level that settles t. It fails the test unless the answer matches
+// a full BFS from s, an oracle that does not share the cut, and returns
+// reachability, the hop distance (-1 when unreachable) and the result.
+func stConnected(tb testing.TB, workers int, g *csr.Graph, s, t uint32) (bool, int32, *Result) {
+	tb.Helper()
+	var res Result
+	var cuts Cuts
+	Run(g, []uint32{s}, Options{Workers: workers, Hooks: cuts.ST(&res, t)}, nil, &res)
+	d := res.Level[t]
+	if want := BFS(workers, g, s).Level[t]; d != want {
+		tb.Fatalf("st(%d,%d) hops %d, full BFS level %d", s, t, d, want)
+	}
+	return d != NotVisited, d, &res
+}
+
 func TestSTConnected(t *testing.T) {
 	g := lineGraph(10)
-	ok, d := STConnected(2, g, 0, 9)
+	ok, d, _ := stConnected(t, 2, g, 0, 9)
 	if !ok || d != 9 {
 		t.Fatalf("st = (%v,%d), want (true,9)", ok, d)
 	}
-	ok, d = STConnected(2, g, 3, 3)
+	ok, d, _ = stConnected(t, 2, g, 3, 3)
 	if !ok || d != 0 {
 		t.Fatalf("self st = (%v,%d)", ok, d)
 	}
 	edges := []edge.Edge{{U: 0, V: 1}}
 	g2 := csr.FromEdges(1, 3, edges, true)
-	ok, d = STConnected(2, g2, 0, 2)
+	ok, d, _ = stConnected(t, 2, g2, 0, 2)
 	if ok || d != -1 {
 		t.Fatalf("disconnected st = (%v,%d)", ok, d)
 	}

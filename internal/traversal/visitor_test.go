@@ -160,20 +160,23 @@ func TestVisitedShadowsLevel(t *testing.T) {
 }
 
 func TestSTConnectedEarlyStop(t *testing.T) {
-	// On a long line, STConnected to a near vertex must not traverse to
-	// the far end: verified through the public result (distance) plus
-	// the engine contract that levels past the stop stay unvisited.
+	// On a long line, an st query to a near vertex must not traverse to
+	// the far end: verified through the distance plus the engine
+	// contract that levels past the stop stay unvisited.
 	g := lineGraph(200)
-	ok, d := STConnected(1, g, 10, 13)
+	ok, d, res := stConnected(t, 1, g, 10, 13)
 	if !ok || d != 3 {
 		t.Fatalf("got (%v,%d), want (true,3)", ok, d)
 	}
-	ok, d = STConnected(2, g, 0, 199)
+	if res.Level[199] != NotVisited {
+		t.Fatalf("st query reached the far end: Level[199] = %d", res.Level[199])
+	}
+	ok, d, _ = stConnected(t, 2, g, 0, 199)
 	if !ok || d != 199 {
 		t.Fatalf("far query (%v,%d), want (true,199)", ok, d)
 	}
 	disc := csr.FromEdges(1, 4, []edge.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, true)
-	ok, d = STConnected(1, disc, 0, 3)
+	ok, d, _ = stConnected(t, 1, disc, 0, 3)
 	if ok || d != -1 {
 		t.Fatalf("disconnected query (%v,%d), want (false,-1)", ok, d)
 	}

@@ -15,7 +15,7 @@ func layoutManagers(t *testing.T, scale int, seed uint64) ([]SnapshotLayout, []*
 		t.Fatal(err)
 	}
 	layouts := []SnapshotLayout{
-		SnapshotPlain, SnapshotDegree, SnapshotBFS, SnapshotRCM, SnapshotCompressed,
+		SnapshotPlain, SnapshotDegree, SnapshotCompressed,
 	}
 	mgrs := make([]*SnapshotManager, len(layouts))
 	for i, l := range layouts {
@@ -110,7 +110,7 @@ func checkLayoutEquivalence(t *testing.T, round int, l SnapshotLayout, want, got
 }
 
 // TestFacadeLayoutsBitIdentical is the facade-level acceptance check for
-// the storage layouts: every query on a reordered or compressed snapshot
+// the storage layouts: every query on a degree-ordered or compressed snapshot
 // must be bit-identical to the plain one — in original vertex ids —
 // including across incremental refreshes under churn (small rounds that
 // splice deltas through the held permutation / compressed payload, and
@@ -133,8 +133,8 @@ func TestFacadeLayoutsBitIdentical(t *testing.T) {
 	for round := 1; round <= 4; round++ {
 		edits := 25
 		if round == 3 {
-			// Dirty well past 30% of the vertex set: the reordered
-			// layouts must recompute their permutation and the delta
+			// Dirty well past 30% of the vertex set: the degree
+			// layout must recompute its permutation and the delta
 			// splicers fall back to full rebuilds.
 			edits = 700
 		}

@@ -57,11 +57,6 @@ const (
 	SnapshotPlain = snapmgr.LayoutPlain
 	// SnapshotDegree relabels hubs-first for locality.
 	SnapshotDegree = snapmgr.LayoutDegree
-	// SnapshotBFS relabels in BFS visit order from the largest hub.
-	SnapshotBFS = snapmgr.LayoutBFS
-	// SnapshotRCM relabels by reverse Cuthill-McKee (bandwidth
-	// minimization).
-	SnapshotRCM = snapmgr.LayoutRCM
 	// SnapshotCompressed stores gap-coded adjacency bytes, which the
 	// kernels decode a run of arcs at a time — the smallest footprint
 	// per edge.
@@ -77,11 +72,11 @@ func (g *Graph) Manager(workers int) *SnapshotManager {
 }
 
 // ManagerWithLayout is Manager publishing snapshots in the given
-// storage layout. Reordered layouts (SnapshotDegree, SnapshotBFS,
-// SnapshotRCM) keep their permutation fresh across incremental
-// refreshes — deltas splice through the held ordering until cumulative
-// churn passes ~30% of the vertex set, then the ordering is recomputed;
-// SnapshotCompressed delta-splices the gap-coded payload byte-wise.
+// storage layout. SnapshotDegree keeps its permutation fresh across
+// incremental refreshes — deltas splice through the held ordering
+// until cumulative churn passes ~30% of the vertex set, then the
+// ordering is recomputed; SnapshotCompressed delta-splices the
+// gap-coded payload byte-wise.
 // Queries through Current are layout-blind: same inputs, same results,
 // original ids everywhere.
 func (g *Graph) ManagerWithLayout(workers int, layout SnapshotLayout) *SnapshotManager {

@@ -19,19 +19,19 @@ import (
 //
 // A snapshot's storage layout is invisible at this API: managers built
 // with ManagerWithLayout publish snapshots whose backing store may be a
-// locality-reordered CSR (vertex ids permuted internally) or a
+// degree-ordered CSR (vertex ids permuted internally) or a
 // gap-compressed adjacency, and every query accepts and reports
 // original vertex ids — sources are translated on the way in, levels,
 // parents, distances, and component labels on the way out, so results
 // are identical across layouts. Queries without a layout-native kernel
 // run over a lazily materialized (and cached) original-id CSR.
 type Snapshot struct {
-	g *csr.Graph // CSR arrays, in layout space for reordered views; nil for compressed
+	g *csr.Graph // CSR arrays, in layout space for degree views; nil for compressed
 	// cg is the gap-compressed payload under SnapshotCompressed; the
 	// kernels that read arcs as spans (BFS, SSSP, components) decode it
 	// directly.
 	cg *compress.Graph
-	// perm/inv translate reordered views: layoutID = perm[origID],
+	// perm/inv translate degree views: layoutID = perm[origID],
 	// origID = inv[layoutID]. Both nil for plain and compressed views.
 	perm, inv reorder.Permutation
 	// view is the published pipeline view this snapshot wraps (nil for
@@ -57,7 +57,7 @@ func snapshotFromView(v *snapmgr.View, undirected bool) *Snapshot {
 func (s *Snapshot) layoutPlain() bool { return s.cg == nil && s.perm == nil }
 
 // toLayout maps an original vertex id into the storage layout's id
-// space (the identity except for reordered views).
+// space (the identity except for degree views).
 func (s *Snapshot) toLayout(u VertexID) VertexID {
 	if s.perm != nil {
 		return s.perm[u]
@@ -66,7 +66,7 @@ func (s *Snapshot) toLayout(u VertexID) VertexID {
 }
 
 // csrView returns an original-id CSR of the snapshot, materializing and
-// caching one on first use for non-plain layouts: reordered views apply
+// caching one on first use for non-plain layouts: degree views apply
 // the inverse permutation, compressed views decode (which sorts each
 // adjacency by neighbor id — an equivalent arc multiset, possibly a
 // different per-vertex arc order). Kernels without a layout-native path
@@ -279,7 +279,7 @@ func (t *Traverser) TemporalBFS(src VertexID, lo, hi uint32) *BFSResult {
 
 // MultiBFS traverses from all sources simultaneously (each at level 0),
 // reusing the internal scratch and result. Sources must be distinct.
-// Reordered layouts translate the sources through an internal buffer,
+// The degree layout translates the sources through an internal buffer,
 // so the caller's slice is never modified.
 func (t *Traverser) MultiBFS(sources []VertexID) *BFSResult {
 	if t.s.perm != nil {
