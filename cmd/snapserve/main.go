@@ -8,7 +8,8 @@
 // plain "u v [t]" format) or is generated in-process (-scale). Updates
 // arrive as JSON batches on /ingest; a background auto-refresher
 // republishes the snapshot whenever the dirty-vertex count crosses
-// -refresh-dirty or the snapshot age crosses -refresh-age. Queries
+// -refresh-dirty or the snapshot age crosses -refresh-age, checked
+// every -refresh-age/8 from the last publication. Queries
 // (BFS, delta-stepping SSSP, st-connectivity, connected components)
 // run on a bounded executor pool with per-worker kernel scratch reused
 // across requests; past -qmax executing and -queue waiting queries,
@@ -25,7 +26,10 @@
 // to a write-ahead log before it is applied and acknowledged, and the
 // /ingest reply's epoch is the snapshot epoch guaranteed to contain
 // the batch — pass it back as minEpoch on any query for
-// read-your-writes (503 if the snapshot can't catch up in time).
+// read-your-writes (503 if the snapshot can't catch up in time). A
+// minEpoch of the next epoch makes the refresher publish it at once; one
+// that no ack can carry (beyond the next epoch of every shard) is
+// answered 503 at once.
 // Periodic checkpoints (-checkpoint-every) bound replay; on restart
 // the daemon recovers checkpoint + log tail, truncating a torn final
 // record, and continues with monotone epochs. SIGINT/SIGTERM drains
@@ -113,7 +117,6 @@ type config struct {
 
 	refreshDirty int
 	refreshAge   time.Duration
-	refreshPoll  time.Duration
 
 	// live enables the between-refresh connectivity index: a dynamic
 	// spanning forest fed by the ingest path, serving
@@ -186,7 +189,6 @@ func buildStack(cfg config) (*service, error) {
 	policy := snapmgr.Policy{
 		MaxDirty: cfg.refreshDirty,
 		MaxAge:   cfg.refreshAge,
-		Poll:     cfg.refreshPoll,
 		Workers:  cfg.workers,
 	}
 	qcfg := qserve.Config{
@@ -315,7 +317,6 @@ func main() {
 		cacheB     = flag.Int64("cache-bytes", 64<<20, "per-snapshot result-cache budget in bytes (0 disables caching)")
 		refDirty   = flag.Int("refresh-dirty", 4096, "auto-refresh when this many vertices are dirty")
 		refAge     = flag.Duration("refresh-age", 500*time.Millisecond, "auto-refresh when the snapshot is this stale with updates pending")
-		refPoll    = flag.Duration("refresh-poll", 0, "auto-refresh trigger poll interval (0 = derived)")
 		live       = flag.Bool("live", false, "maintain a live connectivity forest on the ingest path (serves connected?live=1)")
 		walDir     = flag.String("wal-dir", "", "durable ingest: WAL + checkpoint directory (per-shard subdirs when sharded); empty = volatile")
 		ckptEvery  = flag.Uint64("checkpoint-every", 1<<20, "checkpoint after this many committed updates per log (0 = only on clean shutdown)")
@@ -337,7 +338,6 @@ func main() {
 		maxQueue:     *queue,
 		refreshDirty: *refDirty,
 		refreshAge:   *refAge,
-		refreshPoll:  *refPoll,
 		live:         *live,
 		cacheBytes:   *cacheB,
 		walDir:       *walDir,

@@ -41,7 +41,6 @@ func runServiceSmoke(t *testing.T, shards int) {
 		maxQueue:     1 << 20, // never shed: the smoke asserts all-200s
 		refreshDirty: 64,
 		refreshAge:   5 * time.Millisecond,
-		refreshPoll:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +271,6 @@ func runDurableRestart(t *testing.T, shards int) {
 		maxQueue:     1 << 10,
 		refreshDirty: 1,
 		refreshAge:   time.Millisecond,
-		refreshPoll:  time.Millisecond,
 		walDir:       dir + "/wal",
 	}
 
@@ -371,6 +369,45 @@ func runDurableRestart(t *testing.T, shards int) {
 	}
 }
 
+// TestUnreachableMinEpochRefusedAtOnce: no ack is above the published
+// epoch plus one per shard, so a minEpoch past that answers 503 at once
+// instead of holding the request for the stale-wait bound.
+func TestUnreachableMinEpochRefusedAtOnce(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		svc, err := buildStack(config{
+			scale:        6,
+			edgeFactor:   4,
+			timeMax:      10,
+			seed:         3,
+			undirected:   true,
+			workers:      1,
+			shards:       shards,
+			queryWorkers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.srv.SetStaleWait(10 * time.Second)
+		ts := httptest.NewServer(svc.srv.Handler())
+		min := svc.ex.Metrics().Epoch + uint64(shards) + 1
+		start := time.Now()
+		resp, err := http.Get(fmt.Sprintf("%s/query/bfs?src=0&minEpoch=%d", ts.URL, min))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("shards=%d: unreachable minEpoch = %d, want 503", shards, resp.StatusCode)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("shards=%d: unreachable minEpoch answered after %v", shards, d)
+		}
+		ts.Close()
+		svc.close()
+	}
+}
+
 // TestBuildServiceFromFile exercises the -graph loading path.
 func TestBuildServiceFromFile(t *testing.T) {
 	dir := t.TempDir()
@@ -384,7 +421,6 @@ func TestBuildServiceFromFile(t *testing.T) {
 		undirected:   true,
 		workers:      1,
 		queryWorkers: 1,
-		refreshPoll:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

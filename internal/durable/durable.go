@@ -12,6 +12,9 @@
 //     live store. The ack carries the snapshot epoch that is guaranteed
 //     to contain the batch: wait for Manager().WaitEpoch(ack epoch) and
 //     every query after that observes the writes (read-your-writes).
+//     That wait demands the epoch, so a running auto-refresher
+//     publishes it at once rather than at its next trigger check; the
+//     commit path itself never asks for a refresh.
 //   - After a crash at any point — mid-record, mid-fsync, mid-checkpoint
 //     — Open rebuilds exactly a prefix of the committed update sequence
 //     that includes every acknowledged batch. Unacknowledged batches at

@@ -129,7 +129,7 @@ func TestReadYourWrites(t *testing.T) {
 	}
 	defer d.Close()
 	mgr := d.Manager()
-	if !mgr.Start(snapmgr.Policy{MaxDirty: 1, Poll: time.Millisecond, Workers: 2}) {
+	if !mgr.Start(snapmgr.Policy{MaxDirty: 1, Workers: 2}) {
 		t.Fatal("refresher did not start")
 	}
 
@@ -244,7 +244,7 @@ func TestCrashRecoverRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rng.Intn(2) == 0 {
-				d.Manager().Start(snapmgr.Policy{MaxDirty: 8, Poll: time.Millisecond, Workers: 2})
+				d.Manager().Start(snapmgr.Policy{MaxDirty: 8, Workers: 2})
 			}
 
 			// Crash at a random point while the stream is in flight.

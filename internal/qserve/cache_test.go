@@ -103,7 +103,7 @@ func verifyCachedEntries(t *testing.T, ex *Executor, gen *qcache.Gen, limit int)
 func TestCacheHammer(t *testing.T) {
 	mgr, edges := newManager(t, 9, 23)
 	if !mgr.Start(snapmgr.Policy{MaxDirty: 256, MaxAge: 2 * time.Millisecond,
-		Poll: time.Millisecond, Workers: 2}) {
+		Workers: 2}) {
 		t.Fatal("auto-refresher failed to start")
 	}
 	defer mgr.Stop()

@@ -142,7 +142,8 @@ type Health struct {
 // read-your-writes handshake. A client holding the ack epoch from
 // /ingest passes it back as minEpoch and is guaranteed to observe its
 // writes — or get a retryable 503 (ErrStale) if the snapshot does not
-// publish within the staleness bound.
+// publish within the staleness bound. An epoch above any ack the
+// engine can have issued gets that 503 at once.
 func (s *Server) waitMinEpoch(r *http.Request) error {
 	v := r.URL.Query().Get("minEpoch")
 	if v == "" {

@@ -221,7 +221,8 @@ type Engine interface {
 	Ingest(workers int, batch []edge.Update) (uint64, error)
 	// WaitEpoch blocks until the published epoch reaches min (timeout
 	// <= 0 waits forever), returning the epoch observed — the
-	// read-your-writes wait paired with the ack epoch from Ingest.
+	// read-your-writes wait paired with the ack epoch from Ingest. A
+	// min above any epoch an ack can carry fails at once.
 	WaitEpoch(min uint64, timeout time.Duration) (uint64, error)
 	// Metrics aggregates refresh activity and current lag.
 	Metrics() snapmgr.Metrics

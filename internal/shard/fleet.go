@@ -198,7 +198,25 @@ func (f *Fleet) IngestEpoch(workers int, batch []edge.Update) uint64 {
 // be multiplexed without a global epoch, which the design deliberately
 // avoids). timeout <= 0 waits forever. Returns the sum observed and
 // snapmgr.ErrEpochWaitTimeout on expiry.
+//
+// No fleet ack is above the sum epoch plus one per shard, so a larger
+// min is refused at once with ErrEpochWaitTimeout. A reachable one
+// demands the next epoch of every shard with pending updates
+// (snapmgr.Manager.Demand), so running auto-refreshers publish it now
+// rather than at their next trigger check.
 func (f *Fleet) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
+	e := f.Epoch()
+	if e >= min {
+		return e, nil
+	}
+	if min > e+uint64(f.p) {
+		return e, snapmgr.ErrEpochWaitTimeout
+	}
+	for _, mgr := range f.mgrs {
+		if mgr.Staleness() > 0 {
+			mgr.Demand(mgr.Epoch() + 1)
+		}
+	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -312,6 +330,7 @@ func (f *Fleet) Metrics() snapmgr.Metrics {
 		out.AutoRefreshes += m.AutoRefreshes
 		out.DirtyTriggered += m.DirtyTriggered
 		out.AgeTriggered += m.AgeTriggered
+		out.DemandTriggered += m.DemandTriggered
 		out.LastDirty += m.LastDirty
 		out.LastPatched += m.LastPatched
 		out.LastEnumeratedArcs += m.LastEnumeratedArcs

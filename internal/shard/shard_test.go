@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"snapdyn/internal/cc"
 	"snapdyn/internal/csr"
@@ -373,6 +375,55 @@ func TestEpochMonotonePerShard(t *testing.T) {
 	f.Refresh(2)
 	if got, want := f.Epoch(), base[0]+base[1]+base[2]+base[3]+5; got != want {
 		t.Fatalf("fleet epoch after full refresh = %d, want %d", got, want)
+	}
+}
+
+// TestFleetWaitEpochDemandsTouchedShards: with every shard's triggers
+// disabled, a fleet ack is published by demand alone, once per touched
+// shard; an untouched shard is not refreshed, and a sum epoch beyond
+// one publication per shard is refused at once.
+func TestFleetWaitEpochDemandsTouchedShards(t *testing.T) {
+	f := New(64, Config{Shards: 2, Workers: 1})
+	if !f.Start(snapmgr.Policy{MaxDirty: 1 << 30, MaxAge: time.Hour}) {
+		t.Fatal("Start returned false")
+	}
+	defer f.Stop()
+	// A shard accounts its refresh just after publishing it, so the
+	// counters may trail the wait by a moment.
+	demanded := func(want [2]uint64) [2]uint64 {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got := [2]uint64{f.Manager(0).Metrics().DemandTriggered, f.Manager(1).Metrics().DemandTriggered}
+			if got == want || time.Now().After(deadline) {
+				return got
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	ack := f.IngestEpoch(1, stream.Inserts([]edge.Edge{{U: 0, V: 1, T: 1}, {U: 1, V: 0, T: 1}}))
+	if _, err := f.WaitEpoch(ack, 5*time.Second); err != nil {
+		t.Fatalf("WaitEpoch(%d): %v", ack, err)
+	}
+	if got := demanded([2]uint64{1, 1}); got != [2]uint64{1, 1} {
+		t.Fatalf("demand refreshes per shard = %v, want [1 1]", got)
+	}
+
+	ack = f.IngestEpoch(1, stream.Inserts([]edge.Edge{{U: 2, V: 3, T: 1}})) // shard 0 only
+	if _, err := f.WaitEpoch(ack, 5*time.Second); err != nil {
+		t.Fatalf("WaitEpoch(%d): %v", ack, err)
+	}
+	if got := demanded([2]uint64{2, 1}); got != [2]uint64{2, 1} {
+		t.Fatalf("demand refreshes per shard = %v, want [2 1]", got)
+	}
+
+	start := time.Now()
+	e, err := f.WaitEpoch(f.Epoch()+3, 10*time.Second)
+	if !errors.Is(err, snapmgr.ErrEpochWaitTimeout) || e != f.Epoch() {
+		t.Fatalf("unreachable WaitEpoch = %d, %v; want %d and ErrEpochWaitTimeout", e, err, f.Epoch())
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("unreachable epoch held the waiter for %v", d)
 	}
 }
 

@@ -10,7 +10,15 @@ import (
 // threshold or a staleness age is crossed, the refresher materializes
 // and publishes a new snapshot on its own, so serving layers treat
 // refresh as a policy rather than a call site. The zero value refreshes
-// whenever any update is pending, checked every default poll interval.
+// whenever any update is pending.
+//
+// The refresher checks the two triggers on an interval derived from
+// MaxAge (MaxAge/8, floored at 1ms, or 5ms when MaxAge is unset),
+// counted from its last publication. So a trigger refresh starts up to
+// one interval after its trigger fires, and comes at least one interval
+// after the refresh before it. A reader waiting for the next epoch
+// (WaitEpoch on an ingest ack) does not wait for the check: it demands
+// that epoch (Demand), and the refresher publishes it at once.
 type Policy struct {
 	// MaxDirty triggers a refresh as soon as Staleness() reaches this
 	// many dirty vertices. <= 0 disables the dirty trigger (unless
@@ -20,24 +28,13 @@ type Policy struct {
 	// the last publication while updates are pending. <= 0 disables the
 	// age trigger.
 	MaxAge time.Duration
-	// Poll is how often the refresher checks the triggers; <= 0 derives
-	// a default (MaxAge/8, floored at 1ms, or 5ms when MaxAge is unset).
-	// Both the dirty and the age trigger are checked only on this tick,
-	// so a refresh starts up to one Poll after its trigger fires — 62.5
-	// ms under snapserve's defaults (-refresh-age 500ms, derived poll) —
-	// and a minEpoch read (WaitEpoch on an ingest ack) waits up to one
-	// tick plus one refresh.
-	Poll time.Duration
 	// Workers is the parallelism of each background refresh; <= 0 means
 	// GOMAXPROCS.
 	Workers int
 }
 
-// poll returns the effective trigger-check interval.
+// poll returns the trigger-check interval.
 func (p Policy) poll() time.Duration {
-	if p.Poll > 0 {
-		return p.Poll
-	}
 	if p.MaxAge > 0 {
 		if d := p.MaxAge / 8; d > time.Millisecond {
 			return d
@@ -56,10 +53,12 @@ type Metrics struct {
 	Refreshes uint64
 	// AutoRefreshes counts publications initiated by the background
 	// refresher; DirtyTriggered and AgeTriggered split them by which
-	// policy trigger fired (dirty wins ties).
-	AutoRefreshes  uint64
-	DirtyTriggered uint64
-	AgeTriggered   uint64
+	// policy trigger fired (dirty wins ties), DemandTriggered counts
+	// those a waiter asked for (Demand), so AutoRefreshes is their sum.
+	AutoRefreshes   uint64
+	DirtyTriggered  uint64
+	AgeTriggered    uint64
+	DemandTriggered uint64
 	// LastDirty is the dirty-vertex count the most recent refresh
 	// consumed — the delta-rebuild work it did.
 	LastDirty int
@@ -144,34 +143,52 @@ func (m *Manager) Stop() {
 	}
 }
 
-// autoLoop is the background refresher: poll the triggers, refresh when
-// one fires, account the trigger. Refresh itself records the latency
-// metrics shared with manual refreshes.
+// autoLoop is the background refresher. It refreshes when a waiter
+// demands an epoch not yet published while updates are pending, or
+// when a policy trigger holds at a check, and accounts the cause.
+// Refresh itself records the latency metrics shared with manual
+// refreshes.
 func (m *Manager) autoLoop(p Policy, stop, done chan struct{}) {
 	defer close(done)
-	tick := time.NewTicker(p.poll())
+	interval := p.poll()
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
+		var byDemand, byDirty bool
 		select {
 		case <-stop:
 			return
+		case <-m.kick:
+			// A kick whose epoch a tick or a manual refresh already
+			// published is spent.
+			if m.Epoch() >= m.want.Load() || m.Staleness() == 0 {
+				continue
+			}
+			byDemand = true
 		case <-tick.C:
-		}
-		dirty := m.Staleness()
-		if dirty == 0 {
-			continue
-		}
-		byDirty := p.MaxDirty > 0 && dirty >= p.MaxDirty
-		byAge := p.MaxAge > 0 && time.Since(time.Unix(0, m.lastPub.Load())) >= p.MaxAge
-		if !byDirty && !byAge {
-			continue
+			dirty := m.Staleness()
+			if dirty == 0 {
+				continue
+			}
+			byDirty = p.MaxDirty > 0 && dirty >= p.MaxDirty
+			byAge := p.MaxAge > 0 && time.Since(time.Unix(0, m.lastPub.Load())) >= p.MaxAge
+			if !byDirty && !byAge {
+				continue
+			}
 		}
 		m.Refresh(p.Workers)
+		// Count the next check from this publication: a check right
+		// behind a refresh would publish the dirt that arrived during
+		// it, a refresh storm that costs ingest more than readers gain.
+		tick.Reset(interval)
 		m.metMu.Lock()
 		m.met.AutoRefreshes++
-		if byDirty {
+		switch {
+		case byDemand:
+			m.met.DemandTriggered++
+		case byDirty:
 			m.met.DirtyTriggered++
-		} else {
+		default:
 			m.met.AgeTriggered++
 		}
 		m.metMu.Unlock()

@@ -36,10 +36,21 @@ func (m *Manager) IngestEpoch(fn func(*dyngraph.Tracked)) uint64 {
 // returned epoch is still the latest observed). Together with the ack
 // epoch from the ingest path this gives read-your-writes: wait for
 // the ack's epoch, then query the current view.
+//
+// No ack is ever above the published epoch plus one (IngestEpoch), so
+// a larger min is refused at once with ErrEpochWaitTimeout rather than
+// held for the timeout. A min of exactly the next epoch is demanded
+// (Demand): a running auto-refresher publishes it now instead of at
+// its next trigger check.
 func (m *Manager) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
-	if e := m.epoch.Load(); e >= min {
+	e := m.epoch.Load()
+	if e >= min {
 		return e, nil
 	}
+	if min > e+1 {
+		return e, ErrEpochWaitTimeout
+	}
+	m.Demand(min)
 	var timeC <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -59,6 +70,25 @@ func (m *Manager) WaitEpoch(min uint64, timeout time.Duration) (uint64, error) {
 		case <-timeC:
 			return m.epoch.Load(), ErrEpochWaitTimeout
 		}
+	}
+}
+
+// Demand asks the running auto-refresher to publish epoch e as soon as
+// it can, rather than at its next trigger check: it raises the wanted
+// epoch to e and kicks the refresher without blocking. The refresher
+// publishes only while the published epoch is below the wanted one and
+// updates are pending, so any number of demands for one epoch cost one
+// refresh, and with no refresher running a demand publishes nothing.
+func (m *Manager) Demand(e uint64) {
+	for {
+		w := m.want.Load()
+		if w >= e || m.want.CompareAndSwap(w, e) {
+			break
+		}
+	}
+	select {
+	case m.kick <- struct{}{}:
+	default:
 	}
 }
 

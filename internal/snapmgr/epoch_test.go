@@ -106,7 +106,7 @@ func TestSetEpochBase(t *testing.T) {
 	// Waiters below the new base wake on re-base.
 	done := make(chan struct{})
 	go func() {
-		m.WaitEpoch(60, 5*time.Second)
+		m.WaitEpoch(51, 5*time.Second)
 		close(done)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -121,5 +121,96 @@ func TestSetEpochBase(t *testing.T) {
 	m.Refresh(2)
 	if m.Epoch() != 61 {
 		t.Fatalf("epoch after refresh %d, want 61", m.Epoch())
+	}
+}
+
+// noTriggers starts a refresher whose dirty and age triggers never fire
+// within a test, so every publication it makes is a demanded one.
+func noTriggers(t *testing.T, m *Manager) {
+	t.Helper()
+	if !m.Start(Policy{MaxDirty: 1 << 30, MaxAge: time.Hour}) {
+		t.Fatal("Start returned false")
+	}
+	t.Cleanup(m.Stop)
+}
+
+func TestDemandPublishesNextEpoch(t *testing.T) {
+	m := newMgr(t)
+	noTriggers(t, m)
+	ack := m.IngestEpoch(func(s *dyngraph.Tracked) { s.Insert(1, 2, 10) })
+	e, err := m.WaitEpoch(ack, 5*time.Second)
+	if err != nil || e < ack {
+		t.Fatalf("WaitEpoch(%d) = %d, %v", ack, e, err)
+	}
+	// The refresher accounts its refresh just after publishing it.
+	waitFor(t, 5*time.Second, func() bool { return m.Metrics().AutoRefreshes > 0 }, "the demanded refresh to be counted")
+	met := m.Metrics()
+	if met.DemandTriggered != 1 || met.AutoRefreshes != 1 {
+		t.Fatalf("metrics = %+v, want one demand-triggered auto refresh", met)
+	}
+	if g := m.Current(); g.NumEdges() != 1 {
+		t.Fatalf("snapshot has %d arcs, want 1", g.NumEdges())
+	}
+}
+
+func TestDemandCoalescesWaiters(t *testing.T) {
+	m := newMgr(t)
+	noTriggers(t, m)
+	ack := m.IngestEpoch(func(s *dyngraph.Tracked) { s.Insert(1, 2, 10) })
+	const waiters = 8
+	errs := make(chan error, waiters)
+	start := make(chan struct{})
+	for i := 0; i < waiters; i++ {
+		go func() {
+			<-start
+			_, err := m.WaitEpoch(ack, 5*time.Second)
+			errs <- err
+		}()
+	}
+	close(start)
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A late kick from a waiter that saw the old epoch must be spent,
+	// not turned into a second refresh.
+	waitFor(t, 5*time.Second, func() bool { return m.Metrics().DemandTriggered > 0 }, "the demanded refresh to be counted")
+	time.Sleep(20 * time.Millisecond)
+	if met := m.Metrics(); met.DemandTriggered != 1 || met.Refreshes != 2 {
+		t.Fatalf("metrics = %+v, want one demanded refresh for %d waiters", met, waiters)
+	}
+}
+
+func TestWaitEpochRefusesBeyondNext(t *testing.T) {
+	m := newMgr(t)
+	noTriggers(t, m)
+	ack := m.IngestEpoch(func(s *dyngraph.Tracked) { s.Insert(1, 2, 10) })
+	start := time.Now()
+	e, err := m.WaitEpoch(ack+1, 10*time.Second)
+	if !errors.Is(err, ErrEpochWaitTimeout) {
+		t.Fatalf("err %v, want ErrEpochWaitTimeout", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("unreachable epoch held the waiter for %v", d)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if e != ack-1 || m.Epoch() != ack-1 {
+		t.Fatalf("epoch %d (returned %d), want %d: a refusal must not publish", m.Epoch(), e, ack-1)
+	}
+	if met := m.Metrics(); met.DemandTriggered != 0 {
+		t.Fatalf("metrics = %+v, want no demand for an epoch two ahead", met)
+	}
+}
+
+func TestDemandWithoutRefresherTimesOut(t *testing.T) {
+	m := newMgr(t)
+	ack := m.IngestEpoch(func(s *dyngraph.Tracked) { s.Insert(1, 2, 10) })
+	e, err := m.WaitEpoch(ack, 30*time.Millisecond)
+	if !errors.Is(err, ErrEpochWaitTimeout) || e != ack-1 {
+		t.Fatalf("WaitEpoch(%d) = %d, %v; want %d and ErrEpochWaitTimeout", ack, e, err, ack-1)
+	}
+	if met := m.Metrics(); met.Refreshes != 1 || met.DemandTriggered != 0 {
+		t.Fatalf("metrics = %+v, want only the initial publication", met)
 	}
 }

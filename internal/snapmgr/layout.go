@@ -95,7 +95,7 @@ func (v *View) SizeBytes() int64 {
 // NewLayout is New publishing snapshots in the given layout: the initial
 // materialization and every later Refresh produce that format.
 func NewLayout(workers int, store *dyngraph.Tracked, layout Layout) *Manager {
-	m := &Manager{store: store, layout: layout}
+	m := &Manager{store: store, layout: layout, kick: make(chan struct{}, 1)}
 	m.Refresh(workers)
 	return m
 }

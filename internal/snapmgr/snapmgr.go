@@ -54,6 +54,11 @@ type Manager struct {
 	// and closed by broadcast().
 	pubCh atomic.Pointer[chan struct{}]
 
+	// want is the highest epoch a waiter has demanded (Demand) and kick
+	// the 1-slot channel that wakes the auto-refresher for it.
+	want atomic.Uint64
+	kick chan struct{}
+
 	metMu sync.Mutex
 	met   Metrics // counters only; lag fields filled by Metrics()
 

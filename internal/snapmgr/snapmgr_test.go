@@ -29,7 +29,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 func TestAutoRefreshDirtyTrigger(t *testing.T) {
 	store := newStore(64)
 	m := New(0, store)
-	if !m.Start(Policy{MaxDirty: 4, Poll: time.Millisecond}) {
+	if !m.Start(Policy{MaxDirty: 4}) {
 		t.Fatal("Start returned false on first call")
 	}
 	defer m.Stop()
@@ -65,7 +65,7 @@ func TestAutoRefreshAgeTrigger(t *testing.T) {
 	store := newStore(64)
 	m := New(0, store)
 	// Huge dirty threshold: only the age trigger can fire.
-	if !m.Start(Policy{MaxDirty: 1 << 30, MaxAge: 10 * time.Millisecond, Poll: time.Millisecond}) {
+	if !m.Start(Policy{MaxDirty: 1 << 30, MaxAge: 10 * time.Millisecond}) {
 		t.Fatal("Start returned false")
 	}
 	defer m.Stop()
@@ -84,7 +84,7 @@ func TestAutoRefreshAgeTrigger(t *testing.T) {
 func TestAutoRefreshZeroPolicyRefreshesOnAnyDirt(t *testing.T) {
 	store := newStore(64)
 	m := New(0, store)
-	if !m.Start(Policy{Poll: time.Millisecond}) {
+	if !m.Start(Policy{}) {
 		t.Fatal("Start returned false")
 	}
 	defer m.Stop()
@@ -92,10 +92,43 @@ func TestAutoRefreshZeroPolicyRefreshesOnAnyDirt(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return m.Epoch() >= 2 }, "zero-policy refresh")
 }
 
+// TestTriggerCheckCountsFromPublication: after every refresh the loop
+// makes, demanded or triggered, the next trigger refresh comes at least
+// one check interval later, so dirt that arrives during a refresh is not
+// published right behind it.
+func TestTriggerCheckCountsFromPublication(t *testing.T) {
+	store := newStore(64)
+	m := New(0, store)
+	p := Policy{MaxDirty: 1, MaxAge: 400 * time.Millisecond} // checks every 50ms
+	if !m.Start(p) {
+		t.Fatal("Start returned false")
+	}
+	defer m.Stop()
+	// Refresh counts a refresh after stamping its publication time.
+	published := func(n uint64) int64 {
+		waitFor(t, 5*time.Second, func() bool { return m.Metrics().Refreshes >= n }, "a refresh")
+		return m.lastPub.Load()
+	}
+
+	ack := m.IngestEpoch(func(s *dyngraph.Tracked) { s.Insert(1, 2, 10) })
+	if _, err := m.WaitEpoch(ack, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	last := published(2)
+	for i := 0; i < 2; i++ {
+		m.Ingest(func(s *dyngraph.Tracked) { s.Insert(edge.ID(3+2*i), edge.ID(4+2*i), 10) })
+		at := published(uint64(3 + i))
+		if gap := time.Duration(at - last); gap < p.poll() {
+			t.Fatalf("trigger refresh %d came %v after the publication before it, want >= %v", i, gap, p.poll())
+		}
+		last = at
+	}
+}
+
 func TestStopHaltsRefresher(t *testing.T) {
 	store := newStore(64)
 	m := New(0, store)
-	m.Start(Policy{Poll: time.Millisecond})
+	m.Start(Policy{})
 	m.Stop()
 	m.Stop() // idempotent
 
@@ -108,7 +141,7 @@ func TestStopHaltsRefresher(t *testing.T) {
 		t.Fatalf("staleness = %d, want 1 (pending until next refresh)", m.Staleness())
 	}
 	// A restart picks the pending updates up.
-	if !m.Start(Policy{Poll: time.Millisecond}) {
+	if !m.Start(Policy{}) {
 		t.Fatal("restart after Stop must succeed")
 	}
 	defer m.Stop()

@@ -39,7 +39,7 @@ func TestAutoRefreshHammer(t *testing.T) {
 	g := New(n, WithExpectedEdges(4*len(edges)), Undirected())
 	g.InsertEdges(0, edges)
 	m := g.Manager(2)
-	if !m.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 2 * time.Millisecond, Poll: time.Millisecond}) {
+	if !m.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 2 * time.Millisecond}) {
 		t.Fatal("StartAutoRefresh returned false")
 	}
 	defer m.StopAutoRefresh()

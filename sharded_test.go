@@ -117,7 +117,7 @@ func TestShardedAutoRefresh(t *testing.T) {
 	// MaxAge lets the residue below MaxDirty publish too: without it the
 	// fleet only settles when every shard's last refresh happens to fire
 	// after the last batch, which a slow (-race) ingest loses.
-	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 5 * time.Millisecond, Poll: time.Millisecond}) {
+	if !sg.StartAutoRefresh(AutoRefreshPolicy{MaxDirty: 32, MaxAge: 5 * time.Millisecond}) {
 		t.Fatal("auto-refresh did not start")
 	}
 	defer sg.StopAutoRefresh()
